@@ -74,7 +74,9 @@ from repro.harness.journal import (
     CRASH_AFTER_ENV,
     _encode_record,
     _sha256,
+    find_run,
     new_run_id,
+    publish_latest,
     replay_journal,
     trace_digest,
 )
@@ -420,6 +422,7 @@ class SweepJournal(SweepObserver):
         temporary = directory / (_MANIFEST + ".tmp")
         temporary.write_text(json.dumps(manifest, indent=2, sort_keys=True))
         temporary.replace(directory / _MANIFEST)
+        publish_latest(runs_dir, run_id)
         journal = cls(directory, manifest)
         journal.append({"type": "run_started", "run_id": run_id})
         for chunk_id in range(manifest.get("chunks", 0)):
@@ -428,21 +431,7 @@ class SweepJournal(SweepObserver):
 
     @classmethod
     def open(cls, runs_dir, run_id: str) -> "SweepJournal":
-        runs_dir = pathlib.Path(runs_dir)
-        if run_id == "latest":
-            candidates = sorted(
-                entry for entry in runs_dir.iterdir()
-                if entry.is_dir() and (entry / _MANIFEST).exists()
-            ) if runs_dir.is_dir() else []
-            if not candidates:
-                raise JournalError(f"no sweep runs under {runs_dir}")
-            directory = candidates[-1]
-        else:
-            directory = runs_dir / run_id
-            if not (directory / _MANIFEST).exists():
-                raise JournalError(
-                    f"no sweep run {run_id!r} under {runs_dir} "
-                    "(no manifest); try 'latest'")
+        directory = find_run(runs_dir, run_id)
         try:
             manifest = json.loads((directory / _MANIFEST).read_text())
         except (OSError, ValueError) as exc:

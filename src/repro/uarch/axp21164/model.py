@@ -25,7 +25,10 @@ LVP behaviour follows the paper:
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.isa.opcodes import Opcode, OpClass
 from repro.isa.registers import NUM_REGS
@@ -35,15 +38,11 @@ from repro.uarch.axp21164.config import AXP21164Config
 from repro.uarch.components.branch import BranchPredictor, BranchStats
 from repro.uarch.components.cache import Cache, CacheStats, MemoryHierarchy
 from repro.uarch.components.latencies import AXP21164_LATENCY
-from repro.uarch.engine import (
-    BRANCH_KIND,
-    latency_arrays,
-    resolve_model_engine,
-)
+from repro.uarch.engine import latency_arrays, resolve_model_engine
+from repro.uarch.factored import load_outcome_counts, precompute
 
 # Flat lookup tables for the fast scheduling loop.
-_LAT_ISSUE, _LAT_RESULT = latency_arrays(AXP21164_LATENCY)
-_OP_HALT = int(Opcode.HALT)
+_LAT_RESULT = latency_arrays(AXP21164_LATENCY)[1]
 
 
 def _slot_kinds() -> list[int]:
@@ -310,95 +309,63 @@ class AXP21164Model:
 
     def _run_fast(self, annotated: AnnotatedTrace,
                   use_lvp: bool = True) -> AXP21164Result:
-        """The inlined scheduling loop (bit-identical to ``reference``).
+        """The factored scheduling loop (bit-identical to ``reference``).
 
-        Same arithmetic as :meth:`_run_reference`, with latency and
-        slot-category lookups flattened to lists, the register
-        scoreboard as a list, and the cache and branch-predictor state
-        inlined as local variables.
+        I-cache misses, branch mispredictions and each load's cache
+        service level come from :mod:`repro.uarch.factored`, computed
+        once per trace and shared by every run; this loop is only the
+        in-order issue logic, with latency and slot-category lookups
+        flattened to lists and the register scoreboard as a list.
         """
         config = self.config
         trace = annotated.trace
+        front, data = precompute(annotated, config, use_lvp)
+
         opcodes = trace.opcode.tolist()
         opclasses = trace.opclass.tolist()
         dsts = trace.dst.tolist()
         src1s = trace.src1.tolist()
         src2s = trace.src2.tolist()
         addrs = trace.addr.tolist()
-        takens = trace.taken.tolist()
-        pcs = trace.pc.tolist()
-        outcome_list = annotated.outcomes.tolist()
+        outcome_list = annotated.outcomes.tolist() if use_lvp else None
+        icache_stalls = front.icache_stalls(config.l2_latency)
+        mispredicts = front.mispredicted()
+        load_penalty = data.add_penalties([0] * len(trace),
+                                          config.l2_latency,
+                                          config.memory_latency)
         count = len(opcodes)
 
         lat_result = _LAT_RESULT
         slot_kind = _SLOT_KIND
-        branch_kind = BRANCH_KIND
-        op_halt = _OP_HALT
-        cls_branch = int(OpClass.BRANCH)
-
-        l1 = Cache(config.l1_size, config.l1_assoc, config.l1_line)
-        l2 = Cache(config.l2_size, config.l2_assoc, config.l1_line)
-        l1_sets, l1_nsets, l1_assoc = l1._sets, l1.num_sets, l1.assoc
-        l2_sets, l2_nsets, l2_assoc = l2._sets, l2.num_sets, l2.assoc
-        line_size = config.l1_line
-        l2_latency = config.l2_latency
-        miss_penalty = l2_latency + config.memory_latency
-        l1_acc = l1_miss = l1_store_acc = 0
-        if config.icache_size:
-            icache = Cache(config.icache_size, config.icache_assoc,
-                           config.l1_line)
-            icache_sets, icache_nsets = icache._sets, icache.num_sets
-            icache_assoc = icache.assoc
-        else:
-            icache_sets = None
-
-        bht = [1] * 2048
-        bht_mask = 2047
-        btb: dict = {}
-        btb_get = btb.get
-        n_cond = n_cond_misp = n_ind = n_ind_misp = 0
+        # Per slot kind (int, fp, load, store, branch): issues per cycle.
+        slot_limit = (config.int_per_cycle, config.fp_per_cycle,
+                      config.loads_per_cycle, config.stores_per_cycle,
+                      config.branches_per_cycle)
+        slots = [0, 0, 0, 0, 0]
+        slots_total = 0
 
         reg_ready = [0] * NUM_REGS
         store_ready: dict[int, int] = {}
         store_get = store_ready.get
 
+        # ``cycle`` is also the last issue cycle: issue is in order.
         cycle = 0
-        slots_total = 0
-        slots_int = 0
-        slots_fp = 0
-        slots_load = 0
-        slots_store = 0
-        slots_branch = 0
-        stall_until = 0
-        last_issue = 0
+        stall_until = 0  # blocking miss / squash / branch redirect
         last_result = 0
 
-        oc = [0, 0, 0, 0]
-        num_loads = 0
-        constant_past_miss = 0
-        value_mispredicts = 0
-
         issue_width = config.issue_width
-        int_per_cycle = config.int_per_cycle
-        fp_per_cycle = config.fp_per_cycle
-        loads_per_cycle = config.loads_per_cycle
-        stores_per_cycle = config.stores_per_cycle
-        branches_per_cycle = config.branches_per_cycle
         mispredict_penalty = config.mispredict_penalty
         vm_penalty = config.value_mispredict_penalty
         maf = config.maf
 
         for i in range(count):
             opclass = opclasses[i]
-            opv = opcodes[i]
             kind = slot_kind[opclass]
 
             ready = 0
             s = src1s[i]
             if s > 0:
-                v = reg_ready[s]
-                if v > ready:
-                    ready = v
+                ready = reg_ready[s]
             s = src2s[i]
             if s > 0:
                 v = reg_ready[s]
@@ -414,180 +381,68 @@ class AXP21164Model:
                 candidate = ready
             if stall_until > candidate:
                 candidate = stall_until
-            if last_issue > candidate:
-                candidate = last_issue
-            if icache_sets is not None:
-                line = pcs[i] // line_size
-                lru = icache_sets[line % icache_nsets]
-                if line in lru:
-                    lru.remove(line)
-                    lru.append(line)
-                else:
-                    lru.append(line)
-                    if len(lru) > icache_assoc:
-                        lru.pop(0)
-                    candidate += l2_latency
-            while True:
-                if candidate > cycle:
-                    cycle = candidate
-                    slots_total = slots_int = slots_fp = 0
-                    slots_load = slots_store = slots_branch = 0
-                full = slots_total >= issue_width
-                if not full:
-                    if kind == 0:
-                        full = slots_int >= int_per_cycle
-                    elif kind == 1:
-                        full = slots_fp >= fp_per_cycle
-                    elif kind == 2:
-                        full = slots_load >= loads_per_cycle
-                    elif kind == 3:
-                        full = slots_store >= stores_per_cycle
-                    else:
-                        full = slots_branch >= branches_per_cycle
-                if not full:
-                    break
+            candidate += icache_stalls[i]
+            # In-order slotting: a full cycle pushes the instruction to
+            # the next one, whose slots are all free.
+            if candidate == cycle and (slots_total >= issue_width
+                                       or slots[kind] >= slot_limit[kind]):
                 candidate += 1
-            issue = candidate
+            if candidate > cycle:
+                cycle = candidate
+                slots_total = 0
+                slots = [0, 0, 0, 0, 0]
             slots_total += 1
-            if kind == 0:
-                slots_int += 1
-            elif kind == 1:
-                slots_fp += 1
-            elif kind == 2:
-                slots_load += 1
-            elif kind == 3:
-                slots_store += 1
-            else:
-                slots_branch += 1
-            last_issue = issue
+            slots[kind] += 1
 
             # ---- execute -----------------------------------------------
-            lr = lat_result[opv]
-            result_time = issue + lr
+            result_time = cycle + lat_result[opcodes[i]]
             if kind == 2:
-                num_loads += 1
-                outcome = outcome_list[i]
-                addr = addrs[i]
-                line = addr // line_size
-                if use_lvp and outcome == 3:  # CONSTANT: skip memory
-                    if line not in l1_sets[line % l1_nsets]:
-                        constant_past_miss += 1
-                    result_time = issue
-                    oc[3] += 1
-                else:
-                    lru = l1_sets[line % l1_nsets]
-                    l1_acc += 1
-                    if line in lru:
-                        lru.remove(line)
-                        lru.append(line)
-                        penalty = 0
-                    else:
-                        l1_miss += 1
-                        lru.append(line)
-                        if len(lru) > l1_assoc:
-                            lru.pop(0)
-                        lru = l2_sets[line % l2_nsets]
-                        l2.stats.accesses += 1
-                        if line in lru:
-                            lru.remove(line)
-                            lru.append(line)
-                            penalty = l2_latency
-                        else:
-                            l2.stats.misses += 1
-                            lru.append(line)
-                            if len(lru) > l2_assoc:
-                                lru.pop(0)
-                            penalty = miss_penalty
-                    if penalty:
-                        result_time = issue + lr + penalty
-                        if not maf and result_time > stall_until:
-                            stall_until = result_time
-                        if use_lvp and outcome != NOT_A_LOAD:
-                            oc[0] += 1
-                    elif use_lvp and outcome == 2:  # CORRECT
-                        result_time = issue
-                        oc[2] += 1
-                    elif use_lvp and outcome == 1:  # INCORRECT
-                        value_mispredicts += 1
-                        restart = issue + lr + vm_penalty
+                penalty = load_penalty[i]
+                if penalty:
+                    # Miss: prediction abandoned with no penalty; without
+                    # a MAF the whole pipeline stalls.
+                    result_time += penalty
+                    if not maf and result_time > stall_until:
+                        stall_until = result_time
+                elif use_lvp:
+                    outcome = outcome_list[i]
+                    if outcome == 3 or outcome == 2:
+                        result_time = cycle  # zero-cycle load
+                    elif outcome == 1:  # squash and redispatch
+                        restart = result_time + vm_penalty
                         if restart > stall_until:
                             stall_until = restart
-                        result_time = issue + lr
-                        oc[1] += 1
-                    elif use_lvp and outcome != NOT_A_LOAD:
-                        oc[outcome] += 1
             elif kind == 3:
-                addr = addrs[i]
-                line = addr // line_size
-                lru = l1_sets[line % l1_nsets]
-                l1_store_acc += 1
-                if line in lru:
-                    lru.remove(line)
-                    lru.append(line)
-                lru = l2_sets[line % l2_nsets]
-                l2.stats.store_accesses += 1
-                if line in lru:
-                    lru.remove(line)
-                    lru.append(line)
-                store_ready[addr & ~7] = issue + lr
-            elif opclass == cls_branch and opv != op_halt:
-                bk = branch_kind[opv]
-                if bk == 1:
-                    bidx = (pcs[i] >> 2) & bht_mask
-                    ctr = bht[bidx]
-                    if takens[i]:
-                        if ctr < 3:
-                            bht[bidx] = ctr + 1
-                        correct = ctr >= 2
-                    else:
-                        if ctr > 0:
-                            bht[bidx] = ctr - 1
-                        correct = ctr < 2
-                    n_cond += 1
-                    if not correct:
-                        n_cond_misp += 1
-                elif bk == 2:
-                    target = pcs[i + 1] if i + 1 < count else 0
-                    bidx = (pcs[i] >> 2) & 255
-                    correct = btb_get(bidx) == target
-                    btb[bidx] = target
-                    n_ind += 1
-                    if not correct:
-                        n_ind_misp += 1
-                else:
-                    correct = True
-                if not correct:
-                    v = issue + 1 + mispredict_penalty
-                    if v > stall_until:
-                        stall_until = v
+                store_ready[addrs[i] & ~7] = result_time
+                if len(store_ready) > 4096:
+                    store_ready.clear()
+            elif mispredicts[i]:
+                v = cycle + 1 + mispredict_penalty
+                if v > stall_until:
+                    stall_until = v
 
             dst = dsts[i]
             if dst > 0:
                 reg_ready[dst] = result_time
             if result_time > last_result:
                 last_result = result_time
-            if len(store_ready) > 4096:
-                store_ready.clear()
 
-        cycles = (last_issue if last_issue >= last_result
-                  else last_result) + 4
-        l1.stats.accesses = l1_acc
-        l1.stats.misses = l1_miss
-        l1.stats.store_accesses = l1_store_acc
+        # Loads that missed the L1 lose their prediction.
+        missed = data.l1_missed()
+        value_mispredicts = 0
+        if use_lvp:
+            value_mispredicts = int(np.count_nonzero(
+                (annotated.outcomes == int(LoadOutcome.INCORRECT))
+                & trace.is_load & ~missed))
         return AXP21164Result(
             config_name=config.name,
             lvp_name=annotated.config.name if use_lvp else "none",
             instructions=count,
-            cycles=cycles,
-            l1_stats=l1.stats,
-            branch_stats=BranchStats(
-                conditional=n_cond,
-                conditional_mispredicts=n_cond_misp,
-                indirect=n_ind,
-                indirect_mispredicts=n_ind_misp,
-            ),
-            loads=num_loads,
-            load_outcomes={o: oc[int(o)] for o in LoadOutcome},
-            constant_past_miss=constant_past_miss,
+            cycles=(cycle if cycle >= last_result else last_result) + 4,
+            l1_stats=copy(data.l1_stats),
+            branch_stats=copy(front.branch_stats),
+            loads=trace.num_loads,
+            load_outcomes=load_outcome_counts(annotated, use_lvp, missed),
+            constant_past_miss=data.constant_past_miss,
             value_mispredicts=value_mispredicts,
         )

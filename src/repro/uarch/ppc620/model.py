@@ -33,7 +33,11 @@ with respect to its own machine definition.
 from __future__ import annotations
 
 from collections import deque
+from copy import copy
 from dataclasses import dataclass, field
+from heapq import heapreplace
+
+import numpy as np
 
 from repro.isa.opcodes import Opcode, OpClass
 from repro.isa.registers import NUM_REGS
@@ -48,11 +52,11 @@ from repro.uarch.components.cache import (
 )
 from repro.uarch.components.latencies import PPC620_LATENCY
 from repro.uarch.engine import (
-    BRANCH_KIND,
     fu_of_class_array,
     latency_arrays,
     resolve_model_engine,
 )
+from repro.uarch.factored import load_outcome_counts, precompute
 from repro.uarch.ppc620.config import PPC620Config
 
 #: Functional-unit pool ids.
@@ -79,8 +83,9 @@ VERIFY_BUCKETS = ("<4", "4", "5", "6", "7", ">7")
 
 # Flat lookup tables for the fast scheduling loop.
 _FU_OF_CLASS_LIST = fu_of_class_array(_FU_OF_CLASS)
-_LAT_ISSUE, _LAT_RESULT = latency_arrays(PPC620_LATENCY)
-_OP_HALT = int(Opcode.HALT)
+_FU_OF_CLASS_LIST_NP = np.array(_FU_OF_CLASS_LIST, dtype=np.uint8)
+_LAT_ISSUE, _LAT_RESULT = (np.array(table, dtype=np.int16)
+                           for table in latency_arrays(PPC620_LATENCY))
 
 
 @dataclass
@@ -536,83 +541,82 @@ class PPC620Model:
 
     def _run_fast(self, annotated: AnnotatedTrace,
                   use_lvp: bool = True) -> PPC620Result:
-        """The inlined scheduling loop (bit-identical to ``reference``).
+        """The factored scheduling loop (bit-identical to ``reference``).
 
-        Same arithmetic as :meth:`_run_reference`, with the per-event
-        abstractions flattened: latency and FU lookup tables as flat
-        lists, register scoreboards as lists instead of dicts, cache /
-        branch-predictor / bank state as local variables, and the
-        reservation-station and functional-unit helpers inlined.
+        I-cache misses, branch mispredictions and each load's cache
+        service level come from :mod:`repro.uarch.factored`, computed
+        once per trace and shared by every run; this loop is only the
+        scheduler.  It keeps the reference arithmetic on leaner state:
+        per-instruction latency lists, list scoreboards, fixed-length
+        rings and heaps for the structural resources, and a set as the
+        bank ledger.
         """
         config = self.config
         trace = annotated.trace
+        front, data = precompute(annotated, config, use_lvp)
 
-        opcodes = trace.opcode.tolist()
         opclasses = trace.opclass.tolist()
         dsts = trace.dst.tolist()
         src1s = trace.src1.tolist()
         src2s = trace.src2.tolist()
         addrs = trace.addr.tolist()
-        takens = trace.taken.tolist()
-        pcs = trace.pc.tolist()
-        outcome_list = annotated.outcomes.tolist()
-        count = len(opcodes)
+        outcome_list = annotated.outcomes.tolist() if use_lvp else None
+        icache_stalls = front.icache_stalls(config.l2_latency)
+        mispredicts = front.mispredicted()
+        occupancies = _LAT_ISSUE[trace.opcode].tolist()
+        # Result latency, plus the cache trip for loads that make one.
+        latencies = data.add_penalties(_LAT_RESULT[trace.opcode].tolist(),
+                                       config.l2_latency,
+                                       config.memory_latency)
+        count = len(opclasses)
 
-        lat_issue = _LAT_ISSUE
-        lat_result = _LAT_RESULT
         fu_of_class = _FU_OF_CLASS_LIST
-        branch_kind = BRANCH_KIND
-        op_halt = _OP_HALT
         cls_load = int(OpClass.LOAD)
         cls_store = int(OpClass.STORE)
-        cls_branch = int(OpClass.BRANCH)
 
-        # Cache objects validate geometry and own the stats containers;
-        # the loop mutates their tag lists directly.
-        l1 = Cache(config.l1_size, config.l1_assoc, config.l1_line)
-        l2 = Cache(config.l2_size, config.l2_assoc, config.l1_line)
-        l1_sets, l1_nsets, l1_assoc = l1._sets, l1.num_sets, l1.assoc
-        l2_sets, l2_nsets, l2_assoc = l2._sets, l2.num_sets, l2.assoc
+        # Bank-usage ledger of (cycle, bank) pairs (BankTracker inlined;
+        # banks have one port, so a pair is either free or taken, and
+        # loads own a port, so only the store-commit pass below can
+        # conflict).
         l1_line = config.l1_line
-        l2_latency = config.l2_latency
-        miss_penalty = l2_latency + config.memory_latency
-        l1_acc = l1_miss = l1_store_acc = 0
-        if config.icache_size:
-            icache = Cache(config.icache_size, config.icache_assoc,
-                           config.l1_line)
-            icache_sets, icache_nsets = icache._sets, icache.num_sets
-            icache_assoc = icache.assoc
-        else:
-            icache_sets = None
-
-        # Bank-usage ledger (BankTracker inlined; loads own a port, so
-        # only the store-commit pass below can conflict).
         num_banks = config.l1_banks
-        bank_usage: dict = {}
-        bank_get = bank_usage.get
-        conflicts = 0
-        conflict_cycles: set = set()
+        bank_used: set[tuple[int, int]] = set()
 
-        # Branch predictor (2-bit BHT + last-target BTB), inlined.
-        bht = [1] * 2048
-        bht_mask = 2047
-        btb: dict = {}
-        btb_get = btb.get
-        n_cond = n_cond_misp = n_ind = n_ind_misp = 0
+        # Structural resources as fixed-length state pre-filled with
+        # cycle 0, so a slot not yet used never binds:
+        # * completion-buffer, rename and instruction-buffer slots free
+        #   in order (completion is in order), so each is a FIFO ring
+        #   and a full one bounds dispatch by ring[0];
+        # * reservation stations free out of order, so each pool is a
+        #   min-heap of release times.  Invariant: a reference pool
+        #   never holds more than `size` entries -- dispatch to a full
+        #   pool waits for the earliest release, and allocation then
+        #   drops every release at or before dispatch, so at least
+        #   len - size + 1 entries.  So "full" is len == size and the
+        #   bound is the heap root.  Here each heap keeps exactly `size`
+        #   entries: a freed slot stays as a release no later than the
+        #   last dispatch, which never binds, and allocation replaces
+        #   the root, which is always such a slot;
+        # * functional-unit instances are heaps of free times likewise.
+        dispatch_window = deque([0] * config.completion_buffer,
+                                maxlen=config.completion_buffer)
+        gpr_ring = deque([0] * config.gpr_rename, maxlen=config.gpr_rename)
+        fpr_ring = deque([0] * config.fpr_rename, maxlen=config.fpr_rename)
+        ibuf_ring = deque([0] * config.instruction_buffer,
+                          maxlen=config.instruction_buffer)
+        pool_rel = [[0] * config.rs_scfx, [0] * config.rs_mcfx,
+                    [0] * config.rs_fpu, [0] * config.rs_lsu,
+                    [0] * config.rs_bru]
+        unit_free = [[0] * config.num_scfx, [0] * config.num_mcfx,
+                     [0] * config.num_fpu, [0] * config.num_lsu,
+                     [0] * config.num_bru]
 
-        pool_size = (config.rs_scfx, config.rs_mcfx, config.rs_fpu,
-                     config.rs_lsu, config.rs_bru)
-        pool_rel: list[list[int]] = [[], [], [], [], []]
-        unit_free = [
-            [0] * config.num_scfx, [0] * config.num_mcfx,
-            [0] * config.num_fpu, [0] * config.num_lsu,
-            [0] * config.num_bru,
-        ]
-
-        reg_spec = [0] * NUM_REGS
-        reg_real = [0] * NUM_REGS
+        # A register's speculative and real availability always coincide
+        # (the reference loop writes both from one value), so one
+        # scoreboard carries them and a mispredicted source never delays
+        # its consumer past the real value.
+        reg_ready = [0] * NUM_REGS
         reg_verify = [0] * NUM_REGS
-        reg_misp = [False] * NUM_REGS
 
         store_ready: dict[int, int] = {}
         store_get = store_ready.get
@@ -623,110 +627,68 @@ class PPC620Model:
         dispatch_cycle = 0
         dispatch_count = 0
         mem_dispatch_count = 0
+        # In-order completion: the last completion is the current cycle.
         complete_cycle = 0
         complete_count = 0
-        last_completion = 0
-        dispatch_window: deque = deque()
-        gpr_ring: deque = deque()
-        fpr_ring: deque = deque()
-        ibuf_ring: deque = deque()
 
         vh0 = vh1 = vh2 = vh3 = vh4 = vh5 = 0
         store_commits: list[tuple[int, int]] = []
         fu_wait_sum = [0, 0, 0, 0, 0]
-        fu_wait_count = [0, 0, 0, 0, 0]
-        oc = [0, 0, 0, 0]
-        num_loads = 0
 
         fetch_width = config.fetch_width
         dispatch_width = config.dispatch_width
         complete_width = config.complete_width
-        instruction_buffer = config.instruction_buffer
-        completion_buffer = config.completion_buffer
-        gpr_rename = config.gpr_rename
-        fpr_rename = config.fpr_rename
         mem_per_cycle = config.mem_per_cycle
         mispredict_penalty = config.mispredict_penalty
         rs_retention = config.rs_retention
 
         for i in range(count):
-            opv = opcodes[i]
             opclass = opclasses[i]
             fu = fu_of_class[opclass]
-            li = lat_issue[opv]
-            lr = lat_result[opv]
 
             # ---- fetch -------------------------------------------------
             candidate = fetch_cycle if fetch_cycle >= fetch_blocked_until \
                 else fetch_blocked_until
             if candidate == fetch_cycle and fetch_count >= fetch_width:
                 candidate += 1
-            if len(ibuf_ring) >= instruction_buffer:
-                first = ibuf_ring[0]
-                if first > candidate:
-                    candidate = first
-            if icache_sets is not None:
-                line = pcs[i] // l1_line
-                lru = icache_sets[line % icache_nsets]
-                if line in lru:
-                    lru.remove(line)
-                    lru.append(line)
-                else:
-                    lru.append(line)
-                    if len(lru) > icache_assoc:
-                        lru.pop(0)
-                    candidate += l2_latency
+            first = ibuf_ring[0]
+            if first > candidate:
+                candidate = first
+            candidate += icache_stalls[i]
             if candidate != fetch_cycle:
                 fetch_cycle = candidate
                 fetch_count = 0
-            fetch_time = fetch_cycle
             fetch_count += 1
 
             # ---- dispatch ----------------------------------------------
-            candidate = fetch_time + 1
+            candidate = fetch_cycle + 1
             if dispatch_cycle > candidate:
                 candidate = dispatch_cycle
             is_mem = fu == FU_LSU
-            while True:
-                if candidate > dispatch_cycle:
-                    width_used = 0
-                    mem_used = 0
-                else:
-                    width_used = dispatch_count
-                    mem_used = mem_dispatch_count
-                if width_used >= dispatch_width or (
-                        is_mem and mem_used >= mem_per_cycle):
-                    candidate += 1
-                    continue
-                break
-            if len(dispatch_window) >= completion_buffer:
-                first = dispatch_window[0]
-                if first > candidate:
-                    candidate = first
-                while (len(dispatch_window) >= completion_buffer
-                        and dispatch_window[0] <= candidate):
-                    dispatch_window.popleft()
+            # A full dispatch group pushes by one cycle, whose group is
+            # empty.
+            if candidate == dispatch_cycle and (
+                    dispatch_count >= dispatch_width
+                    or (is_mem and mem_dispatch_count >= mem_per_cycle)):
+                candidate += 1
+            first = dispatch_window[0]
+            if first > candidate:
+                candidate = first
             dst = dsts[i]
             ring = None
             if dst > 0:
                 if dst < 32:
                     ring = gpr_ring
-                    limit = gpr_rename
                 elif dst < 64:
                     ring = fpr_ring
-                    limit = fpr_rename
-            if ring is not None and len(ring) >= limit:
-                first = ring[0]
-                if first > candidate:
-                    candidate = first
-                while len(ring) >= limit and ring[0] <= candidate:
-                    ring.popleft()
+                if ring is not None:
+                    first = ring[0]
+                    if first > candidate:
+                        candidate = first
             rel = pool_rel[fu]
-            psize = pool_size[fu]
-            if len(rel) >= psize:
-                bound = sorted(rel)[len(rel) - psize]
-                if bound > candidate:
-                    candidate = bound
+            first = rel[0]
+            if first > candidate:
+                candidate = first
             if candidate > dispatch_cycle:
                 dispatch_cycle = candidate
                 dispatch_count = 0
@@ -736,208 +698,91 @@ class PPC620Model:
             if is_mem:
                 mem_dispatch_count += 1
             ibuf_ring.append(dispatch_time)
-            if len(ibuf_ring) > instruction_buffer:
-                ibuf_ring.popleft()
 
             # ---- operands ----------------------------------------------
-            ready_spec = dispatch_time
-            ready_real = dispatch_time
+            ready = dispatch_time
             spec_until = 0
-            has_misp_source = False
             s = src1s[i]
             if s > 0:
-                v = reg_spec[s]
-                if v > ready_spec:
-                    ready_spec = v
-                v = reg_real[s]
-                if v > ready_real:
-                    ready_real = v
-                v = reg_verify[s]
-                if v > spec_until:
-                    spec_until = v
-                if reg_misp[s]:
-                    has_misp_source = True
+                v = reg_ready[s]
+                if v > ready:
+                    ready = v
+                spec_until = reg_verify[s]
             s = src2s[i]
             if s > 0:
-                v = reg_spec[s]
-                if v > ready_spec:
-                    ready_spec = v
-                v = reg_real[s]
-                if v > ready_real:
-                    ready_real = v
+                v = reg_ready[s]
+                if v > ready:
+                    ready = v
                 v = reg_verify[s]
                 if v > spec_until:
                     spec_until = v
-                if reg_misp[s]:
-                    has_misp_source = True
-
-            fu_wait_sum[fu] += ready_spec - dispatch_time
-            fu_wait_count[fu] += 1
-
-            operand_time = ready_spec
-            if has_misp_source:
-                would_issue = dispatch_time + 1
-                if ready_spec > would_issue:
-                    would_issue = ready_spec
-                if would_issue < ready_real:
-                    operand_time = ready_real + 1
-                else:
-                    operand_time = ready_real
+            fu_wait_sum[fu] += ready - dispatch_time
 
             # ---- issue / execute ---------------------------------------
-            issue_candidate = dispatch_time + 1
-            if operand_time > issue_candidate:
-                issue_candidate = operand_time
             free = unit_free[fu]
-            n_inst = len(free)
-            best = 0
-            bf = free[0]
-            if n_inst > 1:
-                for j in range(1, n_inst):
-                    if free[j] < bf:
-                        bf = free[j]
-                        best = j
-            issue_time = issue_candidate if issue_candidate > bf else bf
-            free[best] = issue_time + li
+            issue_time = free[0]
+            if issue_time <= dispatch_time:
+                issue_time = dispatch_time + 1
+            if ready > issue_time:
+                issue_time = ready
+            occupancy = occupancies[i]
+            heapreplace(free, issue_time + occupancy)
 
             verify_time = 0
-            is_load = opclass == cls_load
-            outcome = outcome_list[i] if is_load else NOT_A_LOAD
-            if is_load:
-                num_loads += 1
+            my_verify = spec_until
+            if opclass == cls_load:
                 addr = addrs[i]
                 dep = store_get(addr & ~7, 0)
                 if dep > issue_time:
-                    best = 0
-                    bf = free[0]
-                    if n_inst > 1:
-                        for j in range(1, n_inst):
-                            if free[j] < bf:
-                                bf = free[j]
-                                best = j
-                    issue_time = dep if dep > bf else bf
-                    free[best] = issue_time + li
-                if use_lvp and outcome == 3:  # CONSTANT: no cache access
-                    exec_done = issue_time + lr
+                    issue_time = free[0]
+                    if dep > issue_time:
+                        issue_time = dep
+                    heapreplace(free, issue_time + occupancy)
+                # Stage 2 already left CVU-verified loads out of the cache.
+                exec_done = avail = issue_time + latencies[i]
+                outcome = outcome_list[i] if use_lvp else 0
+                if outcome == 3:  # CONSTANT: no cache access
                     verify_time = exec_done
                 else:
-                    line = addr // l1_line
-                    key = (issue_time + 1, line % num_banks)
-                    bank_usage[key] = bank_get(key, 0) + 1
-                    lru = l1_sets[line % l1_nsets]
-                    l1_acc += 1
-                    if line in lru:
-                        lru.remove(line)
-                        lru.append(line)
-                        exec_done = issue_time + lr
-                    else:
-                        l1_miss += 1
-                        lru.append(line)
-                        if len(lru) > l1_assoc:
-                            lru.pop(0)
-                        lru = l2_sets[line % l2_nsets]
-                        l2.stats.accesses += 1
-                        if line in lru:
-                            lru.remove(line)
-                            lru.append(line)
-                            exec_done = issue_time + lr + l2_latency
-                        else:
-                            l2.stats.misses += 1
-                            lru.append(line)
-                            if len(lru) > l2_assoc:
-                                lru.pop(0)
-                            exec_done = issue_time + lr + miss_penalty
-                    if use_lvp and (outcome == 2 or outcome == 1):
+                    bank_used.add((issue_time + 1,
+                                   (addr // l1_line) % num_banks))
+                    if outcome == 2 or outcome == 1:
                         verify_time = exec_done + 1
-                if use_lvp and outcome != NOT_A_LOAD:
-                    oc[outcome] += 1
-            elif opclass == cls_store:
-                addr = addrs[i]
-                line = addr // l1_line
-                lru = l1_sets[line % l1_nsets]
-                l1_store_acc += 1
-                if line in lru:
-                    lru.remove(line)
-                    lru.append(line)
-                lru = l2_sets[line % l2_nsets]
-                l2.stats.store_accesses += 1
-                if line in lru:
-                    lru.remove(line)
-                    lru.append(line)
-                exec_done = issue_time + lr
-                store_ready[addr & ~7] = exec_done
-            else:
-                exec_done = issue_time + lr
-
-            # ---- branches ----------------------------------------------
-            if opclass == cls_branch and opv != op_halt:
-                bk = branch_kind[opv]
-                if bk == 1:
-                    bidx = (pcs[i] >> 2) & bht_mask
-                    ctr = bht[bidx]
-                    if takens[i]:
-                        if ctr < 3:
-                            bht[bidx] = ctr + 1
-                        correct = ctr >= 2
+                if outcome == 2 or outcome == 3:
+                    # Predicted: the value forwards at dispatch.
+                    avail = dispatch_time
+                    if verify_time > spec_until:
+                        my_verify = verify_time
+                    bucket = verify_time - dispatch_time
+                    if bucket < 4:
+                        vh0 += 1
+                    elif bucket > 7:
+                        vh5 += 1
+                    elif bucket == 4:
+                        vh1 += 1
+                    elif bucket == 5:
+                        vh2 += 1
+                    elif bucket == 6:
+                        vh3 += 1
                     else:
-                        if ctr > 0:
-                            bht[bidx] = ctr - 1
-                        correct = ctr < 2
-                    n_cond += 1
-                    if not correct:
-                        n_cond_misp += 1
-                elif bk == 2:
-                    target = pcs[i + 1] if i + 1 < count else 0
-                    bidx = (pcs[i] >> 2) & 255
-                    correct = btb_get(bidx) == target
-                    btb[bidx] = target
-                    n_ind += 1
-                    if not correct:
-                        n_ind_misp += 1
-                else:
-                    correct = True
-                if not correct:
+                        vh4 += 1
+                elif outcome == 1 and verify_time > spec_until:
+                    my_verify = verify_time
+            elif opclass == cls_store:
+                exec_done = avail = issue_time + latencies[i]
+                store_ready[addrs[i] & ~7] = exec_done
+                if len(store_ready) > 4096:
+                    store_ready.clear()
+            else:
+                exec_done = avail = issue_time + latencies[i]
+                if mispredicts[i]:
                     v = exec_done + mispredict_penalty
                     if v > fetch_blocked_until:
                         fetch_blocked_until = v
 
-            # ---- producer bookkeeping ----------------------------------
-            predicted = (use_lvp and is_load
-                         and (outcome == 2 or outcome == 3))
-            mispredicted = use_lvp and is_load and outcome == 1
-            if predicted:
-                avail_spec = dispatch_time
-                avail_real = dispatch_time
-                my_verify = spec_until if spec_until >= verify_time \
-                    else verify_time
-                bucket = verify_time - dispatch_time
-                if bucket < 4:
-                    vh0 += 1
-                elif bucket > 7:
-                    vh5 += 1
-                elif bucket == 4:
-                    vh1 += 1
-                elif bucket == 5:
-                    vh2 += 1
-                elif bucket == 6:
-                    vh3 += 1
-                else:
-                    vh4 += 1
-            elif mispredicted:
-                avail_spec = exec_done
-                avail_real = exec_done
-                my_verify = spec_until if spec_until >= verify_time \
-                    else verify_time
-            else:
-                avail_spec = exec_done
-                avail_real = exec_done
-                my_verify = spec_until
-
             if dst > 0:
-                reg_spec[dst] = avail_spec
-                reg_real[dst] = avail_real
+                reg_ready[dst] = avail
                 reg_verify[dst] = my_verify
-                reg_misp[dst] = mispredicted
 
             # ---- reservation-station release ---------------------------
             rs_release = issue_time + 1
@@ -946,63 +791,47 @@ class PPC620Model:
                     rs_release = spec_until
                 if verify_time > rs_release:
                     rs_release = verify_time
-            nrel = [r for r in rel if r > dispatch_time]
-            nrel.append(rs_release)
-            pool_rel[fu] = nrel
+            heapreplace(rel, rs_release)
 
             # ---- in-order completion -----------------------------------
-            finish = exec_done
-            if my_verify > finish:
-                finish = my_verify
-            if verify_time > finish:
-                finish = verify_time
-            candidate = finish + 1
-            if last_completion > candidate:
-                candidate = last_completion
-            if candidate == complete_cycle \
-                    and complete_count >= complete_width:
-                candidate += 1
+            # my_verify >= verify_time whenever the load was predicted.
+            candidate = (exec_done if exec_done >= my_verify
+                         else my_verify) + 1
+            if candidate <= complete_cycle:
+                candidate = complete_cycle
+                if complete_count >= complete_width:
+                    candidate += 1
             if candidate > complete_cycle:
                 complete_cycle = candidate
                 complete_count = 0
-            completion = complete_cycle
             complete_count += 1
-            last_completion = completion
             if opclass == cls_store:
-                store_commits.append((completion, addrs[i]))
-            dispatch_window.append(completion)
+                store_commits.append((complete_cycle, addrs[i]))
+            dispatch_window.append(complete_cycle)
             if ring is not None:
-                ring.append(completion)
-
-            if len(store_ready) > 4096:
-                store_ready.clear()
+                ring.append(complete_cycle)
 
         # Store-commit bank retries (single-ported banks for stores).
+        conflicts = 0
+        conflict_cycles: set = set()
         for commit_cycle, addr in store_commits:
             bank = (addr // l1_line) % num_banks
             actual = commit_cycle
-            while bank_get((actual, bank), 0) >= 1:
+            while (actual, bank) in bank_used:
                 conflicts += 1
                 conflict_cycles.add(actual)
                 actual += 1
-            key = (actual, bank)
-            bank_usage[key] = bank_get(key, 0) + 1
+            bank_used.add((actual, bank))
 
-        l1.stats.accesses = l1_acc
-        l1.stats.misses = l1_miss
-        l1.stats.store_accesses = l1_store_acc
+        fu_count = np.bincount(_FU_OF_CLASS_LIST_NP[trace.opclass],
+                               minlength=5).tolist()
         return PPC620Result(
             config_name=config.name,
             lvp_name=annotated.config.name if use_lvp else "none",
             instructions=count,
-            cycles=last_completion,
-            l1_stats=l1.stats,
-            branch_stats=BranchStats(
-                conditional=n_cond,
-                conditional_mispredicts=n_cond_misp,
-                indirect=n_ind,
-                indirect_mispredicts=n_ind_misp,
-            ),
+            cycles=complete_cycle,
+            l1_stats=copy(data.l1_stats),
+            branch_stats=copy(front.branch_stats),
             bank_conflicts=conflicts,
             bank_conflict_cycles=len(conflict_cycles),
             verify_histogram={
@@ -1010,9 +839,9 @@ class PPC620Model:
                 "7": vh4, ">7": vh5,
             },
             fu_wait={
-                FU_NAMES[f]: (fu_wait_sum[f], fu_wait_count[f])
+                FU_NAMES[f]: (fu_wait_sum[f], fu_count[f])
                 for f in range(5)
             },
-            loads=num_loads,
-            load_outcomes={o: oc[int(o)] for o in LoadOutcome},
+            loads=trace.num_loads,
+            load_outcomes=load_outcome_counts(annotated, use_lvp),
         )

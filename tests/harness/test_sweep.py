@@ -220,6 +220,22 @@ class TestSweepJournalUnit:
         checkpoint.write_text("[{\"name\": \"tampered\"}]")
         assert journal.load_checkpoints() == {}
 
+    def test_latest_follows_pointer_not_sort_order(self, tmp_path):
+        """``latest`` is the newest *created* run, resolved through the
+        locked pointer: a run directory whose id sorts after it (one
+        still being created, or copied in) must not win, as it did
+        when ``latest`` was the last name of a sorted scan."""
+        grid = sensitivity_grid()[:8]
+        SweepJournal.create(tmp_path, "20260101-000000-1-000",
+                            self._manifest(grid))
+        stray = tmp_path / "zz-in-flight"
+        stray.mkdir()
+        (stray / "manifest.json").write_text(
+            (tmp_path / "20260101-000000-1-000" / "manifest.json")
+            .read_text())
+        journal = SweepJournal.open(tmp_path, "latest")
+        assert journal.directory.name == "20260101-000000-1-000"
+
     def test_missing_run_errors(self, tmp_path):
         with pytest.raises(JournalError):
             SweepJournal.open(tmp_path, "latest")
