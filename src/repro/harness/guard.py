@@ -292,10 +292,11 @@ class TierGuard:
         """Annotation with the vector→mono→general ladder.
 
         The ladder is filtered to the config's eligible kernels: deep
-        histories drop the ``vector`` rung, and configurations the
-        monomorphic kernel cannot handle either (Perfect, stride, ...)
-        resolve to the general path anyway, so the guard runs them
-        directly -- there is no faster tier to verify.
+        perfect-selection histories drop the ``vector`` rung, and
+        configurations the monomorphic kernel cannot handle either
+        (Perfect, stride, ...) resolve to the general path anyway, so
+        the guard runs them directly -- there is no faster tier to
+        verify.
         """
         from repro.trace.annotate import (
             annotate_trace,

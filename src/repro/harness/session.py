@@ -40,6 +40,7 @@ import contextlib
 import os
 import sys
 import time
+import weakref
 import zlib
 from typing import Callable, Optional, Union
 
@@ -183,7 +184,11 @@ class Session:
         #: any merged back from parallel workers), in discovery order.
         self.demotions: list = []
         #: Divergence sentinels + degradation ladder (docs/resilience.md).
-        self.guard = TierGuard(self)
+        #: The guard sees the session through a weak proxy: a strong
+        #: back-reference would make every session a reference cycle,
+        #: keeping its traces (and their memory-mapped cache pages)
+        #: alive until the cyclic collector happened to run.
+        self.guard = TierGuard(weakref.proxy(self))
 
     # ------------------------------------------------------------------
     def warm(self, jobs: int = 1, units=None, unit_timeout=None):

@@ -4,9 +4,9 @@ One ``annotate_trace`` call evaluates one LVP configuration and pays
 the full trace walk for it.  A design-space sweep wants *hundreds* of
 configurations over the same trace, and almost all of the per-config
 work is redundant: the trace decode is identical, the value-predictor
-pass is shared by every configuration that sizes the predictor the
-same way, and the classifier pass is shared by every configuration
-that additionally sizes the LCT the same way.  This module evaluates a
+pass is shared by every configuration whose predictor behaves the same
+way, and the classifier pass is shared by every configuration that
+additionally sizes the LCT the same way.  This module evaluates a
 whole grid against one in-memory decode by factoring the annotation
 data flow into three stages:
 
@@ -17,27 +17,30 @@ data flow into three stages:
   snapshotted per event, which matters for gshare indexing where the
   index moves with the branch history).  Predictor training is
   unconditional and independent of the LCT/CVU, so this stream is
-  exact for every configuration sharing the predictor shape.
+  exact for every configuration sharing the predictor key.  The key
+  is canonical (:func:`predictor_key`): every MRU-selection history
+  table maps to depth 1, and last-N at depth 1 to last-value.
 * **Stage B** (one run per distinct predictor x LCT key): evolve the
   LCT's saturating counters from the ``would_hit`` stream, recording
   each load's classification.  The LCT trains on ground truth alone,
   so its evolution is independent of the CVU.
-* **Stage C** (one run per configuration): simulate the CVU CAM over
-  the constant-classified loads interleaved with the store stream, and
+* **Stage C** (one replay per stage-B key and CVU capacity, shared
+  further where provably equal): simulate the CVU CAM over the
+  constant-classified loads interleaved with the store stream, and
   assemble the full per-load outcomes and
   :class:`~repro.lvp.unit.LVPStats` -- bit-identical to a standalone
   :func:`~repro.trace.annotate.annotate_trace` run of that
   configuration (the differential suite in
-  ``tests/harness/test_sweep.py`` holds this cell by cell).
+  ``tests/harness/test_sweep.py`` holds this cell by cell).  A replay
+  that never evicted also stands for every larger capacity.
 
-Stage A has inlined fast paths for the common predictor shapes (the
-same trick, and the same differential obligation, as the monomorphic
-annotation kernel): depth-1 last-value prediction is fully vectorized,
-and the stride/FCM/last-N/hybrid families run as flat loops over table
-lists instead of per-load method dispatch.  Unusual shapes (tagged,
-gshare) fall back to the real predictor objects via
-:func:`~repro.lvp.unit.build_predictor`, which also guarantees any
-future family works unoptimized before it works fast.
+Every MRU table -- pc- or gshare-indexed, tagged or not -- runs
+through one vectorized stage-A pass; perfect selection and the
+stride/FCM/last-N/hybrid families run as flat loops over table lists,
+and only perfect selection on a tagged or gshare table goes through the
+real predictor objects via :func:`~repro.lvp.unit.build_predictor`
+(which also guarantees any future family works unoptimized before it
+works fast).  ``docs/sweep.md`` ("What shares a pass") lists the rules.
 
 The stage machinery itself lives in :mod:`repro.trace.kernels` (shared
 with the standard ``annotate_trace`` path's ``vector`` kernel); this
@@ -66,7 +69,7 @@ import json
 import os
 import pathlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -88,7 +91,6 @@ from repro.trace.kernels import (
     LctContext,
     SweepEvents,
     decode_events,
-    pc_indices,
     run_stage_a,
     run_stage_b,
     run_stage_c,
@@ -112,8 +114,6 @@ _MANIFEST = "manifest.json"
 _JOURNAL = "journal.jsonl"
 _CHECKPOINTS = "checkpoints"
 
-_U64 = (1 << 64) - 1
-
 
 def sweep_runs_dir_from_env(default: Optional[str] = None) -> pathlib.Path:
     """The configured sweep-runs directory (``REPRO_SWEEP_RUNS_DIR``)."""
@@ -128,21 +128,32 @@ def sweep_runs_dir_from_env(default: Optional[str] = None) -> pathlib.Path:
 def predictor_key(config: LVPConfig) -> tuple:
     """The stage-A sharing key: fields the value predictor depends on.
 
-    Canonicalized so configurations differing only in fields their
-    predictor family ignores (selection for stride, say) share one
-    stage-A pass.
+    Canonical, so configurations that provably predict alike share one
+    stage-A pass (and hence one stage-B pass and CVU replays):
+
+    * fields a family ignores are dropped (selection for stride, say);
+    * MRU selection maps to depth 1 at every depth, for both index
+      modes, tagged or not: an MRU entry's head is always the last
+      value written to it, so a depth-N table hits exactly when a
+      depth-1 table does (and the CVU key -- word, index -- does not
+      depend on the depth);
+    * at depth 1 the selection policy is irrelevant (a one-element
+      history makes "any stored value" and "the MRU value" the same
+      predicate);
+    * last-N at depth 1 votes over one value: the last-value key.
     """
     if config.predictor == "history":
+        if config.selection == "mru" or config.history_depth == 1:
+            depth, selection = 1, "mru"
+        else:
+            depth, selection = config.history_depth, config.selection
         if config.index_mode == "gshare":
-            return ("history", config.lvpt_entries, config.history_depth,
-                    config.selection, config.lvpt_tagged, "gshare",
-                    config.ghr_bits)
-        # At depth 1 the selection policy is irrelevant (a one-element
-        # history makes "any stored value" and "the MRU value" the
-        # same predicate), so both policies share one pass.
-        selection = "mru" if config.history_depth == 1 else config.selection
-        return ("history", config.lvpt_entries, config.history_depth,
-                selection, config.lvpt_tagged, "pc", 0)
+            return ("history", config.lvpt_entries, depth, selection,
+                    config.lvpt_tagged, "gshare", config.ghr_bits)
+        return ("history", config.lvpt_entries, depth, selection,
+                config.lvpt_tagged, "pc", 0)
+    if config.predictor == "lastn" and config.history_depth == 1:
+        return ("history", config.lvpt_entries, 1, "mru", False, "pc", 0)
     depth = config.history_depth \
         if config.predictor in ("fcm", "lastn") else 1
     return (config.predictor, config.lvpt_entries, depth,
@@ -155,7 +166,7 @@ def lct_key(config: LVPConfig) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Stage C: the CVU pass + stats assembly.
+# The batched evaluator.
 # ---------------------------------------------------------------------------
 @dataclass
 class SweepCell:
@@ -194,35 +205,51 @@ class SweepCell:
         }
 
 
-def _stage_c(events: SweepEvents, hits, hit_list: list,
-             idxs: list, context: LctContext, config: LVPConfig,
-             keep_outcomes: bool) -> SweepCell:
-    """Simulate the CVU and assemble one configuration's cell."""
-    full, stats = run_stage_c(events, hits, hit_list, idxs, context,
-                              config)
-    digest = _sha256(np.ascontiguousarray(full).tobytes())
-    return SweepCell(config=config, stats=stats, outcome_digest=digest,
-                     outcomes=full if keep_outcomes else None)
+@dataclass
+class _Replay:
+    """One stage-C replay, kept for the capacities it stands for: its
+    own, and every capacity at or above ``peak`` when it never evicted
+    (``peak`` None)."""
+
+    capacity: int
+    peak: Optional[int]
+    stats: LVPStats
+    digest: str
+    outcomes: Optional[np.ndarray]
+
+    def serves(self, capacity: int, keep_outcomes: bool) -> bool:
+        if keep_outcomes and self.outcomes is None:
+            return False
+        return capacity == self.capacity or (
+            self.peak is not None and self.peak <= capacity)
+
+    def cell(self, config: LVPConfig) -> SweepCell:
+        """A cell for *config* owning its own copies of the results."""
+        stats = replace(self.stats, outcomes=dict(self.stats.outcomes))
+        outcomes = None if self.outcomes is None else self.outcomes.copy()
+        return SweepCell(config=config, stats=stats,
+                         outcome_digest=self.digest, outcomes=outcomes)
 
 
-# ---------------------------------------------------------------------------
-# The batched evaluator.
-# ---------------------------------------------------------------------------
 class StageMemo:
-    """Stage-A/B passes over one trace decode, shareable across
+    """Stage-A/B/C results over one trace decode, shareable across
     :func:`evaluate_configs` calls.
 
-    The memo carries the decode its passes were computed from, and
-    ``evaluate_configs`` evaluates against that decode.  ``run_sweep`` shares one memo across every chunk
-    of a run, so the chunk size sets only how often the journal
-    checkpoints, not how much work is shared.
+    The memo carries the decode its passes were computed from (which in
+    turn memoizes each table size's load grouping), and
+    ``evaluate_configs`` evaluates against that decode.  ``run_sweep``
+    shares one memo across every chunk of a run, so the chunk size sets
+    only how often the journal checkpoints, not how much work is
+    shared.  Stage C is kept per stage-B key as the list of CVU replays
+    run so far (see :func:`~repro.trace.kernels.run_stage_c` for when
+    one replay serves several capacities).
     """
 
     def __init__(self, events: SweepEvents) -> None:
         self.events = events
-        self.stage_a: dict[tuple, tuple[np.ndarray, list, list]] = {}
+        self.stage_a: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self.stage_b: dict[tuple, LctContext] = {}
-        self.lct_indices: dict[int, np.ndarray] = {}
+        self.stage_c: dict[tuple, list[_Replay]] = {}
 
     def retain(self, configs: Sequence[LVPConfig]) -> None:
         """Drop every pass no configuration in *configs* reuses.
@@ -241,6 +268,8 @@ class StageMemo:
                         if key in akeys}
         self.stage_b = {key: value for key, value in self.stage_b.items()
                         if key in bkeys}
+        self.stage_c = {key: value for key, value in self.stage_c.items()
+                        if key in bkeys}
 
 
 def evaluate_configs(trace: Trace, configs: Sequence[LVPConfig],
@@ -253,7 +282,7 @@ def evaluate_configs(trace: Trace, configs: Sequence[LVPConfig],
     statistics) to ``annotate_trace(trace, config)``.  Perfect-oracle
     and profile-filtered configurations are outside the sweep's factored
     data flow and are rejected.  *memo* supplies a decode of *trace* and
-    reuses (and extends) the stage-A/B passes of earlier calls.
+    reuses (and extends) the stage passes of earlier calls.
     """
     for config in configs:
         if config.perfect or config.profile_filter is not None:
@@ -264,28 +293,33 @@ def evaluate_configs(trace: Trace, configs: Sequence[LVPConfig],
         needs_branches = any(c.index_mode == "gshare" for c in configs)
         memo = StageMemo(decode_events(trace, branches=needs_branches))
     events = memo.events
-    stage_a, stage_b, lct_indices = \
-        memo.stage_a, memo.stage_b, memo.lct_indices
+    stage_a, stage_b, stage_c = memo.stage_a, memo.stage_b, memo.stage_c
     cells: list[SweepCell] = []
     for config in configs:
         akey = predictor_key(config)
         a_entry = stage_a.get(akey)
         if a_entry is None:
-            hits, idxs = run_stage_a(events, config)
-            a_entry = stage_a[akey] = (hits, idxs, hits.tolist())
-        hits, idxs, hit_list = a_entry
+            a_entry = stage_a[akey] = run_stage_a(events, config)
+        hits, idxs = a_entry
         bkey = lct_key(config)
         context = stage_b.get(bkey)
         if context is None:
-            lidx = lct_indices.get(config.lct_entries)
-            if lidx is None:
-                lidx = lct_indices[config.lct_entries] = pc_indices(
-                    events.load_pcs_np, config.lct_entries)
-            classes = run_stage_b(events, hit_list, config.lct_entries,
-                                  config.lct_bits, lidx, hits_np=hits)
+            classes = run_stage_b(events, hits, config.lct_entries,
+                                  config.lct_bits)
             context = stage_b[bkey] = LctContext(hits, classes)
-        cells.append(_stage_c(events, hits, hit_list, idxs, context,
-                              config, keep_outcomes))
+        replays = stage_c.setdefault(bkey, [])
+        capacity = config.cvu_entries
+        for replay in replays:
+            if replay.serves(capacity, keep_outcomes):
+                break
+        else:
+            full, stats, peak = run_stage_c(events, hits, idxs, context,
+                                            config)
+            replay = _Replay(capacity, peak, stats,
+                             _sha256(np.ascontiguousarray(full).tobytes()),
+                             full if keep_outcomes else None)
+            replays.append(replay)
+        cells.append(replay.cell(config))
     return cells
 
 
@@ -336,11 +370,13 @@ def plan_chunks(configs: Sequence[LVPConfig],
                 chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[tuple[int, ...]]:
     """Partition grid indices into worker chunks.
 
-    Configurations are grouped by stage-B key before splitting, so a
-    chunk's members share stage-A/B passes instead of scattering one
-    predictor family across every worker.  Returns tuples of indices
-    into *configs*; deterministic for a given grid (the sweep journal
-    records the plan and resume verifies it).
+    Configurations are grouped by their canonical stage-B key before
+    splitting, so a chunk's members share stage passes instead of
+    scattering one predictor family across every worker (and
+    :meth:`StageMemo.retain` holds at most one chunk's passes).
+    Returns tuples of indices into *configs*; deterministic for a given
+    grid (a resumed sweep checks each checkpoint's cell names against
+    its chunk of this plan).
     """
     order = sorted(range(len(configs)),
                    key=lambda i: (lct_key(configs[i]), i))
@@ -379,16 +415,26 @@ def run_sweep(bench: str, configs: Sequence[LVPConfig], *,
     bit-identical to a serial run.  ``preloaded`` maps chunk ids to
     already-computed cell payloads (from a resumed sweep journal):
     those chunks are not re-run, and if none is left the trace is
-    never produced.
+    never produced.  A payload whose cell names differ from its
+    chunk's planned configurations is ignored and the chunk re-run.
     """
     observer = observer or SweepObserver()
-    preloaded = dict(preloaded or {})
     chunks = plan_chunks(configs, chunk_size)
     specs = [
         _SweepChunkSpec(chunk_id=i,
                         configs=tuple(configs[j] for j in indices))
         for i, indices in enumerate(chunks)
     ]
+    # A checkpoint stands in for its chunk only if it holds exactly the
+    # planned cells, in order.  One written under another chunk order
+    # (an older planner, say) would otherwise land its cells on the
+    # wrong grid rows; such a chunk is recomputed instead.
+    checkpoints, preloaded = preloaded or {}, {}
+    for spec in specs:
+        cells = checkpoints.get(spec.chunk_id)
+        if cells is not None and [cell.get("name") for cell in cells] \
+                == [config.name for config in spec.configs]:
+            preloaded[spec.chunk_id] = cells
     todo = [spec for spec in specs if spec.chunk_id not in preloaded]
     payloads: dict[int, list[dict]] = dict(preloaded)
     start = time.perf_counter()

@@ -24,7 +24,7 @@ from repro.trace.kernels import (
     decode_events,
     run_stage_b,
     run_stage_c,
-    stage_a_last_value,
+    stage_a_mru,
 )
 from repro.trace.records import Trace
 
@@ -57,15 +57,16 @@ def vector_eligible(config: LVPConfig, audit: bool = False,
                     fault_hook=None) -> bool:
     """Can the vectorized kernel annotate under *config*?
 
-    The vector tier covers the monomorphic kernel's domain further
-    restricted to history depth 1 -- the shape whose stage-A pass
-    (last-value prediction) is fully vectorizable via the
-    stable-argsort groupby in :mod:`repro.trace.kernels`.  Deeper
-    histories keep an inherently sequential MRU list per LVPT entry
-    and stay on the ``mono`` tier.
+    The vector tier covers the monomorphic kernel's domain with MRU
+    selection at any history depth (at depth 1 the selection policy
+    does not matter).  An MRU entry's head is always the last value
+    written to it, so every such table runs as the stable-argsort
+    groupby in :mod:`repro.trace.kernels`.  Deeper histories under the
+    perfect-selection oracle (the paper's Limit study) stay on the
+    ``mono`` tier.
     """
     return (mono_eligible(config, audit, fault_hook)
-            and config.history_depth == 1)
+            and (config.selection == "mru" or config.history_depth == 1))
 
 
 def resolve_kernel(kernel, config: LVPConfig, audit: bool,
@@ -98,8 +99,8 @@ def resolve_kernel(kernel, config: LVPConfig, audit: bool,
     if kernel == "vector" and not vector_eligible(config, audit, fault_hook):
         raise ConfigError(
             f"kernel 'vector' cannot annotate config {config.name!r}: it "
-            "requires the monomorphic kernel's domain at history depth 1; "
-            "use 'auto', 'mono', or 'general'"
+            "requires the monomorphic kernel's domain with MRU selection "
+            "(or history depth 1); use 'auto', 'mono', or 'general'"
         )
     if kernel == "auto":
         if vector_eligible(config, audit, fault_hook):
@@ -162,8 +163,8 @@ def annotate_trace(trace: Trace, config: LVPConfig, *,
     LVPT/LCT/CVU fast paths inlined, bit-identical for the common case
     (see :func:`mono_eligible`); ``"vector"`` runs the shared staged
     kernels from :mod:`repro.trace.kernels` -- a fully vectorized
-    last-value predictor pass, a flat LCT counter loop, and a CVU
-    replay over only the constant-classified loads -- for depth-1
+    MRU predictor pass, a vectorized LCT counter scan, and a CVU
+    replay over only the constant-classified loads -- for MRU
     configurations (see :func:`vector_eligible`); ``"auto"`` (default)
     picks the fastest eligible kernel.  ``REPRO_ANNOTATE_KERNEL``
     overrides.
@@ -221,21 +222,21 @@ def _annotate_vector(trace: Trace,
                      config: LVPConfig) -> tuple[np.ndarray, LVPStats]:
     """Vectorized annotation via the shared staged kernels.
 
-    Stage A is the fully vectorized depth-1 last-value pass (stable
-    argsort groupby -- no per-load Python loop), stage B evolves the
-    LCT saturating counters over the hit stream, and stage C replays
-    the CVU over only the constant-classified loads.  The composition
-    is bit-identical to the mono and general kernels on the
-    :func:`vector_eligible` domain; ``tests/trace/test_vector.py``
+    Stage A is the fully vectorized MRU pass (stable argsort groupby --
+    no per-load Python loop; an MRU head is the last value written at
+    any history depth), stage B is the vectorized LCT counter scan, and
+    stage C replays the CVU over only the constant-classified loads.
+    The composition is bit-identical to the mono and general kernels
+    on the :func:`vector_eligible` domain; ``tests/trace/test_vector.py``
     enforces it differentially.
     """
     events = decode_events(trace, branches=False)
-    hits, idxs = stage_a_last_value(events, config.lvpt_entries)
-    hit_list = hits.tolist()
-    classes = run_stage_b(events, hit_list, config.lct_entries,
-                          config.lct_bits, hits_np=hits)
+    hits, idxs = stage_a_mru(events, config.lvpt_entries)
+    classes = run_stage_b(events, hits, config.lct_entries,
+                          config.lct_bits)
     context = LctContext(hits, classes)
-    return run_stage_c(events, hits, hit_list, idxs, context, config)
+    outcomes, stats, _ = run_stage_c(events, hits, idxs, context, config)
+    return outcomes, stats
 
 
 def _annotate_mono(trace: Trace, config: LVPConfig,

@@ -13,6 +13,7 @@ and diff against an uninterrupted control run, serially and under
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -75,6 +76,23 @@ MIXED_GRID = (
     LVPConfig(name="m/tagged", lvpt_tagged=True),
     LVPConfig(name="m/oracle", selection="perfect", history_depth=16,
               lvpt_entries=4096),
+    # Shapes whose canonical keys merge with another pass (deep MRU is
+    # depth 1, last-N at depth 1 is last value) or whose CVU replay is
+    # shared (a CVU larger than any trace's constant set never evicts;
+    # a two-entry one always does).
+    LVPConfig(name="m/gshare-deep", index_mode="gshare", ghr_bits=8,
+              history_depth=4),
+    LVPConfig(name="m/tagged-deep", lvpt_tagged=True, history_depth=4),
+    LVPConfig(name="m/gshare-tagged", index_mode="gshare",
+              lvpt_tagged=True, history_depth=2),
+    LVPConfig(name="m/lastn1", predictor="lastn", history_depth=1),
+    LVPConfig(name="m/cvu-huge", cvu_entries=8192),
+    LVPConfig(name="m/cvu2", cvu_entries=2),
+    # Perfect selection on tagged/gshare tables: the object path.
+    LVPConfig(name="m/oracle-tagged", selection="perfect",
+              history_depth=4, lvpt_tagged=True),
+    LVPConfig(name="m/oracle-gshare", selection="perfect",
+              history_depth=4, index_mode="gshare"),
 )
 
 #: Counter fields whose equality the differential suite asserts.
@@ -103,14 +121,15 @@ class TestDifferential:
         cells = evaluate_configs(compress_trace, MIXED_GRID,
                                  keep_outcomes=True)
         for cell, config in zip(cells, MIXED_GRID):
-            _assert_cell_matches(cell, annotate_trace(compress_trace,
-                                                      config))
+            _assert_cell_matches(cell, annotate_trace(
+                compress_trace, config, kernel="general"))
 
     def test_grep_trace_too(self, grep_trace):
         cells = evaluate_configs(grep_trace, MIXED_GRID,
                                  keep_outcomes=True)
         for cell, config in zip(cells, MIXED_GRID):
-            _assert_cell_matches(cell, annotate_trace(grep_trace, config))
+            _assert_cell_matches(cell, annotate_trace(
+                grep_trace, config, kernel="general"))
 
     def test_shared_decode_is_reused(self, compress_trace):
         events = decode_events(compress_trace)
@@ -180,7 +199,7 @@ class TestRunSweep:
         document = run_sweep("compress", grid, scale="tiny", jobs=1,
                              cache_dir=str(tmp_path))
         summary = render_sweep(document)
-        assert "11 configurations" in summary
+        assert f"{len(MIXED_GRID)} configurations" in summary
         exhibits = render_exhibits(document)
         assert "Figure 6 family" in exhibits
         assert "Table 3 family" in exhibits
@@ -304,6 +323,31 @@ class TestSweepFailureAndResume:
         control = run_sweep("compress", grid, scale="tiny", chunk_size=2)
         assert _volatile_free(resumed) == _volatile_free(control)
 
+    def test_resume_ignores_checkpoints_of_another_chunk_order(
+            self, clean_env, tmp_path, compress_trace):
+        """Checkpoints written under a different chunk order (an older
+        planner) must not land on the current plan's rows: a chunk whose
+        cell names differ from its planned configurations is re-run."""
+        from repro.harness.sweep import _SweepChunkSpec
+        grid = list(CHUNKED_GRID)
+        manifest = build_sweep_manifest("compress", "ppc", "tiny", grid,
+                                        chunk_size=2, jobs=1)
+        journal = SweepJournal.create(tmp_path, "old", manifest)
+        plan = plan_chunks(grid, 2)
+        assert len(plan) == 3
+        # The old planner's chunk k is the current plan's chunk k + 1.
+        for chunk_id in (0, 1):
+            configs = tuple(grid[j] for j in plan[chunk_id + 1])
+            cells = [cell.as_dict() for cell in
+                     evaluate_configs(compress_trace, configs)]
+            journal.chunk_finished(
+                _SweepChunkSpec(chunk_id=chunk_id, configs=configs), cells)
+        resumed = run_journaled_sweep(
+            "compress", grid, journal=SweepJournal.open(tmp_path, "old"),
+            scale="tiny", resume=True)
+        control = run_sweep("compress", grid, scale="tiny", chunk_size=2)
+        assert _volatile_free(resumed) == _volatile_free(control)
+
     def test_serial_and_parallel_with_and_without_cache_agree(
             self, clean_env, tmp_path):
         grid = list(CHUNKED_GRID)
@@ -319,6 +363,34 @@ class TestSweepFailureAndResume:
         assert all(_volatile_free(doc) == first for doc in documents[1:])
 
 
+def _expected_replays(trace, grid) -> int:
+    """Stage-C replays the sharing rule allows for *grid* over *trace*.
+
+    Per stage-B key, let P be the CAM's peak occupancy with unbounded
+    capacity.  A replay at any capacity >= P never evicts and serves
+    all of them; each smaller capacity (zero included, when any load is
+    classified constant) replays on its own.
+    """
+    from repro.trace import kernels
+    events = decode_events(trace, branches=True)
+    groups: dict = {}
+    for config in grid:
+        groups.setdefault(lct_key(config), []).append(config)
+    expected = 0
+    for configs in groups.values():
+        config = configs[0]
+        hits, idxs = kernels.run_stage_a(events, config)
+        context = kernels.LctContext(hits, kernels.run_stage_b(
+            events, hits, config.lct_entries, config.lct_bits))
+        unbounded = dataclasses.replace(config, cvu_entries=events.n_loads)
+        peak = kernels.run_stage_c(events, hits, idxs, context,
+                                   unbounded)[2]
+        capacities = {c.cvu_entries for c in configs}
+        expected += len({c for c in capacities if c < peak})
+        expected += any(c >= peak for c in capacities)
+    return expected
+
+
 class TestStageMemo:
     @pytest.mark.parametrize("chunk_size", [1, 3, 16])
     def test_chunked_with_shared_memo_matches_one_call(
@@ -326,10 +398,9 @@ class TestStageMemo:
         import repro.harness.sweep as sweep_module
         grid = sensitivity_grid()
         whole = evaluate_configs(compress_trace, grid, keep_outcomes=True)
+        expected_c = _expected_replays(compress_trace, grid)
 
-        passes = {"a": 0, "b": 0}
-        stage_a, stage_b = sweep_module.run_stage_a, \
-            sweep_module.run_stage_b
+        passes = {"a": 0, "b": 0, "c": 0}
 
         def count(stage, function):
             def counted(*args, **kwargs):
@@ -337,10 +408,10 @@ class TestStageMemo:
                 return function(*args, **kwargs)
             return counted
 
-        monkeypatch.setattr(sweep_module, "run_stage_a",
-                            count("a", stage_a))
-        monkeypatch.setattr(sweep_module, "run_stage_b",
-                            count("b", stage_b))
+        for stage in ("a", "b", "c"):
+            name = f"run_stage_{stage}"
+            monkeypatch.setattr(sweep_module, name,
+                                count(stage, getattr(sweep_module, name)))
         memo = StageMemo(decode_events(compress_trace, branches=True))
         chunked = {}
         for indices in plan_chunks(grid, chunk_size):
@@ -354,9 +425,39 @@ class TestStageMemo:
             other = chunked[i]
             assert other.as_dict() == cell.as_dict(), cell.config.name
             assert np.array_equal(other.outcomes, cell.outcomes)
-        # Chunking no longer repeats a stage pass: one per distinct key.
+        # Chunking never repeats a stage pass: one per distinct
+        # canonical key, and one CVU replay per capacity class the
+        # sharing rule leaves (a deterministic count: 38 of the grid's
+        # 102 cells on the compress tiny trace).
         assert passes == {"a": len({predictor_key(c) for c in grid}),
-                          "b": len({lct_key(c) for c in grid})}
+                          "b": len({lct_key(c) for c in grid}),
+                          "c": expected_c}
+        assert expected_c == 38
+
+    def test_shared_cells_do_not_alias(self, compress_trace):
+        small, large = (LVPConfig(name=f"cvu{n}", cvu_entries=n)
+                        for n in (4096, 8192))
+        first, second = evaluate_configs(compress_trace, [small, large],
+                                         keep_outcomes=True)
+        assert first.outcome_digest == second.outcome_digest
+        assert first.stats is not second.stats
+        assert first.stats.outcomes is not second.stats.outcomes
+        assert not np.shares_memory(first.outcomes, second.outcomes)
+
+    def test_canonical_keys_merge_provably_equal_shapes(self):
+        base = LVPConfig(name="base")
+        for other in (
+                LVPConfig(name="deep", history_depth=8),
+                LVPConfig(name="one", selection="perfect"),
+                LVPConfig(name="lastn1", predictor="lastn")):
+            assert predictor_key(other) == predictor_key(base), other.name
+        gshare = LVPConfig(name="g", index_mode="gshare", lvpt_tagged=True)
+        deep = LVPConfig(name="gd", index_mode="gshare", lvpt_tagged=True,
+                         history_depth=4)
+        assert predictor_key(deep) == predictor_key(gshare)
+        # Perfect selection over a deep history is a different predictor.
+        oracle = LVPConfig(name="o", selection="perfect", history_depth=4)
+        assert predictor_key(oracle) != predictor_key(base)
 
 
 class TestSweepJournalUnit:

@@ -1,8 +1,20 @@
 """Property-based tests for the LVP structures (hypothesis)."""
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.isa.opcodes import OpClass
 from repro.lvp import CVU, LCT, LVPT, LVPUnit, LoadClass, LoadOutcome, SIMPLE
+from repro.lvp.config import LVPConfig
+from repro.lvp.context import ContextLVPT
+from repro.trace.kernels import (
+    LctContext,
+    decode_events,
+    run_stage_b,
+    run_stage_c,
+    stage_a_mru,
+)
+from repro.trace.records import TRACE_COLUMNS, Trace
 
 pcs = st.integers(min_value=0, max_value=1 << 20).map(lambda x: x * 4)
 values = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -148,3 +160,99 @@ class TestUnitProperties:
                      + unit.stats.unpredictable_predicted
                      + unit.stats.unpredictable_not_predicted)
         assert quadrants == len(loads)
+
+
+# ---------------------------------------------------------------------------
+# The shared kernels against the predictor objects.
+# ---------------------------------------------------------------------------
+def _trace(ops) -> Trace:
+    """A trace of ``("load", pc, addr, value)``, ``("store", addr,
+    size)`` and ``("branch", taken)`` records, in order."""
+    columns = {name: [0] * len(ops) for name, _ in TRACE_COLUMNS}
+    for i, op in enumerate(ops):
+        if op[0] == "load":
+            columns["opclass"][i] = int(OpClass.LOAD)
+            columns["pc"][i] = op[1]
+            columns["addr"][i] = op[2]
+            columns["value"][i] = op[3]
+            columns["size"][i] = 8
+        elif op[0] == "store":
+            columns["opclass"][i] = int(OpClass.STORE)
+            columns["addr"][i] = op[1]
+            columns["size"][i] = op[2]
+        else:
+            columns["opclass"][i] = int(OpClass.BRANCH)
+            columns["taken"][i] = int(op[1])
+    return Trace({name: np.asarray(column)
+                  for name, column in columns.items()})
+
+
+#: Few pcs, words and values, so tables alias, hit and saturate.
+_load = st.tuples(st.just("load"), st.integers(0, 15).map(lambda x: x * 4),
+                  st.integers(0, 7).map(lambda x: 0x1000 + x * 8),
+                  st.integers(0, 3))
+_store = st.tuples(st.just("store"),
+                   st.integers(0, 9).map(lambda x: 0x1000 + x * 4),
+                   st.sampled_from([1, 4, 8, 16]))
+_branch = st.tuples(st.just("branch"), st.booleans())
+
+
+class TestMruPassProperties:
+    @given(st.lists(st.one_of(_load, _branch), max_size=300),
+           st.sampled_from([1, 2, 4, 8]), st.integers(1, 8),
+           st.booleans(), st.integers(0, 5))
+    @settings(deadline=None, max_examples=150)
+    def test_vector_pass_equals_the_table_objects(self, ops, entries, depth,
+                                                  tagged, ghr_bits):
+        """At any depth, an MRU table (pc- or gshare-indexed, tagged or
+        not) hits exactly where the vectorized pass says, at the index
+        it reports."""
+        events = decode_events(_trace(ops), branches=True)
+        hits, idxs = stage_a_mru(events, entries, tagged, ghr_bits)
+        if ghr_bits:
+            table = ContextLVPT(entries, depth, "mru", tagged=tagged,
+                                ghr_bits=ghr_bits)
+        else:
+            table = LVPT(entries, depth, "mru", tagged=tagged)
+        expected_hits, expected_idxs = [], []
+        for op in ops:
+            if op[0] == "branch":
+                if ghr_bits:
+                    table.record_branch(op[1])
+                continue
+            pc, value = op[1], op[3]
+            expected_hits.append(table.would_be_correct(pc, value))
+            expected_idxs.append(table.index_of(pc))
+            table.update(pc, value)
+        assert hits.tolist() == expected_hits
+        assert np.asarray(idxs).tolist() == expected_idxs
+
+
+class TestCvuSharingProperties:
+    @given(st.lists(st.one_of(_load, _store), max_size=300),
+           st.integers(1, 24), st.sampled_from([1, 2]))
+    @settings(deadline=None, max_examples=150)
+    def test_capacity_above_a_non_evicting_peak_equals_a_replay(
+            self, ops, capacity, lct_bits):
+        """A CVU replay that never evicted stands for every capacity at
+        or above its peak occupancy: replaying any such capacity gives
+        the same outcomes, statistics and peak."""
+        events = decode_events(_trace(ops), branches=False)
+        hits, idxs = stage_a_mru(events, 4)
+        classes = run_stage_b(events, hits, 4, lct_bits)
+
+        def replay(entries):
+            config = LVPConfig(name="p", lvpt_entries=4, lct_entries=4,
+                               lct_bits=lct_bits, cvu_entries=entries)
+            return run_stage_c(events, hits, idxs,
+                               LctContext(hits, classes), config)
+
+        outcomes, stats, peak = replay(capacity)
+        if peak is None:
+            return
+        assert peak <= capacity
+        for other in range(peak, capacity + 8):
+            other_outcomes, other_stats, other_peak = replay(other)
+            assert np.array_equal(other_outcomes, outcomes)
+            assert other_stats == stats
+            assert other_peak == peak

@@ -1,9 +1,11 @@
 """Unit tests for the LVP trace-annotation phase."""
 
 import numpy as np
+import pytest
 
-from repro.lvp import CONSTANT, LIMIT, LoadOutcome, PERFECT, SIMPLE
+from repro.lvp import CONSTANT, LIMIT, LoadOutcome, LVPConfig, PERFECT, SIMPLE
 from repro.trace import NOT_A_LOAD, annotate_trace
+from repro.trace.annotate import vector_eligible
 
 
 class TestAnnotationShape:
@@ -62,3 +64,20 @@ class TestConfigBehaviours:
     def test_repr(self, compress_trace):
         annotated = annotate_trace(compress_trace, SIMPLE)
         assert "Simple" in repr(annotated)
+
+
+class TestDeepMruOnVectorTier:
+    """An MRU entry's head is the last value written at any depth, so
+    deep MRU histories run on the vector tier, bit-identical to the
+    mono and general kernels."""
+
+    @pytest.mark.parametrize("depth", [2, 4, 16])
+    def test_matches_mono_and_general(self, compress_trace, depth):
+        config = LVPConfig(name=f"mru{depth}", history_depth=depth,
+                           lvpt_entries=256)
+        assert vector_eligible(config)
+        vector = annotate_trace(compress_trace, config, kernel="vector")
+        for kernel in ("mono", "general"):
+            other = annotate_trace(compress_trace, config, kernel=kernel)
+            assert np.array_equal(vector.outcomes, other.outcomes)
+            assert vector.stats == other.stats
