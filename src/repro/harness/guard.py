@@ -291,12 +291,12 @@ class TierGuard:
     def run_annotate(self, name: str, target: str, trace, config):
         """Annotation with the vector→mono→general ladder.
 
-        The ladder is filtered to the config's eligible kernels: deep
-        perfect-selection histories drop the ``vector`` rung, and
-        configurations the monomorphic kernel cannot handle either
-        (Perfect, stride, ...) resolve to the general path anyway, so
-        the guard runs them directly -- there is no faster tier to
-        verify.
+        The ladder is filtered to the config's eligible kernels: shapes
+        the monomorphic kernel cannot run (stride, gshare, tagged, ...)
+        drop the ``mono`` rung, and configurations neither fast kernel
+        can handle (the Perfect oracle, profile filters) resolve to the
+        general path anyway, so the guard runs them directly -- there
+        is no faster tier to verify.
         """
         from repro.trace.annotate import (
             annotate_trace,
@@ -307,11 +307,10 @@ class TierGuard:
         def run(kernel: str):
             return annotate_trace(trace, config, kernel=kernel)
 
-        tiers = ["general"]
-        if mono_eligible(config):
-            tiers.insert(0, "mono")
-            if vector_eligible(config):
-                tiers.insert(0, "vector")
+        tiers = [tier for tier, eligible in (
+            ("vector", vector_eligible(config)),
+            ("mono", mono_eligible(config)),
+            ("general", True)) if eligible]
         if len(tiers) == 1:
             return self._pinned(name, "annotate", run, None)
         return self._guarded(name, "annotate", target,

@@ -34,13 +34,11 @@ data flow into three stages:
   ``tests/harness/test_sweep.py`` holds this cell by cell).  A replay
   that never evicted also stands for every larger capacity.
 
-Every MRU table -- pc- or gshare-indexed, tagged or not -- runs
-through one vectorized stage-A pass; perfect selection and the
-stride/FCM/last-N/hybrid families run as flat loops over table lists,
-and only perfect selection on a tagged or gshare table goes through the
-real predictor objects via :func:`~repro.lvp.unit.build_predictor`
-(which also guarantees any future family works unoptimized before it
-works fast).  ``docs/sweep.md`` ("What shares a pass") lists the rules.
+Every predictor family -- the paper's LVPT under MRU or perfect
+selection, pc- or gshare-indexed, tagged or not, and the stride, FCM,
+last-N and hybrid families -- runs as one vectorized stage-A pass with
+no per-load Python loop.  ``docs/sweep.md`` ("What shares a pass")
+lists the sharing rules.
 
 The stage machinery itself lives in :mod:`repro.trace.kernels` (shared
 with the standard ``annotate_trace`` path's ``vector`` kernel); this

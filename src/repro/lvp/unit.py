@@ -30,12 +30,12 @@ from repro.lvp.stride import StridePredictor
 def build_predictor(config: LVPConfig):
     """The value-prediction table a configuration calls for.
 
-    Single point of truth for the predictor-family dispatch: the
-    :class:`LVPUnit` constructor and the batched sweep evaluator
-    (:mod:`repro.harness.sweep`) both build their tables here, so a
-    sweep cell can never evaluate a different structure than the unit
-    it must stay bit-identical to.  Perfect (oracle) configurations
-    have no table and return None.
+    Single point of truth for the predictor-family dispatch of the
+    :class:`LVPUnit`.  The vectorized stage-A passes of
+    :mod:`repro.trace.kernels` (``run_stage_a``) mirror it family by
+    family, and ``tests/properties/test_prop_lvp.py`` holds each pass
+    to the object built here.  Perfect (oracle) configurations have no
+    table and return None.
     """
     if config.perfect:
         return None

@@ -22,9 +22,9 @@ from repro.trace.kernels import (
     NOT_A_LOAD,
     LctContext,
     decode_events,
+    run_stage_a,
     run_stage_b,
     run_stage_c,
-    stage_a_mru,
 )
 from repro.trace.records import Trace
 
@@ -41,32 +41,29 @@ def mono_eligible(config: LVPConfig, audit: bool = False,
 
     The fast kernel handles the common case only: the paper's
     PC-indexed, untagged history LVPT with no audit log, no fault hook,
-    no profile filter, and no branch-history stream.  Everything else
-    (Perfect oracle, stride, gshare, tagged ablation, auditing,
-    mid-annotation fault injection) takes the general
-    :class:`~repro.lvp.unit.LVPUnit` path.
+    no profile filter, and no branch-history stream.  Its domain lies
+    inside the vector kernel's, so ``auto`` never picks it; it runs
+    only when forced (and as the guard's middle rung).
     """
-    return (not audit and fault_hook is None and not config.perfect
+    return (vector_eligible(config, audit, fault_hook)
             and config.predictor == "history"
             and config.index_mode == "pc"
-            and not config.lvpt_tagged
-            and config.profile_filter is None)
+            and not config.lvpt_tagged)
 
 
 def vector_eligible(config: LVPConfig, audit: bool = False,
                     fault_hook=None) -> bool:
     """Can the vectorized kernel annotate under *config*?
 
-    The vector tier covers the monomorphic kernel's domain with MRU
-    selection at any history depth (at depth 1 the selection policy
-    does not matter).  An MRU entry's head is always the last value
-    written to it, so every such table runs as the stable-argsort
-    groupby in :mod:`repro.trace.kernels`.  Deeper histories under the
-    perfect-selection oracle (the paper's Limit study) stay on the
-    ``mono`` tier.
+    The vector tier runs the staged kernels of
+    :mod:`repro.trace.kernels`, which have a stage-A pass for every
+    predictor family, index mode, tag setting and selection policy.
+    Only the Perfect oracle (no tables), a profile filter (loads that
+    bypass the tables), an audit log (per-load forwarded values) and a
+    fault hook (per-event table corruption) need the general path.
     """
-    return (mono_eligible(config, audit, fault_hook)
-            and (config.selection == "mru" or config.history_depth == 1))
+    return (not audit and fault_hook is None and not config.perfect
+            and config.profile_filter is None)
 
 
 def resolve_kernel(kernel, config: LVPConfig, audit: bool,
@@ -74,8 +71,9 @@ def resolve_kernel(kernel, config: LVPConfig, audit: bool,
     """Resolve the kernel knob to a concrete kernel name.
 
     ``REPRO_ANNOTATE_KERNEL`` overrides the argument; ``"auto"`` (the
-    default) picks the fastest eligible kernel
-    (``vector`` > ``mono`` > ``general``).  Forcing ``"vector"`` or
+    default) picks ``vector`` where it is eligible and ``general``
+    elsewhere (the vector domain contains the mono kernel's, so
+    ``mono`` runs only when asked for).  Forcing ``"vector"`` or
     ``"mono"`` for an ineligible combination is a :class:`ConfigError`
     rather than a silent fallback.
     """
@@ -89,8 +87,7 @@ def resolve_kernel(kernel, config: LVPConfig, audit: bool,
             f"unknown annotation kernel {kernel!r} "
             f"(choose from {', '.join(KERNELS)})"
         )
-    eligible = mono_eligible(config, audit, fault_hook)
-    if kernel == "mono" and not eligible:
+    if kernel == "mono" and not mono_eligible(config, audit, fault_hook):
         raise ConfigError(
             f"kernel 'mono' cannot annotate config {config.name!r} with "
             "audit/fault-hook/perfect/stride/gshare/tagged/filter features "
@@ -98,14 +95,13 @@ def resolve_kernel(kernel, config: LVPConfig, audit: bool,
         )
     if kernel == "vector" and not vector_eligible(config, audit, fault_hook):
         raise ConfigError(
-            f"kernel 'vector' cannot annotate config {config.name!r}: it "
-            "requires the monomorphic kernel's domain with MRU selection "
-            "(or history depth 1); use 'auto', 'mono', or 'general'"
+            f"kernel 'vector' cannot annotate config {config.name!r} with "
+            "audit/fault-hook/perfect/filter features requested; use "
+            "'auto' or 'general'"
         )
     if kernel == "auto":
-        if vector_eligible(config, audit, fault_hook):
-            return "vector"
-        return "mono" if eligible else "general"
+        return ("vector" if vector_eligible(config, audit, fault_hook)
+                else "general")
     return kernel
 
 
@@ -162,11 +158,12 @@ def annotate_trace(trace: Trace, config: LVPConfig, *,
     feature; ``"mono"`` is a monomorphic single-loop kernel with the
     LVPT/LCT/CVU fast paths inlined, bit-identical for the common case
     (see :func:`mono_eligible`); ``"vector"`` runs the shared staged
-    kernels from :mod:`repro.trace.kernels` -- a fully vectorized
-    MRU predictor pass, a vectorized LCT counter scan, and a CVU
-    replay over only the constant-classified loads -- for MRU
-    configurations (see :func:`vector_eligible`); ``"auto"`` (default)
-    picks the fastest eligible kernel.  ``REPRO_ANNOTATE_KERNEL``
+    kernels from :mod:`repro.trace.kernels` -- a vectorized predictor
+    pass, a vectorized LCT counter scan, and a CVU replay over only the
+    constant-classified loads -- for every configuration without the
+    Perfect oracle, a profile filter, an audit log or a fault hook (see
+    :func:`vector_eligible`); ``"auto"`` (default) picks ``vector``
+    where eligible and ``general`` elsewhere.  ``REPRO_ANNOTATE_KERNEL``
     overrides.
     """
     resolved = resolve_kernel(kernel, config, audit, fault_hook)
@@ -222,16 +219,17 @@ def _annotate_vector(trace: Trace,
                      config: LVPConfig) -> tuple[np.ndarray, LVPStats]:
     """Vectorized annotation via the shared staged kernels.
 
-    Stage A is the fully vectorized MRU pass (stable argsort groupby --
-    no per-load Python loop; an MRU head is the last value written at
-    any history depth), stage B is the vectorized LCT counter scan, and
-    stage C replays the CVU over only the constant-classified loads.
-    The composition is bit-identical to the mono and general kernels
-    on the :func:`vector_eligible` domain; ``tests/trace/test_vector.py``
-    enforces it differentially.
+    Stage A is the configuration's vectorized predictor pass (numpy
+    over the loads grouped by table entry -- no per-load Python loop),
+    stage B is the vectorized LCT counter scan, and stage C replays the
+    CVU over only the constant-classified loads.  The composition is
+    bit-identical to the general kernel on the :func:`vector_eligible`
+    domain (and to the mono kernel on its own);
+    ``tests/trace/test_vector.py`` enforces it differentially.
     """
-    events = decode_events(trace, branches=False)
-    hits, idxs = stage_a_mru(events, config.lvpt_entries)
+    events = decode_events(trace,
+                           branches=config.index_mode == "gshare")
+    hits, idxs = run_stage_a(events, config)
     classes = run_stage_b(events, hits, config.lct_entries,
                           config.lct_bits)
     context = LctContext(hits, classes)

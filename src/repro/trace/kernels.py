@@ -9,14 +9,30 @@ the standard annotation path can use it too: the ``vector`` kernel in
 :mod:`repro.trace.annotate` runs exactly one configuration through the
 same stages, and the sweep engine amortizes them across a grid.
 
-Every table with MRU selection -- the paper's LVPT at any history
-depth, pc- or gshare-indexed, tagged or not, and last-N at depth 1 --
-goes through one vectorized pass (:func:`stage_a_mru`): an MRU entry's
-head is always the last value written to it, so a load hits exactly
-when the previous load at its index carried the same value (and, when
-tagged, the same pc).  Perfect selection and the stride/FCM/last-N/
-hybrid families run as flat loops over table lists, and anything else
-goes through the real predictor objects (:func:`stage_a_generic`).
+Stage A has no per-load Python loop.  Every predictor family is a
+numpy pass over the loads grouped by table entry (:class:`Segments`, a
+stable argsort the decode memoizes per table size):
+
+* the paper's LVPT under perfect selection over a depth-N history is N
+  forward-fill rounds that build each load's MRU list slot by slot
+  (:func:`stage_a_history`).  At depth 1 this is the MRU test "same
+  value as the previous load of the entry", and it serves every MRU
+  table at any depth too, since an MRU entry's head is always the last
+  value written to it.  Gshare indexing and tags only change the
+  grouping: in a tagged table a pc change restarts the entry;
+* stride and hybrid follow from the per-entry value deltas: the stride
+  in force is the previous delta and its confidence a run length
+  (:func:`stage_a_stride`); the hybrid's chooser is a saturating
+  counter (:func:`stage_a_hybrid`);
+* FCM folds shifted views of the entry's values into a VPT slot and
+  groups the loads once more by slot (:func:`stage_a_fcm`);
+* last-N votes over shifted views of the entry's values
+  (:func:`stage_a_lastn`).
+
+Stage B's LCT and the hybrid's chooser share one segmented scan of
+saturating counters (:func:`saturating_counters`).  Stage C replays the
+CVU's LRU CAM over only the constant-classified loads and the stores
+that may alias them.
 
 Layering: this module sits *below* both ``repro.trace.annotate`` and
 ``repro.harness.sweep`` and must import from neither (it is the reason
@@ -40,14 +56,14 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.lvp.config import LVPConfig
 from repro.lvp.fcm import _HASH_MULT
+from repro.lvp.hybrid import HybridPredictor
 from repro.lvp.lct import LoadClass
-from repro.lvp.unit import LoadOutcome, LVPStats, build_predictor
+from repro.lvp.stride import StridePredictor
+from repro.lvp.unit import LoadOutcome, LVPStats
 from repro.trace.records import Trace
 
 #: Sentinel in the per-instruction outcome column for "not a load".
 NOT_A_LOAD = 255
-
-_U64 = (1 << 64) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +75,7 @@ class Segments(NamedTuple):
     ``order`` sorts the loads by ``index`` keeping program order within
     an entry; ``head`` marks (in sorted order) each entry's first load
     and ``start`` gives each sorted load its entry's first sorted
-    position.  The MRU pass and the LCT scan both group this way.
+    position.  The stage-A passes and the LCT scan group this way.
     """
 
     index: np.ndarray  # int64 table index per load, program order
@@ -84,12 +100,9 @@ class SweepEvents:
     """One trace, decoded once, in the shapes the three stages consume."""
 
     n_records: int
-    #: Per dynamic load, in program order (Python lists for the stage
-    #: loops, numpy for the vectorized paths).
-    load_pcs: list
-    load_values: list
-    load_pcs_np: np.ndarray
-    load_values_np: np.ndarray
+    #: Per dynamic load, in program order.
+    load_pcs: np.ndarray
+    load_values: np.ndarray
     #: Trace positions of the loads (for outcome-array reconstruction).
     load_positions: np.ndarray
     #: Memory events (loads + stores) in program order.
@@ -109,7 +122,7 @@ class SweepEvents:
 
     @property
     def n_loads(self) -> int:
-        return len(self.load_pcs)
+        return len(self.load_values)
 
     @property
     def n_stores(self) -> int:
@@ -117,12 +130,12 @@ class SweepEvents:
 
     def segments(self, entries: int) -> Segments:
         """Loads grouped by their pc index into an *entries*-entry
-        table, computed once per decode (stage A's pc-indexed MRU pass
-        and stage B's LCT scan both use it)."""
+        table, computed once per decode (every pc-indexed stage-A pass
+        and stage B's LCT scan use it)."""
         grouped = self._segments.get(entries)
         if grouped is None:
             grouped = self._segments[entries] = group_by_index(
-                pc_indices(self.load_pcs_np, entries))
+                pc_indices(self.load_pcs, entries))
         return grouped
 
     def word_ids(self) -> tuple[np.ndarray, int]:
@@ -138,8 +151,8 @@ class SweepEvents:
 def decode_events(trace: Trace, branches: bool = True) -> SweepEvents:
     """Decode *trace* into the event streams every stage shares.
 
-    This is the cost the sweep amortizes: numpy mask + fancy-index +
-    ``tolist`` once, instead of once per configuration.  *branches*
+    This is the cost the sweep amortizes: numpy masks and fancy
+    indexing once, instead of once per configuration.  *branches*
     may be False when no gshare configuration is in the grid.
     """
     from repro.isa.opcodes import OpClass
@@ -154,17 +167,13 @@ def decode_events(trace: Trace, branches: bool = True) -> SweepEvents:
     mem_load_ord[mem_is_store] = -1
 
     load_positions = mem_positions[mem_is_load]
-    load_pcs_np = trace.pc[load_positions]
-    load_values_np = trace.value[load_positions]
     addrs = trace.addr[mem_positions].astype(np.int64)
     sizes = np.maximum(trace.size[mem_positions].astype(np.int64), 1)
 
     events = SweepEvents(
         n_records=len(trace),
-        load_pcs=load_pcs_np.tolist(),
-        load_values=load_values_np.tolist(),
-        load_pcs_np=load_pcs_np,
-        load_values_np=load_values_np,
+        load_pcs=trace.pc[load_positions],
+        load_values=trace.value[load_positions],
         load_positions=load_positions,
         mem_is_store=mem_is_store,
         mem_load_ord=mem_load_ord,
@@ -183,9 +192,9 @@ def decode_events(trace: Trace, branches: bool = True) -> SweepEvents:
 # ---------------------------------------------------------------------------
 # Stage A: the value-predictor pass.
 # ---------------------------------------------------------------------------
-def pc_indices(pcs_np: np.ndarray, entries: int) -> np.ndarray:
+def pc_indices(pcs: np.ndarray, entries: int) -> np.ndarray:
     """Direct-mapped table indices for an array of instruction PCs."""
-    return (pcs_np.astype(np.int64) >> 2) & (entries - 1)
+    return (pcs.astype(np.int64) >> 2) & (entries - 1)
 
 
 def _branch_stream(events: SweepEvents) -> tuple[np.ndarray, np.ndarray]:
@@ -212,260 +221,233 @@ def load_ghr(events: SweepEvents, ghr_bits: int) -> np.ndarray:
     return ghr[load_branches]
 
 
-def stage_a_mru(events: SweepEvents, entries: int, tagged: bool = False,
-                ghr_bits: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized pass for every MRU-selection table.
-
-    An MRU entry's head is the last value written to it at any history
-    depth, so a load hits iff the previous load mapping to the same
-    index carried the same value -- and, in a tagged table (where a tag
-    miss refills the entry), the same pc.  ``ghr_bits`` > 0 selects
-    gshare indexing: the pc index XOR the GHR the load sees.
-    """
-    if ghr_bits:
-        index = (pc_indices(events.load_pcs_np, entries)
-                 ^ load_ghr(events, ghr_bits)) & (entries - 1)
-        grouped = group_by_index(index)
-    else:
-        grouped = events.segments(entries)
-    order = grouped.order
-    svals = events.load_values_np[order]
-    same = ~grouped.head[1:] & (svals[1:] == svals[:-1])
-    if tagged:
-        spcs = events.load_pcs_np[order]
-        same &= spcs[1:] == spcs[:-1]
-    hits = np.zeros(len(order), dtype=bool)
-    hits[order[1:]] = same
+def _scatter(grouped: Segments, sorted_hits: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Program-order hits from hits in *grouped*'s sorted order."""
+    hits = np.empty(len(sorted_hits), dtype=bool)
+    hits[grouped.order] = sorted_hits
     return hits, grouped.index
 
 
-def stage_a_history_perfect(events: SweepEvents, entries: int,
-                            depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inline pass for the paper's PC-indexed untagged LVPT under the
-    perfect-selection oracle (mirrors the monomorphic kernel's LVPT
-    half exactly): a load hits if any stored value matches."""
-    mask = entries - 1
-    table: list[list[int]] = [[] for _ in range(entries)]
-    hits = np.empty(events.n_loads, dtype=bool)
-    for i, (pc, value) in enumerate(zip(events.load_pcs,
-                                        events.load_values)):
-        hist = table[(pc >> 2) & mask]
-        if hist:
-            hits[i] = value in hist
-            if hist[0] != value:
-                try:
-                    hist.remove(value)
-                except ValueError:
-                    pass
-                hist.insert(0, value)
-                if len(hist) > depth:
-                    hist.pop()
-        else:
-            hits[i] = False
-            hist.append(value)
-    return hits, pc_indices(events.load_pcs_np, entries)
+def _history_hits(svals: np.ndarray, head: np.ndarray,
+                  depth: int) -> np.ndarray:
+    """Perfect selection over a depth-*depth* MRU list, in sorted order.
+
+    A load hits when its value is among the entry's *depth* most
+    recently used distinct values.  Slot 1 before load k is the value
+    of load k-1.  Slot j+1 before load k+1 is slot j before the last
+    load m <= k whose value was not already in slots 1..j: such a load
+    pushes slot j down one place, and any other load leaves slot j+1
+    where it is.  So each round is one forward fill over positions
+    (``ptr``, -1 for an empty slot), and an entry's first load -- whose
+    slots are all empty -- always stops the fill.  At depth 1 this is
+    the MRU test "same value as the previous load of the entry".
+    """
+    n = len(svals)
+    found = np.zeros(n, dtype=bool)
+    np.equal(svals[1:], svals[:-1], out=found[1:])
+    found &= ~head
+    if depth == 1 or n == 0:
+        return found
+    pos = np.arange(n, dtype=np.int64)
+    ptr = pos - 1
+    ptr[head] = -1
+    for _ in range(depth - 1):
+        last = np.maximum.accumulate(np.where(found, 0, pos))
+        ptr[1:] = ptr[last[:-1]]
+        ptr[head] = -1
+        filled = ptr >= 0
+        if not filled.any():
+            break
+        found |= filled & (svals[ptr] == svals)
+    return found
+
+
+def stage_a_history(events: SweepEvents, entries: int, depth: int = 1,
+                    tagged: bool = False, ghr_bits: int = 0
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized pass for the paper's LVPT under perfect selection
+    over *depth* values -- and, at depth 1, for every MRU table, whose
+    head is the last value written to it at any depth.
+
+    ``ghr_bits`` > 0 selects gshare indexing: the pc index XOR the GHR
+    the load sees.  In a tagged table a tag miss refills the entry, so
+    a pc change restarts the entry's history like its first load does.
+    """
+    if ghr_bits:
+        grouped = group_by_index(
+            (pc_indices(events.load_pcs, entries)
+             ^ load_ghr(events, ghr_bits)) & (entries - 1))
+    else:
+        grouped = events.segments(entries)
+    head = grouped.head
+    if tagged:
+        spcs = events.load_pcs[grouped.order]
+        head = head.copy()
+        head[1:] |= spcs[1:] != spcs[:-1]
+    return _scatter(grouped, _history_hits(
+        events.load_values[grouped.order], head, depth))
+
+
+def _stride_tests(svals: np.ndarray, head: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Per sorted load: would the last value hit, and would the
+    :class:`~repro.lvp.stride.StridePredictor`'s prediction hit (the
+    stride when confident, else the last value).
+
+    The stride in force before load k is the delta into load k-1 (0
+    before the entry's second load), so the stride hits exactly when
+    load k repeats that delta.  The confidence after load k is the
+    length of its run of equal deltas -- counting the entry's initial
+    0 stride, and starting from 0 for a run of zero deltas; the
+    predictor's cap at 3 never changes the ``>= 2`` test.  Both results
+    are meaningless for an entry's first load.
+    """
+    n = len(svals)
+    delta = np.zeros(n, dtype=np.uint64)
+    np.subtract(svals[1:], svals[:-1], out=delta[1:])
+    delta[head] = 0
+    repeat = np.zeros(n, dtype=bool)
+    np.equal(delta[1:], delta[:-1], out=repeat[1:])
+    repeat &= ~head
+    pos = np.arange(n, dtype=np.int64)
+    run = np.maximum.accumulate(np.where(repeat, 0, pos))
+    confidence = (delta[run] != 0) + (pos - run)
+    confident = np.zeros(n, dtype=bool)
+    np.greater_equal(confidence[:-1], StridePredictor.CONFIDENT,
+                     out=confident[1:])
+    value_ok = delta == 0
+    return value_ok, np.where(confident, repeat, value_ok)
 
 
 def stage_a_stride(events: SweepEvents,
                    entries: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inline :class:`~repro.lvp.stride.StridePredictor` pass."""
-    mask = entries - 1
-    last: list = [None] * entries
-    stride = [0] * entries
-    conf = [0] * entries
-    hits = np.empty(events.n_loads, dtype=bool)
-    for i, (pc, value) in enumerate(zip(events.load_pcs,
-                                        events.load_values)):
-        idx = (pc >> 2) & mask
-        prev = last[idx]
-        if prev is None:
-            hits[i] = False
-            last[idx] = value
-            continue
-        if conf[idx] >= 2:
-            hits[i] = ((prev + stride[idx]) & _U64) == value
-        else:
-            hits[i] = prev == value
-        delta = (value - prev) & _U64
-        if delta == stride[idx]:
-            if conf[idx] < 3:
-                conf[idx] += 1
-        else:
-            stride[idx] = delta
-            conf[idx] = 1 if delta else 0
-        last[idx] = value
-    return hits, pc_indices(events.load_pcs_np, entries)
-
-
-def stage_a_fcm(events: SweepEvents, entries: int,
-                order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inline :class:`~repro.lvp.fcm.FCMPredictor` pass.
-
-    The unit hashes the context twice per load (once predicting, once
-    training); here prediction and the VPT write share one hash, which
-    is legal because nothing shifts the context in between.
-    """
-    mask = entries - 1
-    vht: list[list[int]] = [[] for _ in range(entries)]
-    vpt: list = [None] * entries
-    hits = np.empty(events.n_loads, dtype=bool)
-    for i, (pc, value) in enumerate(zip(events.load_pcs,
-                                        events.load_values)):
-        ctx = vht[(pc >> 2) & mask]
-        if len(ctx) >= order:
-            folded = 0
-            for v in ctx:
-                folded = ((folded * _HASH_MULT) + v) & _U64
-            slot = (folded ^ (folded >> 32)) & mask
-            hits[i] = vpt[slot] == value
-            vpt[slot] = value
-            ctx.append(value)
-            ctx.pop(0)
-        else:
-            hits[i] = False
-            ctx.append(value)
-    return hits, pc_indices(events.load_pcs_np, entries)
-
-
-def stage_a_lastn(events: SweepEvents, entries: int,
-                  depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inline :class:`~repro.lvp.lastn.LastNPredictor` pass."""
-    mask = entries - 1
-    buffers: list[list[int]] = [[] for _ in range(entries)]
-    hits = np.empty(events.n_loads, dtype=bool)
-    for i, (pc, value) in enumerate(zip(events.load_pcs,
-                                        events.load_values)):
-        buffer = buffers[(pc >> 2) & mask]
-        if buffer:
-            counts: dict[int, int] = {}
-            for v in buffer:
-                counts[v] = counts.get(v, 0) + 1
-            best = None
-            best_count = 0
-            for v in reversed(buffer):
-                count = counts[v]
-                if count > best_count:
-                    best = v
-                    best_count = count
-            hits[i] = best == value
-        else:
-            hits[i] = False
-        buffer.append(value)
-        if len(buffer) > depth:
-            buffer.pop(0)
-    return hits, pc_indices(events.load_pcs_np, entries)
+    """Vectorized :class:`~repro.lvp.stride.StridePredictor` pass."""
+    grouped = events.segments(entries)
+    _, stride_ok = _stride_tests(events.load_values[grouped.order],
+                                 grouped.head)
+    return _scatter(grouped, stride_ok & ~grouped.head)
 
 
 def stage_a_hybrid(events: SweepEvents,
                    entries: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inline :class:`~repro.lvp.hybrid.HybridPredictor` pass."""
-    mask = entries - 1
-    last: list = [None] * entries
-    stride = [0] * entries
-    conf = [0] * entries
-    chooser = [1] * entries
-    hits = np.empty(events.n_loads, dtype=bool)
-    for i, (pc, value) in enumerate(zip(events.load_pcs,
-                                        events.load_values)):
-        idx = (pc >> 2) & mask
-        prev = last[idx]
-        if prev is None:
-            hits[i] = False
-            last[idx] = value
-            continue
-        if conf[idx] >= 2:
-            value_pred = prev
-            stride_pred = (prev + stride[idx]) & _U64
-        else:
-            value_pred = stride_pred = prev
-        hits[i] = (stride_pred if chooser[idx] >= 2
-                   else value_pred) == value
-        value_ok = value_pred == value
-        stride_ok = stride_pred == value
-        if stride_ok and not value_ok:
-            if chooser[idx] < 3:
-                chooser[idx] += 1
-        elif value_ok and not stride_ok:
-            if chooser[idx] > 0:
-                chooser[idx] -= 1
-        delta = (value - prev) & _U64
-        if delta == stride[idx]:
-            if conf[idx] < 3:
-                conf[idx] += 1
-        else:
-            stride[idx] = delta
-            conf[idx] = 1 if delta else 0
-        last[idx] = value
-    return hits, pc_indices(events.load_pcs_np, entries)
+    """Vectorized :class:`~repro.lvp.hybrid.HybridPredictor` pass.
 
-
-def stage_a_generic(events: SweepEvents,
-                    config: LVPConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Object-based pass through the real predictor classes.
-
-    Using :func:`~repro.lvp.unit.build_predictor` -- the same factory
-    the LVP unit uses -- guarantees identical table semantics for every
-    family without duplicating their update rules here.  Only shapes
-    with no inline pass come here (perfect selection on a tagged or
-    gshare-indexed LVPT, or a future family).
+    The components are the stride pass's two tests; the chooser is a
+    saturating counter stepped up where only the stride component was
+    right and down where only the last value was, so it is one
+    segmented scan from its initial 1.
     """
-    table = build_predictor(config)
-    hits = np.empty(events.n_loads, dtype=bool)
-    idxs = np.empty(events.n_loads, dtype=np.int64)
-    would = table.would_be_correct
-    index_of = table.index_of
-    update = table.update
-    gshare = config.index_mode == "gshare"
-    if gshare:
-        record_branch = table.record_branch
-        takens, befores = (column.tolist()
-                           for column in _branch_stream(events))
-        seen = 0
-    for i, (pc, value) in enumerate(zip(events.load_pcs,
-                                        events.load_values)):
-        if gshare:
-            for taken in takens[seen:befores[i]]:
-                record_branch(taken)
-            seen = befores[i]
-        hits[i] = would(pc, value)
-        idxs[i] = index_of(pc)
-        update(pc, value)
-    return hits, idxs
+    grouped = events.segments(entries)
+    head = grouped.head
+    value_ok, stride_ok = _stride_tests(events.load_values[grouped.order],
+                                        head)
+    up = stride_ok & ~value_ok & ~head
+    down = value_ok & ~stride_ok & ~head
+    top = HybridPredictor._CHOOSER_MAX
+    step = up.astype(np.int32) - down.astype(np.int32)
+    chooser = saturating_counters(step, up.astype(np.int32),
+                                  top - down.astype(np.int32),
+                                  head, grouped.start, 1)
+    use_stride = chooser >= HybridPredictor._CHOOSE_STRIDE
+    return _scatter(grouped, np.where(use_stride, stride_ok, value_ok)
+                    & ~head)
+
+
+def stage_a_fcm(events: SweepEvents, entries: int,
+                order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :class:`~repro.lvp.fcm.FCMPredictor` pass.
+
+    A load whose entry has seen *order* earlier loads folds their
+    values (shifted views of the sorted values, wrapping uint64
+    arithmetic) into a VPT slot.  The VPT is shared by every entry, so
+    such a load hits when the previous such load, in program order,
+    that wrote the same slot carried the same value: the depth-1
+    history test over those loads grouped by slot.
+    """
+    grouped = events.segments(entries)
+    svals = events.load_values[grouped.order]
+    n = len(svals)
+    folded = np.zeros(n, dtype=np.uint64)
+    mult = np.uint64(_HASH_MULT)
+    for lag in range(order, 0, -1):
+        folded *= mult
+        folded[lag:] += svals[:-lag]
+    slots = ((folded ^ (folded >> np.uint64(32)))
+             & np.uint64(entries - 1)).astype(np.int64)
+    rank = np.arange(n, dtype=np.int32) - grouped.start
+    warm = np.zeros(n, dtype=bool)
+    warm[grouped.order] = rank >= order
+    slot_of = np.empty(n, dtype=np.int64)
+    slot_of[grouped.order] = slots
+    loads = np.nonzero(warm)[0]
+    by_slot = group_by_index(slot_of[loads])
+    hits = np.zeros(n, dtype=bool)
+    hits[loads[by_slot.order]] = _history_hits(
+        events.load_values[loads[by_slot.order]], by_slot.head, 1)
+    return hits, grouped.index
+
+
+def stage_a_lastn(events: SweepEvents, entries: int,
+                  depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :class:`~repro.lvp.lastn.LastNPredictor` pass.
+
+    The buffer before a load holds the values of the entry's previous
+    ``min(rank, depth)`` loads.  Each buffered value's vote count is
+    an O(depth**2) sweep of equality tests over shifted views, and
+    ``argmax`` over lags 1..depth picks the first maximum, which is the
+    most recent of the most frequent values -- the predictor's tie
+    rule.
+    """
+    grouped = events.segments(entries)
+    svals = events.load_values[grouped.order]
+    n = len(svals)
+    rank = np.arange(n, dtype=np.int32) - grouped.start
+    padded = np.concatenate([np.zeros(depth, dtype=svals.dtype), svals])
+    # lag j (1..depth) -> the value j loads back, where rank >= j.
+    back = [padded[depth - lag:depth - lag + n]
+            for lag in range(1, depth + 1)]
+    votes = np.zeros((depth, n), dtype=np.min_scalar_type(depth))
+    for j in range(depth):
+        held = rank > j
+        votes[j] += held
+        for i in range(j):
+            agree = held & (back[i] == back[j])
+            votes[i] += agree
+            votes[j] += agree
+    winner = np.argmax(votes, axis=0)
+    sorted_hits = np.zeros(n, dtype=bool)
+    for j in range(depth):
+        sorted_hits |= (winner == j) & (back[j] == svals)
+    return _scatter(grouped, sorted_hits & (rank > 0))
 
 
 def run_stage_a(events: SweepEvents,
                 config: LVPConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Dispatch one configuration to its fastest exact stage-A pass.
+    """Dispatch one configuration to its family's stage-A pass.
 
     Returns each load's ``would_hit`` flag and its LVPT index at event
-    time (the CVU key's second half).
+    time (the CVU key's second half).  Only the paper's history LVPT
+    reads the tag and index-mode fields; the other families ignore
+    them, as :func:`~repro.lvp.unit.build_predictor` does.
     """
     predictor = config.predictor
-    if (predictor == "history"
-            and (config.selection == "mru" or config.history_depth == 1)):
-        return stage_a_mru(
-            events, config.lvpt_entries, config.lvpt_tagged,
-            config.ghr_bits if config.index_mode == "gshare" else 0)
-    if predictor == "lastn" and config.history_depth == 1:
-        return stage_a_mru(events, config.lvpt_entries)
-    if config.index_mode == "gshare" or config.lvpt_tagged:
-        return stage_a_generic(events, config)
+    entries = config.lvpt_entries
     if predictor == "history":
-        return stage_a_history_perfect(events, config.lvpt_entries,
-                                       config.history_depth)
+        depth = 1 if config.selection == "mru" else config.history_depth
+        return stage_a_history(
+            events, entries, depth, config.lvpt_tagged,
+            config.ghr_bits if config.index_mode == "gshare" else 0)
     if predictor == "stride":
-        return stage_a_stride(events, config.lvpt_entries)
-    if predictor == "fcm":
-        return stage_a_fcm(events, config.lvpt_entries,
-                           config.history_depth)
-    if predictor == "lastn":
-        return stage_a_lastn(events, config.lvpt_entries,
-                             config.history_depth)
+        return stage_a_stride(events, entries)
     if predictor == "hybrid":
-        return stage_a_hybrid(events, config.lvpt_entries)
-    # A predictor family this engine has no fast path for yet: the
-    # object path is always correct.
-    return stage_a_generic(events, config)
+        return stage_a_hybrid(events, entries)
+    if predictor == "fcm":
+        return stage_a_fcm(events, entries, config.history_depth)
+    if predictor == "lastn":
+        return stage_a_lastn(events, entries, config.history_depth)
+    raise ConfigError(f"{config.name}: no stage-A pass for predictor "
+                      f"{predictor!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -476,43 +458,28 @@ _PREDICT = int(LoadClass.PREDICT)
 _CONST = int(LoadClass.CONSTANT)
 
 
-def run_stage_b(events: SweepEvents, hits: np.ndarray,
-                lct_entries: int, lct_bits: int) -> np.ndarray:
-    """Evolve the LCT counters over the ``would_hit`` stream; returns
-    each load's classification code (uint8 LoadClass values).
+def saturating_counters(step: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                        head: np.ndarray, start: np.ndarray,
+                        initial: int) -> np.ndarray:
+    """Evolve one saturating counter per segment; returns the value
+    each element sees BEFORE its own step.
 
-    Fully vectorized.  An LCT entry is a saturating counter: each load
-    applies ``c -> clip(c +- 1, 0, max)``, and clip-affine maps
-    ``c -> min(hi, max(lo, c + a))`` are closed under composition, so
-    the per-entry counter stream is a segmented inclusive prefix scan
-    over ``(a, lo, hi)`` triples.  Loads are grouped per entry with the
-    decode's stable argsort (:meth:`SweepEvents.segments`) and the scan
-    runs Hillis-Steele doubling with a segment guard -- O(n log n)
-    numpy work, no per-load Python loop.  The doubling stops as soon as
-    every load that still has earlier loads of its entry to compose
-    holds a constant map (``lo >= hi``): a constant map absorbs
-    whatever is composed before it, so those loads are already final.
+    Element k applies the clip-affine map ``c -> min(hi, max(lo, c +
+    step))`` (a saturating +-1 is written tight, so saturation shows as
+    ``lo >= hi``), and such maps are closed under composition, so each
+    segment's counter stream is a segmented inclusive prefix scan over
+    ``(step, lo, hi)`` triples.  Segments are runs of a sorted order
+    (``head`` marks their first elements, ``start`` gives each element
+    its segment's first position); every segment starts at *initial*.
+    The scan runs Hillis-Steele doubling with a segment guard -- O(n
+    log n) numpy work, no per-element Python loop -- and stops as soon
+    as every element that still has earlier elements of its segment to
+    compose holds a constant map (``lo >= hi``): a constant map absorbs
+    whatever is composed before it.  int32 is ample: ``|step| <= n <
+    2**31`` and lo/hi stay within it too.
     """
-    n = events.n_loads
-    lct_max = (1 << lct_bits) - 1
-    # Counter value -> LoadClass code.
-    class_of = np.full(lct_max + 1, _DONT, dtype=np.uint8)
-    class_of[lct_max] = _CONST
-    if lct_bits > 1:
-        class_of[lct_max - 1] = _PREDICT
-    if n == 0:
-        return np.empty(0, dtype=np.uint8)
-
-    order, head, start = events.segments(lct_entries)[1:]
-    # Per-load step function on the counter range [0, lct_max], written
-    # tight so saturation shows as lo >= hi: a hit is clip(c + 1, 1,
-    # lct_max), a miss clip(c - 1, 0, lct_max - 1).  int32 is ample:
-    # |a| <= n < 2**31 and lo/hi stay within it too.
-    sorted_hits = hits[order]
-    comp_a = np.where(sorted_hits, 1, -1).astype(np.int32)
-    comp_lo = sorted_hits.astype(np.int32)
-    comp_hi = comp_lo + (lct_max - 1)
-
+    n = len(step)
+    comp_a, comp_lo, comp_hi = step, lo, hi
     # Segmented inclusive scan: compose element k with k-o (applied
     # first) while k-o is still inside k's segment.  Composition law
     # for f=(a1,lo1,hi1) then g=(a2,lo2,hi2):
@@ -536,14 +503,43 @@ def run_stage_b(events: SweepEvents, hits: np.ndarray,
         comp_hi = np.where(can, new_hi, comp_hi)
         offset <<= 1
 
-    # Counter AFTER load k (applied to the entry's initial 0), then
-    # shifted: the classification reads the counter BEFORE the update.
-    after = np.minimum(comp_hi, np.maximum(comp_lo, comp_a))
+    # Counter AFTER element k (applied to the segment's initial value),
+    # shifted: each element sees the counter BEFORE its step.
+    after = np.minimum(comp_hi, np.maximum(comp_lo, comp_a + initial))
     before = np.empty(n, dtype=np.int64)
-    before[0] = 0
     before[1:] = after[:-1]
-    before[head] = 0
+    before[head] = initial
+    return before
 
+
+def run_stage_b(events: SweepEvents, hits: np.ndarray,
+                lct_entries: int, lct_bits: int) -> np.ndarray:
+    """Evolve the LCT counters over the ``would_hit`` stream; returns
+    each load's classification code (uint8 LoadClass values).
+
+    Fully vectorized: an LCT entry is a saturating counter starting at
+    0, so the loads grouped per entry with the decode's stable argsort
+    (:meth:`SweepEvents.segments`) run through one
+    :func:`saturating_counters` scan.
+    """
+    n = events.n_loads
+    lct_max = (1 << lct_bits) - 1
+    # Counter value -> LoadClass code.
+    class_of = np.full(lct_max + 1, _DONT, dtype=np.uint8)
+    class_of[lct_max] = _CONST
+    if lct_bits > 1:
+        class_of[lct_max - 1] = _PREDICT
+    if n == 0:
+        return np.empty(0, dtype=np.uint8)
+
+    order, head, start = events.segments(lct_entries)[1:]
+    # A hit is clip(c + 1, 1, lct_max), a miss clip(c - 1, 0,
+    # lct_max - 1).
+    sorted_hits = hits[order]
+    step = np.where(sorted_hits, 1, -1).astype(np.int32)
+    lo = sorted_hits.astype(np.int32)
+    before = saturating_counters(step, lo, lo + (lct_max - 1), head,
+                                 start, 0)
     classes = np.empty(n, dtype=np.uint8)
     classes[order] = class_of[before]
     return classes

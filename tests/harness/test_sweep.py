@@ -88,7 +88,8 @@ MIXED_GRID = (
     LVPConfig(name="m/lastn1", predictor="lastn", history_depth=1),
     LVPConfig(name="m/cvu-huge", cvu_entries=8192),
     LVPConfig(name="m/cvu2", cvu_entries=2),
-    # Perfect selection on tagged/gshare tables: the object path.
+    # Perfect selection on tagged/gshare tables (a restarting or
+    # gshare grouping under the forward-fill rounds).
     LVPConfig(name="m/oracle-tagged", selection="perfect",
               history_depth=4, lvpt_tagged=True),
     LVPConfig(name="m/oracle-gshare", selection="perfect",

@@ -1,18 +1,26 @@
 """Property-based tests for the LVP structures (hypothesis)."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.isa.opcodes import OpClass
 from repro.lvp import CVU, LCT, LVPT, LVPUnit, LoadClass, LoadOutcome, SIMPLE
 from repro.lvp.config import LVPConfig
 from repro.lvp.context import ContextLVPT
+from repro.lvp.fcm import FCMPredictor
+from repro.lvp.hybrid import HybridPredictor
+from repro.lvp.lastn import LastNPredictor
+from repro.lvp.stride import StridePredictor
 from repro.trace.kernels import (
     LctContext,
     decode_events,
     run_stage_b,
     run_stage_c,
-    stage_a_mru,
+    stage_a_fcm,
+    stage_a_history,
+    stage_a_hybrid,
+    stage_a_lastn,
+    stage_a_stride,
 )
 from repro.trace.records import TRACE_COLUMNS, Trace
 
@@ -183,8 +191,30 @@ def _trace(ops) -> Trace:
         else:
             columns["opclass"][i] = int(OpClass.BRANCH)
             columns["taken"][i] = int(op[1])
-    return Trace({name: np.asarray(column)
-                  for name, column in columns.items()})
+    return Trace({name: np.asarray(column, dtype="<" + code)
+                  for (name, code), column in zip(TRACE_COLUMNS,
+                                                  columns.values())})
+
+
+def _object_pass(ops, table):
+    """``(would_hit, index)`` per load from a predictor object."""
+    hits, idxs = [], []
+    for op in ops:
+        if op[0] == "branch":
+            if isinstance(table, ContextLVPT):
+                table.record_branch(op[1])
+            continue
+        pc, value = op[1], op[3]
+        hits.append(table.would_be_correct(pc, value))
+        idxs.append(table.index_of(pc))
+        table.update(pc, value)
+    return hits, idxs
+
+
+def _assert_pass_equals(result, expected):
+    hits, idxs = result
+    assert hits.tolist() == expected[0]
+    assert np.asarray(idxs).tolist() == expected[1]
 
 
 #: Few pcs, words and values, so tables alias, hit and saturate.
@@ -208,24 +238,121 @@ class TestMruPassProperties:
         not) hits exactly where the vectorized pass says, at the index
         it reports."""
         events = decode_events(_trace(ops), branches=True)
-        hits, idxs = stage_a_mru(events, entries, tagged, ghr_bits)
         if ghr_bits:
             table = ContextLVPT(entries, depth, "mru", tagged=tagged,
                                 ghr_bits=ghr_bits)
         else:
             table = LVPT(entries, depth, "mru", tagged=tagged)
-        expected_hits, expected_idxs = [], []
-        for op in ops:
-            if op[0] == "branch":
-                if ghr_bits:
-                    table.record_branch(op[1])
-                continue
-            pc, value = op[1], op[3]
-            expected_hits.append(table.would_be_correct(pc, value))
-            expected_idxs.append(table.index_of(pc))
-            table.update(pc, value)
-        assert hits.tolist() == expected_hits
-        assert np.asarray(idxs).tolist() == expected_idxs
+        _assert_pass_equals(
+            stage_a_history(events, entries, 1, tagged, ghr_bits),
+            _object_pass(ops, table))
+
+
+_U64 = (1 << 64) - 1
+#: Stage-A streams: six pcs and four small values, so tiny tables alias,
+#: VPT slots collide and last-N votes tie, plus arithmetic runs of one
+#: pc (wrapping at 2**64), so strides build confidence and break.
+_pc = st.integers(0, 5).map(lambda x: x * 4)
+_single = st.builds(lambda pc, value: [("load", pc, 0x1000, value)],
+                    _pc, st.integers(0, 3))
+_run = st.builds(
+    lambda pc, first, stride, length: [
+        ("load", pc, 0x1000, (first + k * stride) & _U64)
+        for k in range(length)],
+    _pc, st.sampled_from([0, 2, _U64]), st.sampled_from([0, 1, 3, _U64]),
+    st.integers(2, 6))
+_taken = st.builds(lambda taken: [("branch", taken)], st.booleans())
+
+
+def _streams(*chunks):
+    return st.lists(st.one_of(*chunks), max_size=40).map(
+        lambda parts: [op for part in parts for op in part])
+
+
+def _walk(steps):
+    """Loads of two pcs whose values each take a random walk: strides
+    hold, break and resume, which steps the hybrid's chooser both ways."""
+    last: dict = {}
+    ops = []
+    for pc, delta in steps:
+        last[pc] = (last.get(pc, 0) + delta) & _U64
+        ops.append(("load", pc, 0x1000, last[pc]))
+    return ops
+
+
+_walks = st.lists(st.tuples(st.sampled_from([0, 4]),
+                            st.sampled_from([0, 1, 1, 3, _U64])),
+                  max_size=60).map(_walk)
+_loads = st.one_of(_streams(_single, _run), _walks)
+_loads_and_branches = _streams(_single, _run, _taken)
+_ONE_LOAD = [("load", 4, 0x1000, 1)]
+#: A stride that wins the chooser over, breaks on a repeated value
+#: (stepping the chooser back) and resumes: the next confident load is
+#: decided by the chooser.
+_BREAK_AND_RESUME = [("load", 4, 0x1000, value)
+                     for value in (0, 1, 2, 3, 3, 2, 3, 4, 5)]
+
+
+class TestStageAPassProperties:
+    """Each family's vectorized stage-A pass against its predictor
+    object."""
+
+    @given(_loads, st.sampled_from([1, 2, 4, 8]), st.integers(1, 4))
+    @example([], 1, 1)
+    @example(_ONE_LOAD, 4, 1)
+    @settings(deadline=None, max_examples=200)
+    def test_fcm(self, ops, entries, order):
+        events = decode_events(_trace(ops), branches=False)
+        _assert_pass_equals(stage_a_fcm(events, entries, order),
+                            _object_pass(ops, FCMPredictor(entries, order)))
+
+    @given(_loads, st.sampled_from([1, 2, 4, 8]), st.integers(1, 8))
+    @example([], 1, 1)
+    @example(_ONE_LOAD, 4, 3)
+    @settings(deadline=None, max_examples=200)
+    def test_lastn(self, ops, entries, depth):
+        events = decode_events(_trace(ops), branches=False)
+        _assert_pass_equals(
+            stage_a_lastn(events, entries, depth),
+            _object_pass(ops, LastNPredictor(entries, depth)))
+
+    @given(_loads, st.sampled_from([1, 2, 4, 8]))
+    @example([], 1)
+    @example(_ONE_LOAD, 4)
+    @settings(deadline=None, max_examples=200)
+    def test_stride(self, ops, entries):
+        events = decode_events(_trace(ops), branches=False)
+        _assert_pass_equals(stage_a_stride(events, entries),
+                            _object_pass(ops, StridePredictor(entries)))
+
+    @given(_loads, st.sampled_from([1, 2, 4, 8]))
+    @example([], 1)
+    @example(_ONE_LOAD, 4)
+    @example(_BREAK_AND_RESUME, 1)
+    @settings(deadline=None, max_examples=300)
+    def test_hybrid(self, ops, entries):
+        events = decode_events(_trace(ops), branches=False)
+        _assert_pass_equals(stage_a_hybrid(events, entries),
+                            _object_pass(ops, HybridPredictor(entries)))
+
+    @given(_loads_and_branches, st.sampled_from([1, 2, 4, 8]),
+           st.integers(1, 16), st.booleans(), st.integers(0, 5))
+    @example([], 1, 16, False, 0)
+    @example(_ONE_LOAD, 4, 16, True, 3)
+    @settings(deadline=None, max_examples=300)
+    def test_perfect_selection(self, ops, entries, depth, tagged,
+                               ghr_bits):
+        """The paper's LVPT under perfect selection, pc- or
+        gshare-indexed, tagged or not."""
+        events = decode_events(_trace(ops), branches=True)
+        if ghr_bits:
+            table = ContextLVPT(entries, depth, "perfect", tagged=tagged,
+                                ghr_bits=ghr_bits)
+        else:
+            table = LVPT(entries, depth, "perfect", tagged=tagged)
+        _assert_pass_equals(
+            stage_a_history(events, entries, depth, tagged, ghr_bits),
+            _object_pass(ops, table))
 
 
 class TestCvuSharingProperties:
@@ -238,7 +365,7 @@ class TestCvuSharingProperties:
         or above its peak occupancy: replaying any such capacity gives
         the same outcomes, statistics and peak."""
         events = decode_events(_trace(ops), branches=False)
-        hits, idxs = stage_a_mru(events, 4)
+        hits, idxs = stage_a_history(events, 4)
         classes = run_stage_b(events, hits, 4, lct_bits)
 
         def replay(entries):

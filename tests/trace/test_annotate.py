@@ -1,5 +1,7 @@
 """Unit tests for the LVP trace-annotation phase."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -81,3 +83,21 @@ class TestDeepMruOnVectorTier:
             other = annotate_trace(compress_trace, config, kernel=kernel)
             assert np.array_equal(vector.outcomes, other.outcomes)
             assert vector.stats == other.stats
+
+
+class TestCvuCapacityIsNotMonotone:
+    """A documented non-invariant (docs/sweep.md): CONSTANT outcomes
+    are not monotone in CVU capacity.  A mispredicted
+    constant-classified load that hits the CAM removes its entry, but
+    one that misses the CAM is inserted anyway, so a small CAM that
+    evicted an entry can hold it again where a large CAM has just
+    dropped it: LRU inclusion fails."""
+
+    def test_xlisp_simple_loses_constants_from_32_to_64(self, tiny_session):
+        trace = tiny_session.trace("xlisp", "ppc")
+        constants = {
+            entries: annotate_trace(
+                trace, replace(SIMPLE, cvu_entries=entries),
+                kernel="general").stats.outcomes[LoadOutcome.CONSTANT]
+            for entries in (32, 64)}
+        assert constants == {32: 1479, 64: 1474}

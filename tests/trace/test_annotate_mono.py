@@ -65,16 +65,18 @@ class TestKernelResolution:
     def test_kernels_tuple(self):
         assert KERNELS == ("auto", "general", "mono", "vector")
 
-    def test_auto_picks_mono_when_eligible(self):
-        # SIMPLE is depth-1 so auto now prefers vector; LIMIT (deep
-        # history) is the mono-but-not-vector shape.
-        assert resolve_kernel("auto", LIMIT, False, None) == "mono"
-        assert resolve_kernel(None, LIMIT, False, None) == "mono"
-        assert resolve_kernel("auto", SIMPLE, False, None) == "vector"
-        assert resolve_kernel(None, SIMPLE, False, None) == "vector"
+    @pytest.mark.parametrize("config", ELIGIBLE, ids=lambda c: c.name)
+    def test_mono_runs_only_when_asked_for(self, config):
+        # The vector tier's domain contains mono's (the Limit study's
+        # deep perfect selection included), so auto prefers vector.
+        assert resolve_kernel("auto", config, False, None) == "vector"
+        assert resolve_kernel(None, config, False, None) == "vector"
+        assert resolve_kernel("mono", config, False, None) == "mono"
 
-    @pytest.mark.parametrize("config", INELIGIBLE, ids=lambda c: c.name)
+    @pytest.mark.parametrize("config", (PERFECT,), ids=lambda c: c.name)
     def test_auto_falls_back_to_general(self, config):
+        # Stride and gshare are mono-ineligible but vector-eligible;
+        # only the Perfect oracle falls all the way back.
         assert resolve_kernel("auto", config, False, None) == "general"
 
     def test_auto_falls_back_for_audit_and_hook(self):

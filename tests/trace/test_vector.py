@@ -1,12 +1,15 @@
 """Differential suite: the vector annotation kernel vs mono vs general.
 
-The vector tier runs the shared staged kernels (stage-A vectorized
-last-value, stage-B LCT counters, stage-C CVU replay) for depth-1
-configurations; it exists only for speed and must be bit-identical to
-both the monomorphic and the general kernel on every config it
-accepts, and must refuse (or be auto-routed away from) every config it
-cannot faithfully annotate.
+The vector tier runs the shared staged kernels (a vectorized stage-A
+pass per predictor family, stage-B LCT counters, stage-C CVU replay)
+for every configuration but the Perfect oracle and profile filters,
+without audit logs or fault hooks; it exists only for speed and must
+be bit-identical to the general kernel (and to the monomorphic kernel
+where that one runs) on every config it accepts, and must refuse (or
+be auto-routed away from) every case it cannot faithfully annotate.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -24,21 +27,42 @@ from repro.lvp.config import (
 from repro.sim import run_program
 from repro.trace.annotate import (
     annotate_trace,
+    mono_eligible,
     resolve_kernel,
     vector_eligible,
 )
 from repro.workloads.suite import NAMES, get_benchmark
 
-#: Every stock config the vector kernel accepts (depth-1 history, pc
-#: index, untagged, unfiltered, not perfect) -- derived, not listed,
-#: so a new eligible config automatically joins the suite.
+#: History shapes with no stock config: perfect selection on a tagged
+#: or gshare table, and a tagged MRU table.
+TAGGED_LIMIT = replace(LIMIT, name="TaggedLimit", lvpt_tagged=True)
+GSHARE_LIMIT = replace(LIMIT, name="GshareLimit", index_mode="gshare",
+                       ghr_bits=6)
+TAGGED = replace(SIMPLE, name="Tagged", lvpt_tagged=True)
+#: Every stock config the vector kernel accepts (everything but the
+#: Perfect oracle) -- derived, not listed, so a new eligible config
+#: automatically joins the suite -- plus the shapes above.
 ELIGIBLE = tuple(
     config for config in PAPER_CONFIGS + EXTENSION_CONFIGS
     if vector_eligible(config)
+) + (TAGGED_LIMIT, GSHARE_LIMIT, TAGGED)
+#: Eligible configs beyond the untagged, pc-indexed MRU tables: deep
+#: perfect selection, stride, gshare and tagged tables.
+WIDENED = (LIMIT, STRIDE, GSHARE, TAGGED_LIMIT, GSHARE_LIMIT, TAGGED)
+FILTERED = replace(SIMPLE, name="Filtered", profile_filter=frozenset())
+
+
+def _hook(unit, index):
+    return None
+
+
+#: (config, audit, fault_hook) cases the vector kernel refuses.
+INELIGIBLE = (
+    pytest.param(PERFECT, False, None, id="Perfect"),
+    pytest.param(SIMPLE, True, None, id="audit"),
+    pytest.param(SIMPLE, False, _hook, id="hook"),
+    pytest.param(FILTERED, False, None, id="filter"),
 )
-#: Mono-eligible but too deep for the vector tier.
-DEEP = (LIMIT,)
-INELIGIBLE = (PERFECT, STRIDE, GSHARE) + DEEP
 
 STATS_FIELDS = (
     "loads", "stores", "predictable_predicted",
@@ -75,23 +99,29 @@ class TestEligibility:
         assert SIMPLE.name in names
         assert CONSTANT.name in names
 
-    @pytest.mark.parametrize("config", INELIGIBLE, ids=lambda c: c.name)
-    def test_ineligible(self, config):
-        assert not vector_eligible(config)
+    @pytest.mark.parametrize("config", WIDENED, ids=lambda c: c.name)
+    def test_eligible(self, config):
+        assert vector_eligible(config)
+        assert resolve_kernel("vector", config, False, None) == "vector"
+
+    @pytest.mark.parametrize("config, audit, hook", INELIGIBLE)
+    def test_ineligible(self, config, audit, hook):
+        assert not vector_eligible(config, audit, hook)
 
     def test_audit_and_fault_hook_disqualify(self):
         assert not vector_eligible(SIMPLE, audit=True)
         assert not vector_eligible(SIMPLE, fault_hook=lambda *a: None)
 
-    @pytest.mark.parametrize("config", INELIGIBLE, ids=lambda c: c.name)
-    def test_forced_vector_on_ineligible_config_refused(self, config):
+    @pytest.mark.parametrize("config, audit, hook", INELIGIBLE)
+    def test_forced_vector_on_ineligible_config_refused(self, config,
+                                                        audit, hook):
         with pytest.raises(ConfigError, match="vector"):
-            resolve_kernel("vector", config, False, None)
+            resolve_kernel("vector", config, audit, hook)
 
     def test_auto_prefers_vector(self):
         assert resolve_kernel("auto", SIMPLE, False, None) == "vector"
-        # Deep history falls back one tier, not all the way.
-        assert resolve_kernel("auto", LIMIT, False, None) == "mono"
+        # The Limit study's deep perfect selection runs on vector too.
+        assert resolve_kernel("auto", LIMIT, False, None) == "vector"
 
     def test_env_pin(self, monkeypatch):
         monkeypatch.setenv("REPRO_ANNOTATE_KERNEL", "vector")
@@ -111,19 +141,22 @@ def test_vector_bit_identical_simple(tiny_traces, name):
 @pytest.mark.parametrize("name", ("compress", "eqntott"))
 def test_vector_bit_identical_all_eligible_configs(tiny_traces, name,
                                                    config):
-    """Two traces x every eligible config, against both slower tiers."""
+    """Two traces x every eligible config, against the general tier
+    and, where it runs, the mono tier."""
     trace = tiny_traces(name)
     general = annotate_trace(trace, config, kernel="general")
-    mono = annotate_trace(trace, config, kernel="mono")
     vector = annotate_trace(trace, config, kernel="vector")
     assert_annotations_equal(general, vector)
-    assert_annotations_equal(mono, vector)
+    if mono_eligible(config):
+        mono = annotate_trace(trace, config, kernel="mono")
+        assert_annotations_equal(mono, vector)
 
 
 @pytest.mark.parametrize("config", ELIGIBLE, ids=lambda c: c.name)
 def test_auto_routes_to_vector_and_matches(tiny_traces, config):
     """The production default (auto) runs the vector tier on eligible
     configs and stays bit-identical to the oracle."""
+    assert resolve_kernel("auto", config, False, None) == "vector"
     trace = tiny_traces("xlisp")
     general = annotate_trace(trace, config, kernel="general")
     auto = annotate_trace(trace, config)
