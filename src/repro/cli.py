@@ -25,9 +25,7 @@ Commands
     by default) against shared in-memory columns, sharded across
     ``--jobs`` workers and journaled under ``.repro/sweeps/<run-id>/``
     for crash-resume.  ``--exhibits`` renders the Table 3/4 and
-    Figure 6 sensitivity families; ``--measure``/``--check`` maintain
-    the ``BENCH_SWEEP.json`` shared-decode speedup benchmark (see
-    ``docs/sweep.md``).
+    Figure 6 sensitivity families (see ``docs/sweep.md``).
 ``check``
     Evaluate every paper-shape claim against a fresh session.
 ``doctor``
@@ -57,15 +55,6 @@ Commands
 ``stats [RUN_ID]``
     Render a journaled run's ``metrics.json`` (per-benchmark phase
     timings, headline counters; ``latest`` by default).
-``bench``
-    Time every pipeline phase (trace, cache load, annotate, model)
-    under the slow reference engines and the tiered fast engines, plus
-    a cold ``experiment all`` pass per tier; write/check
-    ``BENCH_PERF.json`` (see ``docs/performance.md``).
-``cache migrate``
-    Upgrade a trace-cache directory's legacy v1 ``.npz`` bundles to
-    the mmap-friendly v2 ``.rtc`` format in place (see
-    ``docs/cache.md``).
 ``disasm BENCH``
     Disassemble a benchmark's program text.
 ``trace BENCH``
@@ -424,68 +413,6 @@ def cmd_experiment(args) -> int:
     return code
 
 
-def _cmd_sweep_measure(args, progress) -> int:
-    """The ``repro sweep --measure/--check`` benchmark path."""
-    from repro.harness.sweep import (
-        SWEEP_SPEEDUP_FLOOR,
-        compare_sweep_bench,
-        load_sweep_bench,
-        render_sweep_bench,
-        run_sweep_bench,
-        validate_sweep_bench,
-        write_sweep_bench,
-    )
-    try:
-        document = run_sweep_bench(bench=args.bench, scale=args.scale,
-                                   target=args.target,
-                                   progress=progress)
-    except ConfigError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-    errors = validate_sweep_bench(document)
-    if errors:
-        print("repro: error: sweep bench document failed validation:",
-              file=sys.stderr)
-        for error in errors:
-            print(f"  - {error}", file=sys.stderr)
-        return 2
-    print(render_sweep_bench(document))
-    if args.output:
-        write_sweep_bench(document, args.output)
-        print(f"wrote {args.output}")
-    if args.check:
-        try:
-            baseline = load_sweep_bench(args.baseline)
-        except OSError:
-            print(f"repro: error: no baseline at {args.baseline} "
-                  "(run 'repro sweep BENCH --measure --output' first)",
-                  file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"repro: error: damaged baseline {args.baseline}: {exc}",
-                  file=sys.stderr)
-            return 2
-        base_errors = validate_sweep_bench(baseline)
-        if base_errors:
-            print(f"repro: error: baseline {args.baseline} failed "
-                  "validation:", file=sys.stderr)
-            for error in base_errors:
-                print(f"  - {error}", file=sys.stderr)
-            return 2
-        regressions = compare_sweep_bench(document, baseline,
-                                          threshold=args.threshold)
-        if regressions:
-            print(f"sweep regressions vs {args.baseline}:",
-                  file=sys.stderr)
-            for regression in regressions:
-                print(f"  - {regression}", file=sys.stderr)
-            return 1
-        print(f"no regressions vs {args.baseline} "
-              f"(threshold {args.threshold:g}x, floor "
-              f"{SWEEP_SPEEDUP_FLOOR:g}x)")
-    return 0
-
-
 def cmd_sweep(args) -> int:
     from repro.harness.sweep import (
         SweepJournal,
@@ -502,9 +429,6 @@ def cmd_sweep(args) -> int:
     def progress(message: str) -> None:
         if not args.quiet:
             print(f"  {message}", file=sys.stderr)
-
-    if args.measure or args.check:
-        return _cmd_sweep_measure(args, progress)
 
     try:
         configs = grid_from_args(args.grid, args.limit)
@@ -817,80 +741,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.harness.bench import (
-        QUICK_BENCHMARKS,
-        compare_bench,
-        load_bench,
-        render_bench,
-        run_bench,
-        validate_bench,
-        write_bench,
-    )
-    if args.benchmarks:
-        names = args.benchmarks.split(",")
-    elif args.quick:
-        names = list(QUICK_BENCHMARKS)
-    else:
-        names = None
-    e2e = not args.no_e2e and not args.quick
-    document = run_bench(names, scale=args.scale, trials=args.trials,
-                         e2e=e2e, progress=print)
-    errors = validate_bench(document)
-    if errors:
-        print("repro: error: bench document failed validation:",
-              file=sys.stderr)
-        for error in errors:
-            print(f"  - {error}", file=sys.stderr)
-        return 2
-    print(render_bench(document))
-    if args.output:
-        write_bench(document, args.output)
-        print(f"wrote {args.output}")
-    if args.check:
-        try:
-            baseline = load_bench(args.baseline)
-        except OSError:
-            print(f"repro: error: no baseline at {args.baseline} "
-                  "(run 'repro bench --output' first)", file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"repro: error: damaged baseline {args.baseline}: {exc}",
-                  file=sys.stderr)
-            return 2
-        base_errors = validate_bench(baseline)
-        if base_errors:
-            print(f"repro: error: baseline {args.baseline} failed "
-                  "validation:", file=sys.stderr)
-            for error in base_errors:
-                print(f"  - {error}", file=sys.stderr)
-            return 2
-        regressions = compare_bench(document, baseline,
-                                    threshold=args.threshold)
-        if regressions:
-            print(f"perf regressions vs {args.baseline}:", file=sys.stderr)
-            for regression in regressions:
-                print(f"  - {regression}", file=sys.stderr)
-            return 1
-        print(f"no regressions vs {args.baseline} "
-              f"(threshold {args.threshold:g}x)")
-    return 0
-
-
-def cmd_cache(args) -> int:
-    from repro.harness.cache import TraceCache
-    directory = args.dir or os.environ.get("REPRO_TRACE_CACHE")
-    if not directory:
-        print("repro: error: no cache directory (pass --dir or set "
-              "REPRO_TRACE_CACHE)", file=sys.stderr)
-        return 2
-    outcome = TraceCache(directory).migrate()
-    print(f"{directory}: {outcome['migrated']} bundle(s) migrated to v2, "
-          f"{outcome['skipped']} skipped, "
-          f"{outcome['failed']} quarantined")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -1018,24 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
              "resumed)")
     sweep_parser.add_argument(
         "--output", default=None, metavar="FILE",
-        help="write the sweep document (or, with --measure/--check, "
-             "the BENCH_SWEEP document) as JSON")
-    sweep_parser.add_argument(
-        "--measure", action="store_true",
-        help="measure the shared-decode speedup benchmark instead of "
-             "printing sweep results (e.g. --output BENCH_SWEEP.json)")
-    sweep_parser.add_argument(
-        "--check", action="store_true",
-        help="measure and compare against the committed baseline; "
-             "exit 1 on regressions or a speedup below the floor")
-    sweep_parser.add_argument(
-        "--baseline", default="BENCH_SWEEP.json", metavar="FILE",
-        help="baseline document for --check "
-             "(default: BENCH_SWEEP.json)")
-    sweep_parser.add_argument(
-        "--threshold", type=float, default=2.0, metavar="X",
-        help="--check fails only when the speedup regressed more than "
-             "X times against the baseline (default: 2.0)")
+        help="write the sweep document as JSON")
     sweep_parser.add_argument(
         "--quiet", action="store_true",
         help="suppress chunk progress on stderr")
@@ -1059,51 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="check metrics.json against the repro.obs schema instead "
              "of rendering (exit 1 on violations)")
     stats_parser.set_defaults(func=cmd_stats)
-
-    bench_parser = commands.add_parser(
-        "bench", help="time every pipeline phase per engine tier")
-    bench_parser.add_argument("--scale", default="small",
-                              choices=("tiny", "small", "reference"))
-    bench_parser.add_argument("--benchmarks", default=None,
-                              help="comma-separated subset "
-                                   "(default: all 17)")
-    bench_parser.add_argument("--trials", type=int, default=1,
-                              metavar="N",
-                              help="timing repetitions; the minimum is "
-                                   "kept (default: 1)")
-    bench_parser.add_argument("--quick", action="store_true",
-                              help="CI subset: three benchmarks, no "
-                                   "end-to-end pass")
-    bench_parser.add_argument("--no-e2e", action="store_true",
-                              help="skip the cold 'experiment all' "
-                                   "passes")
-    bench_parser.add_argument("--output", default=None, metavar="FILE",
-                              help="write the measurements as JSON "
-                                   "(e.g. BENCH_PERF.json)")
-    bench_parser.add_argument("--check", action="store_true",
-                              help="compare against the committed "
-                                   "baseline; exit 1 on regressions")
-    bench_parser.add_argument("--baseline", default="BENCH_PERF.json",
-                              metavar="FILE",
-                              help="baseline document for --check "
-                                   "(default: BENCH_PERF.json)")
-    bench_parser.add_argument("--threshold", type=float, default=2.0,
-                              metavar="X",
-                              help="--check fails only when a fast path "
-                                   "is more than X times slower than "
-                                   "the baseline (default: 2.0)")
-    bench_parser.set_defaults(func=cmd_bench)
-
-    cache_parser = commands.add_parser(
-        "cache", help="manage the on-disk trace cache")
-    cache_parser.add_argument(
-        "action", choices=("migrate",),
-        help="migrate: upgrade legacy v1 .npz bundles to the "
-             "mmap-friendly v2 format")
-    cache_parser.add_argument(
-        "--dir", default=None, metavar="DIR",
-        help="cache directory (default: $REPRO_TRACE_CACHE)")
-    cache_parser.set_defaults(func=cmd_cache)
 
     check_parser = commands.add_parser(
         "check", help="evaluate the paper-shape claims")

@@ -25,7 +25,7 @@ TRACE_FAULTS: tuple[str, ...] = (
     "pc_unaligned", "truncate_tail", "value_flip",
 )
 
-#: Cache-layer fault kinds, applied to a stored ``.npz`` bundle.
+#: Cache-layer fault kinds, applied to a stored ``.rtc`` bundle.
 CACHE_FAULTS: tuple[str, ...] = (
     "truncate", "bitflip", "garbage", "empty", "version_bump",
     "checksum_mismatch",

@@ -7,15 +7,6 @@ from repro.harness.experiments import (
     run_experiment,
     run_experiments,
 )
-from repro.harness.bench import (
-    BENCH_SCHEMA_ID,
-    compare_bench,
-    load_bench,
-    render_bench,
-    run_bench,
-    validate_bench,
-    write_bench,
-)
 from repro.harness.cache import TraceCache
 from repro.harness.journal import RunJournal, find_run, new_run_id
 from repro.harness.parallel import (
@@ -32,12 +23,10 @@ from repro.harness.parallel import (
 from repro.harness.retry import RetryPolicy, call_with_retries
 from repro.harness.session import Session
 
-__all__ = ["BENCH_SCHEMA_ID", "EXPERIMENTS", "EngineObserver",
-           "EngineReport", "ExperimentResult", "ParallelEngine",
-           "RetryPolicy", "RunJournal", "Session", "TraceCache",
-           "WorkUnit", "call_with_retries", "compare_bench",
-           "default_workplan", "find_run", "jobs_from_env", "load_bench",
-           "new_run_id", "render_bench", "run_bench", "run_experiment",
+__all__ = ["EXPERIMENTS", "EngineObserver", "EngineReport",
+           "ExperimentResult", "ParallelEngine", "RetryPolicy",
+           "RunJournal", "Session", "TraceCache", "WorkUnit",
+           "call_with_retries", "default_workplan", "find_run",
+           "jobs_from_env", "new_run_id", "run_experiment",
            "run_experiments", "unit_timeout_from_env",
-           "units_for_exhibits", "validate_bench", "warm_session",
-           "write_bench"]
+           "units_for_exhibits", "warm_session"]

@@ -26,10 +26,7 @@ layout is::
 
 The footer doubles as the truncation detector: a bundle whose file is
 shorter than ``data_end + 12`` or whose footer CRC disagrees with the
-header never existed atomically.  Legacy **v1** ``.npz`` bundles are
-still read transparently (and :meth:`TraceCache.migrate` rewrites them
-in place -- ``repro cache migrate``); a v2 store drops any superseded
-v1 sibling.
+header never existed atomically.
 
 The cache is hardened against on-disk corruption:
 
@@ -76,7 +73,6 @@ import json
 import os
 import pathlib
 import time
-import zipfile
 import zlib
 from dataclasses import dataclass
 from typing import Optional
@@ -101,8 +97,7 @@ class _CorruptBundle(Exception):
 
 
 #: Exceptions that mean "this file is damaged", not "this is a bug".
-_CORRUPTION_ERRORS = (OSError, KeyError, ValueError, EOFError,
-                      zlib.error, zipfile.BadZipFile, _CorruptBundle)
+_CORRUPTION_ERRORS = (OSError, KeyError, ValueError, _CorruptBundle)
 
 #: v2 bundle framing.
 MAGIC_V2 = b"RTRACE02"
@@ -153,22 +148,6 @@ def _int_env(name: str, default: int) -> int:
         return int(os.environ[name])
     except (KeyError, ValueError):
         return default
-
-
-def write_v1_bundle(path: pathlib.Path, trace: Trace,
-                    version: str) -> None:
-    """Write a legacy v1 ``.npz`` bundle directly (no locking).
-
-    Kept for the migration tests and the bench harness's v1-vs-v2
-    load-phase comparison; production stores always write v2.
-    """
-    arrays = {key: np.asarray(getattr(trace, key))
-              for key, _ in TRACE_COLUMNS}
-    checksums = {
-        f"crc_{key}": np.uint32(_column_crc(column))
-        for key, column in arrays.items()
-    }
-    np.savez_compressed(path, version=version, **arrays, **checksums)
 
 
 @dataclass
@@ -237,11 +216,6 @@ class TraceCache:
         """The on-disk bundle path for one key (for tools and tests)."""
         return self._path(name, target, scale)
 
-    def legacy_path(self, name: str, target: str,
-                    scale: str) -> pathlib.Path:
-        """The legacy v1 ``.npz`` path for one key."""
-        return self._path(name, target, scale).with_suffix(".npz")
-
     # -- concurrency ---------------------------------------------------------
     @contextlib.contextmanager
     def _locked(self, shared: bool = False):
@@ -287,8 +261,7 @@ class TraceCache:
 
     # -- hygiene -------------------------------------------------------------
     def _sweep_temporaries(self) -> int:
-        """Remove ``.tmp.rtc``/``.tmp.npz`` files left by interrupted
-        stores.
+        """Remove ``.tmp.rtc`` files left by interrupted stores.
 
         Takes the exclusive lock: stores write-then-rename their
         temporary entirely under that lock, so any temporary visible
@@ -298,11 +271,10 @@ class TraceCache:
         """
         removed = 0
         with self._locked():
-            for pattern in ("*.tmp.rtc", "*.tmp.npz"):
-                for stale in self.directory.glob(pattern):
-                    with contextlib.suppress(OSError):
-                        stale.unlink()
-                        removed += 1
+            for stale in self.directory.glob("*.tmp.rtc"):
+                with contextlib.suppress(OSError):
+                    stale.unlink()
+                    removed += 1
         return removed
 
     def quarantine(self, path: pathlib.Path) -> Optional[pathlib.Path]:
@@ -343,16 +315,12 @@ class TraceCache:
         return pruned
 
     def discard(self, name: str, target: str, scale: str) -> None:
-        """Quarantine the bundle(s) for one key (used when a loaded
-        trace fails semantic validation downstream of the checksum
-        layer)."""
-        candidates = (self._path(name, target, scale),
-                      self.legacy_path(name, target, scale))
-        if any(path.exists() for path in candidates):
+        """Quarantine the bundle for one key (used when a loaded trace
+        fails semantic validation downstream of the checksum layer)."""
+        path = self._path(name, target, scale)
+        if path.exists():
             with self._locked():
-                for path in candidates:
-                    if path.exists():
-                        self.quarantine(path)
+                self.quarantine(path)
 
     # -- load/store ----------------------------------------------------------
     def load(self, name: str, target: str,
@@ -364,21 +332,15 @@ class TraceCache:
         verified up front, streaming).  A bundle that is corrupt
         (unreadable, truncated, structurally wrong, or failing a column
         checksum) is quarantined and reported as a miss, so callers
-        regenerate transparently.  Legacy v1 ``.npz`` bundles load the
-        slow (decompressing) way.
+        regenerate transparently.
         """
         path = self._path(name, target, scale)
-        if path.exists():
-            reader = self._read_v2
-        else:
-            path = self.legacy_path(name, target, scale)
-            reader = self._read_v1
-            if not path.exists():
-                self.counters.misses += 1
-                return None
+        if not path.exists():
+            self.counters.misses += 1
+            return None
         try:
             with self._locked(shared=True):
-                trace = reader(path, name, target)
+                trace = self._read_v2(path, name, target)
             if trace is None:
                 self.counters.misses += 1
                 return None  # stale, not damaged: store() overwrites
@@ -398,22 +360,6 @@ class TraceCache:
             with self._locked():
                 self.quarantine(path)
             return None
-
-    def _read_v1(self, path: pathlib.Path, name: str,
-                 target: str) -> Optional[Trace]:
-        """Read a legacy v1 ``.npz`` bundle (None = version-stale)."""
-        with np.load(path, allow_pickle=False) as bundle:
-            if str(bundle["version"]) != self.version:
-                return None
-            columns = {}
-            for key, _ in TRACE_COLUMNS:
-                column = bundle[key]
-                expected = int(bundle[f"crc_{key}"])
-                if _column_crc(column) != expected:
-                    raise _CorruptBundle(
-                        f"checksum mismatch in column {key!r}")
-                columns[key] = column
-        return Trace(columns, name=name, target=target)
 
     def _read_v2(self, path: pathlib.Path, name: str,
                  target: str) -> Optional[Trace]:
@@ -486,9 +432,7 @@ class TraceCache:
         rename).
 
         The temporary file is unlinked on any write failure so crashed
-        or interrupted stores never leave partial bundles behind.  A
-        superseded legacy v1 bundle for the same key is dropped so the
-        key can never resolve to stale v1 bytes.
+        or interrupted stores never leave partial bundles behind.
         """
         path = self._path(trace.name, trace.target, scale)
         temporary = path.with_suffix(".tmp.rtc")
@@ -517,9 +461,6 @@ class TraceCache:
             finally:
                 with contextlib.suppress(OSError):
                     temporary.unlink()
-            legacy = self.legacy_path(trace.name, trace.target, scale)
-            with contextlib.suppress(OSError):
-                legacy.unlink()
             if self.budget:
                 self._enforce_budget(exclude=path)
 
@@ -589,68 +530,11 @@ class TraceCache:
         temporary.replace(path)
         self.counters.stores += 1
 
-    # -- migration -----------------------------------------------------------
-    def migrate(self) -> dict[str, int]:
-        """Rewrite every legacy v1 ``.npz`` bundle as a v2 ``.rtc``.
-
-        Returns ``{"migrated": n, "skipped": n, "failed": n}``:
-        version-stale bundles and files whose names do not parse as a
-        cache key are skipped (regeneration overwrites them anyway),
-        corrupt bundles are quarantined and counted as failed.
-        """
-        migrated = skipped = failed = 0
-        with self._locked():
-            for legacy in sorted(self.directory.glob("*.npz")):
-                if legacy.name.endswith(".tmp.npz"):
-                    continue
-                parts = legacy.stem.rsplit("-", 2)
-                if len(parts) != 3:
-                    skipped += 1
-                    continue
-                name, target, scale = parts
-                try:
-                    trace = self._read_v1(legacy, name, target)
-                except _CORRUPTION_ERRORS as exc:
-                    if is_resource_exhaustion(exc):
-                        raise ResourceExhaustedError(
-                            f"cannot migrate trace cache bundle "
-                            f"{legacy.name}: {exc}") from exc
-                    self.quarantine(legacy)
-                    failed += 1
-                    continue
-                if trace is None:
-                    skipped += 1
-                    continue
-                path = self._path(name, target, scale)
-                temporary = path.with_suffix(".tmp.rtc")
-                try:
-                    try:
-                        self._write_bundle(temporary, path, trace)
-                    finally:
-                        with contextlib.suppress(OSError):
-                            temporary.unlink()
-                except OSError as exc:
-                    if is_resource_exhaustion(exc):
-                        raise ResourceExhaustedError(
-                            f"cannot migrate trace cache bundle "
-                            f"{legacy.name}: {exc}") from exc
-                    raise
-                with contextlib.suppress(OSError):
-                    legacy.unlink()
-                migrated += 1
-        return {"migrated": migrated, "skipped": skipped, "failed": failed}
-
     # -- budget/eviction -----------------------------------------------------
     def _bundle_files(self, exclude: Optional[pathlib.Path] = None):
-        """Every cached bundle (both formats), temporaries excluded."""
-        entries = []
-        for pattern in ("*.rtc", "*.npz"):
-            for entry in self.directory.glob(pattern):
-                if entry == exclude or entry.name.endswith(
-                        (".tmp.rtc", ".tmp.npz")):
-                    continue
-                entries.append(entry)
-        return entries
+        """Every cached bundle, temporaries excluded."""
+        return [entry for entry in self.directory.glob("*.rtc")
+                if entry != exclude and not entry.name.endswith(".tmp.rtc")]
 
     def _bundles_by_age(self, exclude: Optional[pathlib.Path] = None):
         """Cached bundles, least recently used first (mtime, then name

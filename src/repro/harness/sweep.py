@@ -54,11 +54,6 @@ write-ahead under ``.repro/sweeps/<run-id>/`` so an interrupted sweep
 resumes with ``repro sweep --resume`` without recomputing finished
 chunks (same manifest/journal/checkpoint pattern
 as :mod:`repro.harness.journal`, JSON checkpoints instead of pickles).
-
-``run_sweep_bench`` measures the shared-decode speedup against
-per-configuration :func:`annotate_trace` runs of the same grid and
-writes/validates/compares the committed ``BENCH_SWEEP.json`` baseline
-(see ``docs/sweep.md``).
 """
 
 from __future__ import annotations
@@ -78,10 +73,8 @@ from repro.harness.journal import (
     _encode_record,
     _sha256,
     find_run,
-    new_run_id,
     publish_latest,
     replay_journal,
-    trace_digest,
 )
 from repro.lvp.config import LVPConfig
 from repro.lvp.unit import LVPStats
@@ -97,8 +90,6 @@ from repro.trace.records import Trace
 
 #: Sweep document schema identifier.
 SWEEP_SCHEMA_ID = "repro.sweep/v1"
-#: Sweep benchmark (BENCH_SWEEP.json) schema identifier.
-SWEEP_BENCH_SCHEMA_ID = "repro.sweep-bench/v1"
 
 #: Where sweep run directories live (separate from experiment runs so
 #: the two LATEST pointers and pruning policies never interact).
@@ -842,148 +833,3 @@ def render_exhibits(document: dict) -> str:
         render_table4_family(document),
     ])
 
-
-# ---------------------------------------------------------------------------
-# BENCH_SWEEP.json: the shared-decode speedup benchmark.
-# ---------------------------------------------------------------------------
-def run_sweep_bench(bench: str = "compress", scale: str = "tiny",
-                    target: str = "ppc", configs: int = 100,
-                    baseline_sample: int = 20,
-                    progress: Optional[Callable[[str], None]] = None,
-                    ) -> dict:
-    """Measure the sweep's shared-decode speedup; returns the document.
-
-    The baseline is per-configuration :func:`annotate_trace` over the
-    same trace (each call re-decoding and re-walking everything).  To
-    keep the benchmark affordable the baseline times a deterministic
-    sample of the grid and scales to the full count; the sweep side
-    always evaluates the full grid.  Differential equality of every
-    timed cell against its standalone run is asserted while measuring
-    -- a fast sweep that drifted would be worthless.
-    """
-    from repro.harness.session import Session
-    from repro.lvp.grid import sensitivity_grid
-    from repro.trace.annotate import annotate_trace
-
-    def _note(message: str) -> None:
-        if progress is not None:
-            progress(message)
-
-    grid = sensitivity_grid()[:configs]
-    if len(grid) < configs:
-        raise ConfigError(
-            f"sensitivity grid has only {len(grid)} configurations; "
-            f"{configs} requested")
-    session = Session(scale=scale, benchmarks=(bench,), metrics=False)
-    trace = session.trace(bench, target)
-    _note(f"trace ready: {bench}/{target}/{scale} "
-          f"({len(trace):,} records)")
-
-    sweep_start = time.perf_counter()
-    cells = evaluate_configs(trace, grid)
-    sweep_s = time.perf_counter() - sweep_start
-    _note(f"sweep: {len(grid)} configs in {sweep_s:.2f}s")
-
-    # Deterministic sample: every k-th config covers all families.
-    step = max(1, len(grid) // max(1, baseline_sample))
-    sample = list(range(0, len(grid), step))[:baseline_sample]
-    base_start = time.perf_counter()
-    for index in sample:
-        annotated = annotate_trace(trace, grid[index])
-        digest = _sha256(
-            np.ascontiguousarray(annotated.outcomes).tobytes())
-        if digest != cells[index].outcome_digest:
-            raise AssertionError(
-                f"sweep cell {grid[index].name} diverged from "
-                "annotate_trace while benchmarking")
-    sampled_s = time.perf_counter() - base_start
-    baseline_s = sampled_s * (len(grid) / len(sample))
-    _note(f"baseline: {len(sample)} standalone annotates in "
-          f"{sampled_s:.2f}s (x{len(grid) / len(sample):.1f} scaled)")
-
-    return {
-        "schema": SWEEP_BENCH_SCHEMA_ID,
-        "bench": bench,
-        "target": target,
-        "scale": scale,
-        "configs": len(grid),
-        "baseline_sample": len(sample),
-        "baseline_s": round(baseline_s, 4),
-        "sweep_s": round(sweep_s, 4),
-        "speedup": round(baseline_s / sweep_s, 4) if sweep_s else 0.0,
-        "trace_digest": trace_digest(trace),
-    }
-
-
-#: The minimum shared-decode speedup the acceptance gate requires.
-SWEEP_SPEEDUP_FLOOR = 3.0
-
-
-def validate_sweep_bench(document: dict) -> list[str]:
-    """Schema violations in a BENCH_SWEEP document (empty = valid)."""
-    errors: list[str] = []
-    if document.get("schema") != SWEEP_BENCH_SCHEMA_ID:
-        errors.append(f"schema must be {SWEEP_BENCH_SCHEMA_ID!r}, got "
-                      f"{document.get('schema')!r}")
-    for key in ("bench", "scale", "configs", "baseline_s", "sweep_s",
-                "speedup"):
-        if key not in document:
-            errors.append(f"missing key {key!r}")
-    configs = document.get("configs")
-    if isinstance(configs, int) and configs < 100:
-        errors.append(f"configs must be >= 100, got {configs}")
-    for key in ("baseline_s", "sweep_s", "speedup"):
-        value = document.get(key)
-        if value is not None and (
-                not isinstance(value, (int, float)) or value <= 0):
-            errors.append(f"{key} must be a positive number, got {value!r}")
-    return errors
-
-
-def compare_sweep_bench(document: dict, baseline: dict,
-                        threshold: float = 2.0,
-                        floor: float = SWEEP_SPEEDUP_FLOOR) -> list[str]:
-    """Regressions of *document* against *baseline* (empty = pass).
-
-    Two gates: the absolute speedup floor (the acceptance criterion --
-    shared decode must stay >= *floor* x per-config annotation), and a
-    relative gate against the committed baseline's speedup (a drop by
-    more than *threshold* x fails even above the floor).
-    """
-    regressions: list[str] = []
-    speedup = float(document.get("speedup", 0.0))
-    if speedup < floor:
-        regressions.append(
-            f"shared-decode speedup {speedup:.2f}x is below the "
-            f"{floor:g}x floor")
-    recorded = float(baseline.get("speedup", 0.0))
-    if recorded and speedup * threshold < recorded:
-        regressions.append(
-            f"shared-decode speedup {speedup:.2f}x regressed more than "
-            f"{threshold:g}x against the recorded {recorded:.2f}x")
-    return regressions
-
-
-def render_sweep_bench(document: dict) -> str:
-    """One-paragraph summary of a BENCH_SWEEP document."""
-    return (
-        f"sweep bench: {document['configs']} configs over "
-        f"{document['bench']}/{document['scale']}: "
-        f"sweep {document['sweep_s']:.2f}s vs per-config annotate "
-        f"{document['baseline_s']:.2f}s (sampled x"
-        f"{document.get('baseline_sample', 0)}) -> "
-        f"{document['speedup']:.2f}x shared-decode speedup")
-
-
-def write_sweep_bench(document: dict, path) -> None:
-    """Atomically write a BENCH_SWEEP document."""
-    path = pathlib.Path(path)
-    temporary = path.with_suffix(path.suffix + ".tmp")
-    temporary.write_text(json.dumps(document, indent=2, sort_keys=True)
-                         + "\n")
-    temporary.replace(path)
-
-
-def load_sweep_bench(path) -> dict:
-    """Read a BENCH_SWEEP document (OSError/ValueError propagate)."""
-    return json.loads(pathlib.Path(path).read_text())

@@ -6,10 +6,10 @@ warm-up, a concurrent steady phase of deliberately duplicated requests
 overload burst against the bounded queue -- and assembles the
 measurements into a ``BENCH_SERVE.json`` document: client-observed
 latency percentiles, the coalescing hit rate, and the shed rate under
-overload.  The document follows the same conventions as
-``BENCH_PERF.json`` (schema id, structural validation, atomic write,
-and a generous ``--check`` regression gate), so service performance is
-a committed, diffable artifact.
+overload.  The document carries a schema id, is validated
+structurally and written atomically, and ``--check`` compares it
+against the committed baseline with a generous regression gate, so
+service performance is a committed, diffable artifact.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def run_loadgen(socket_path: str, *, requests: int = 60,
 
 
 # ---------------------------------------------------------------------------
-# Schema validation and baseline comparison (BENCH_PERF.json idiom).
+# Schema validation and baseline comparison.
 # ---------------------------------------------------------------------------
 def validate_serve_bench(document) -> list[str]:
     """Structural validation; returns error strings (empty = valid)."""
@@ -243,8 +243,7 @@ def compare_serve_bench(current: Mapping, baseline: Mapping,
                         ) -> list[str]:
     """Regressions of *current* against *baseline*; returns messages.
 
-    Like :func:`repro.harness.bench.compare_bench`, the gate is
-    deliberately generous: a latency percentile must be both
+    The gate is deliberately generous: a latency percentile must be both
     ``threshold`` times the baseline *and* ``noise_floor`` seconds
     slower in absolute terms.  The functional robustness claims are
     gated hard, though: a steady phase that stopped coalescing, or an

@@ -144,7 +144,6 @@ class ReproServer:
         # is the serve-mode analog of the paper's value locality.
         os.environ.setdefault("REPRO_TRACE_CACHE",
                               str(self.state_dir / "cache"))
-        self._migrate_cache(os.environ["REPRO_TRACE_CACHE"])
         os.environ.setdefault("REPRO_RUNS_KEEP", SERVE_RUNS_KEEP)
         self._pool = ProcessPoolExecutor(self.config.workers)
         self._shutdown = asyncio.Event()
@@ -175,29 +174,6 @@ class ReproServer:
             print(f"repro serve: http on {self.config.host}:"
                   f"{self.http_port}", file=sys.stderr, flush=True)
         self._recover()
-
-    @staticmethod
-    def _migrate_cache(cache_dir: str) -> None:
-        """Upgrade legacy v1 ``.npz`` bundles to mmap-friendly v2 once,
-        at startup, so every worker request zero-copy-maps its traces
-        instead of paying the per-request decompress.  Best effort: a
-        migration failure only means those bundles stay v1 (still
-        readable) or regenerate on first miss."""
-        directory = pathlib.Path(cache_dir)
-        if not directory.is_dir() or not any(directory.glob("*.npz")):
-            return
-        from repro.harness.cache import TraceCache
-        try:
-            outcome = TraceCache(directory).migrate()
-        except Exception as exc:  # pragma: no cover - defensive
-            print(f"repro serve: cache migration skipped ({exc})",
-                  file=sys.stderr, flush=True)
-            return
-        print("repro serve: migrated trace cache to v2 "
-              f"({outcome['migrated']} migrated, "
-              f"{outcome['skipped']} skipped, "
-              f"{outcome['failed']} quarantined)",
-              file=sys.stderr, flush=True)
 
     def request_shutdown(self, signum: int = signal.SIGTERM) -> None:
         """Begin a graceful drain (signal handler / ``drain`` op)."""

@@ -5,8 +5,7 @@ module covers the corruption paths: damaged bundles must read as
 misses (with the bad file quarantined), stale bundles as plain misses,
 and interrupted writes must leave no debris behind.  The v2 (``.rtc``)
 format tests pick apart the on-disk framing -- header, page-aligned
-column table, CRC footer -- and the legacy class covers transparent v1
-``.npz`` reads plus ``TraceCache.migrate``.
+column table, CRC footer.
 """
 
 import json
@@ -20,7 +19,6 @@ from repro.harness.cache import (
     ALIGNMENT,
     FOOTER_MAGIC,
     MAGIC_V2,
-    write_v1_bundle,
 )
 from repro.trace.records import TRACE_COLUMNS
 
@@ -149,13 +147,10 @@ class TestCorruptionRecovery:
 
 class TestWriteHygiene:
     def test_stale_temporaries_swept_on_init(self, tmp_path):
-        stale_v2 = tmp_path / "grep-ppc-tiny.tmp.rtc"
-        stale_v2.write_bytes(b"half a bundle")
-        stale_v1 = tmp_path / "grep-alpha-tiny.tmp.npz"
-        stale_v1.write_bytes(b"older half a bundle")
+        stale = tmp_path / "grep-ppc-tiny.tmp.rtc"
+        stale.write_bytes(b"half a bundle")
         TraceCache(tmp_path)
-        assert not stale_v2.exists()
-        assert not stale_v1.exists()
+        assert not stale.exists()
 
     def test_failed_store_leaves_no_debris(self, tmp_path, grep_trace,
                                            monkeypatch):
@@ -231,73 +226,3 @@ class TestStoredFormat:
             assert getattr(private, key).flags.writeable, key
         assert np.array_equal(private.value, grep_trace.value)
 
-
-class TestLegacyV1:
-    def test_v1_bundle_reads_transparently(self, tmp_path, grep_trace):
-        cache = TraceCache(tmp_path)
-        write_v1_bundle(cache.legacy_path("grep", "ppc", "tiny"),
-                        grep_trace, cache.version)
-        loaded = cache.load("grep", "ppc", "tiny")
-        assert loaded is not None
-        assert np.array_equal(loaded.value, grep_trace.value)
-        assert cache.counters.hits == 1
-
-    def test_v2_store_supersedes_v1(self, tmp_path, grep_trace):
-        cache = TraceCache(tmp_path)
-        legacy = cache.legacy_path("grep", "ppc", "tiny")
-        write_v1_bundle(legacy, grep_trace, cache.version)
-        cache.store(grep_trace, "tiny")
-        assert not legacy.exists()
-        assert cache.path_for("grep", "ppc", "tiny").exists()
-
-    def test_stale_v1_is_clean_miss(self, tmp_path, grep_trace):
-        cache = TraceCache(tmp_path)
-        write_v1_bundle(cache.legacy_path("grep", "ppc", "tiny"),
-                        grep_trace, "ancient")
-        assert cache.load("grep", "ppc", "tiny") is None
-        assert not (tmp_path / "quarantine").exists()
-
-    def test_corrupt_v1_quarantined(self, tmp_path, grep_trace):
-        cache = TraceCache(tmp_path)
-        legacy = cache.legacy_path("grep", "ppc", "tiny")
-        write_v1_bundle(legacy, grep_trace, cache.version)
-        data = legacy.read_bytes()
-        legacy.write_bytes(data[: len(data) // 2])
-        assert cache.load("grep", "ppc", "tiny") is None
-        assert list((tmp_path / "quarantine").iterdir())
-
-    def test_migrate_rewrites_v1_as_v2(self, tmp_path, grep_trace):
-        cache = TraceCache(tmp_path)
-        legacy = cache.legacy_path("grep", "ppc", "tiny")
-        write_v1_bundle(legacy, grep_trace, cache.version)
-        stats = cache.migrate()
-        assert stats == {"migrated": 1, "skipped": 0, "failed": 0}
-        assert not legacy.exists()
-        migrated = cache.load("grep", "ppc", "tiny")
-        assert migrated is not None
-        for key, _ in TRACE_COLUMNS:
-            assert np.array_equal(getattr(migrated, key),
-                                  getattr(grep_trace, key)), key
-
-    def test_migrate_skips_stale_and_quarantines_corrupt(
-            self, tmp_path, grep_trace):
-        cache = TraceCache(tmp_path)
-        write_v1_bundle(cache.legacy_path("grep", "ppc", "tiny"),
-                        grep_trace, "ancient")
-        broken = cache.legacy_path("grep", "alpha", "tiny")
-        write_v1_bundle(broken, grep_trace, cache.version)
-        data = broken.read_bytes()
-        broken.write_bytes(data[: len(data) // 2])
-        (tmp_path / "notes.npz").write_bytes(b"not a cache key")
-        stats = cache.migrate()
-        assert stats == {"migrated": 0, "skipped": 2, "failed": 1}
-        assert not broken.exists()
-        assert list((tmp_path / "quarantine").iterdir())
-
-    def test_migrate_is_idempotent(self, tmp_path, grep_trace):
-        cache = TraceCache(tmp_path)
-        write_v1_bundle(cache.legacy_path("grep", "ppc", "tiny"),
-                        grep_trace, cache.version)
-        assert cache.migrate()["migrated"] == 1
-        assert cache.migrate() == {"migrated": 0, "skipped": 0,
-                                   "failed": 0}

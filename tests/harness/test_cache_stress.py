@@ -114,7 +114,6 @@ def test_many_processes_never_see_corruption(tmp_path):
 
     # No interrupted-store litter may survive the stampede.
     assert list(directory.glob("*.tmp.rtc")) == []
-    assert list(directory.glob("*.tmp.npz")) == []
 
     # Whatever survived on disk is clean: every load is either a miss
     # or exactly the canonical trace.

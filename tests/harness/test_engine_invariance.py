@@ -7,11 +7,24 @@ the annotate kernel's fallback to the general path) must also render
 identically under the legacy and tiered engines.
 """
 
-from repro.harness.bench import LEGACY_ENV, TIERED_ENV
 from repro.harness.experiments import EXPERIMENTS, run_experiments
 from repro.harness.session import Session
 
 BENCHES = ("grep", "compress")
+
+#: Environment overrides pinning every tier to its slow reference path.
+LEGACY_ENV = {"REPRO_ENGINE": "interp",
+              "REPRO_ANNOTATE_KERNEL": "general",
+              "REPRO_MODEL_ENGINE": "reference"}
+
+#: Environment overrides pinning every tier to its fast path.  The
+#: annotate knob is ``auto``, not ``vector``: exhibits also annotate
+#: configs the fast kernels cannot take (deep history, perfect,
+#: stride, gshare), and ``auto`` steps down the vector -> mono ->
+#: general ladder there while forcing ``vector`` would refuse.
+TIERED_ENV = {"REPRO_ENGINE": "compiled",
+              "REPRO_ANNOTATE_KERNEL": "auto",
+              "REPRO_MODEL_ENGINE": "fast"}
 
 
 def _exhibit_text(monkeypatch, env, sabotage=None):

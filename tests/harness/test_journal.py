@@ -331,7 +331,7 @@ class TestCacheResilience:
     def test_quarantine_growth_is_capped(self, tmp_path):
         cache = TraceCache(tmp_path, quarantine_keep=2)
         for i in range(5):
-            bundle = tmp_path / f"bundle{i}.npz"
+            bundle = tmp_path / f"bundle{i}.rtc"
             bundle.write_bytes(b"junk")
             cache.quarantine(bundle)
         survivors = list((tmp_path / "quarantine").iterdir())

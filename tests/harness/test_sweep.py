@@ -35,7 +35,6 @@ from repro.harness.sweep import (
     SweepJournal,
     SweepObserver,
     build_sweep_manifest,
-    compare_sweep_bench,
     decode_events,
     evaluate_configs,
     lct_key,
@@ -46,7 +45,6 @@ from repro.harness.sweep import (
     run_journaled_sweep,
     run_sweep,
     validate_sweep,
-    validate_sweep_bench,
 )
 from repro.lvp import (
     LVPConfig,
@@ -520,37 +518,6 @@ class TestSweepJournalUnit:
             SweepJournal.open(tmp_path, "latest")
         with pytest.raises(JournalError):
             SweepJournal.open(tmp_path, "nope")
-
-
-class TestSweepBenchDocuments:
-    GOOD = {
-        "schema": "repro.sweep-bench/v1", "bench": "compress",
-        "scale": "tiny", "configs": 100, "baseline_s": 0.8,
-        "sweep_s": 0.2, "speedup": 4.0,
-    }
-
-    def test_valid_document_passes(self):
-        assert validate_sweep_bench(dict(self.GOOD)) == []
-
-    def test_small_grid_fails_validation(self):
-        assert validate_sweep_bench(dict(self.GOOD, configs=50))
-
-    def test_nonpositive_timing_fails(self):
-        assert validate_sweep_bench(dict(self.GOOD, sweep_s=0.0))
-
-    def test_floor_gate(self):
-        document = dict(self.GOOD, speedup=2.5)
-        regressions = compare_sweep_bench(document, dict(self.GOOD))
-        assert any("floor" in r for r in regressions)
-
-    def test_relative_gate(self):
-        document = dict(self.GOOD, speedup=3.5)
-        baseline = dict(self.GOOD, speedup=9.0)
-        regressions = compare_sweep_bench(document, baseline,
-                                          threshold=2.0)
-        assert any("regressed" in r for r in regressions)
-        assert compare_sweep_bench(document, baseline,
-                                   threshold=3.0) == []
 
 
 class TestServeSweepOp:

@@ -157,5 +157,7 @@ class TestCacheIntegration:
     def test_corrupt_file_miss(self, tmp_path):
         from repro.harness import TraceCache
         cache = TraceCache(tmp_path)
-        (tmp_path / "grep-ppc-tiny.npz").write_bytes(b"not a zip")
+        path = cache.path_for("grep", "ppc", "tiny")
+        path.write_bytes(b"not a bundle")
         assert cache.load("grep", "ppc", "tiny") is None
+        assert not path.exists()  # quarantined, not just skipped
