@@ -14,9 +14,11 @@ count, watchdog timeout, and a fingerprint over all of it.  The
 shard is recorded ``planned`` before any worker sees it, ``started``
 when it is handed out, and ``done`` (with a checkpoint digest and
 per-unit result digests) or ``failed`` only after its checkpoint is
-durably on disk.  Each journal line carries a CRC-32 of its payload
-and is written with a single ``write``+``fsync``, so a power cut can
-at worst truncate the final line -- which replay tolerates.
+durably on disk.  Each journal line carries a CRC-32 of its payload.
+A record -- or the opening batch of ``run_started`` plus every
+``planned`` record -- is written with a single ``write``+``fsync``, so
+a power cut can at worst truncate the final line -- which replay
+tolerates.
 
 ``repro experiment --resume <run-id>`` replays the journal, loads the
 checkpoint of every completed benchmark (re-hashing each one against
@@ -378,9 +380,9 @@ class RunJournal(EngineObserver):
         publish_latest(runs_dir, run_id)
         journal = cls(directory, manifest)
         journal._open()
-        journal.append({"type": "run_started", "run_id": run_id})
-        for benchmark in manifest.get("benchmarks", ()):
-            journal.append({"type": "planned", "benchmark": benchmark})
+        journal.append({"type": "run_started", "run_id": run_id},
+                       *({"type": "planned", "benchmark": benchmark}
+                         for benchmark in manifest.get("benchmarks", ())))
         return journal
 
     @classmethod
@@ -439,12 +441,13 @@ class RunJournal(EngineObserver):
                 os.close(self._fd)
             self._fd = None
 
-    def append(self, record: dict) -> None:
-        """Append one fsync'd journal record.
+    def append(self, *records: dict) -> None:
+        """Append fsync'd journal records, one line each.
 
-        One ``os.write`` of the whole line keeps the append atomic with
+        One ``os.write`` of all the lines keeps the append atomic with
         respect to signal handlers re-entering the journal (the
-        ``interrupted`` record is written from a handler).
+        ``interrupted`` record is written from a handler), and one
+        ``fsync`` covers them all.
 
         A full disk (``ENOSPC``/``EDQUOT``) must never kill the run the
         journal only *describes*: the first such failure marks the
@@ -458,9 +461,9 @@ class RunJournal(EngineObserver):
             return
         if self._fd is None:
             self._open()
-        line = _encode_record(record)
+        lines = b"".join(_encode_record(record) for record in records)
         try:
-            os.write(self._fd, line)
+            os.write(self._fd, lines)
         except OSError as exc:
             if is_resource_exhaustion(exc):
                 self._mark_degraded(exc)

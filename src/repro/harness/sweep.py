@@ -516,9 +516,9 @@ class SweepJournal(SweepObserver):
         temporary.replace(directory / _MANIFEST)
         publish_latest(runs_dir, run_id)
         journal = cls(directory, manifest)
-        journal.append({"type": "run_started", "run_id": run_id})
-        for chunk_id in range(manifest.get("chunks", 0)):
-            journal.append({"type": "planned", "chunk": chunk_id})
+        journal.append({"type": "run_started", "run_id": run_id},
+                       *({"type": "planned", "chunk": chunk_id}
+                         for chunk_id in range(manifest.get("chunks", 0))))
         return journal
 
     @classmethod
@@ -561,12 +561,13 @@ class SweepJournal(SweepObserver):
     def journal_path(self) -> pathlib.Path:
         return self.directory / _JOURNAL
 
-    def append(self, record: dict) -> None:
-        line = _encode_record(record)
+    def append(self, *records: dict) -> None:
+        """Append *records*, one line each, with one write and fsync."""
+        lines = b"".join(_encode_record(record) for record in records)
         fd = os.open(self.journal_path,
                      os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         try:
-            os.write(fd, line)
+            os.write(fd, lines)
             try:
                 os.fsync(fd)
             except OSError:

@@ -7,14 +7,20 @@ loads".  Per the paper's footnote 1, the previously-seen values are kept
 in a direct-mapped table of 1K entries indexed -- but not tagged -- by
 instruction address, with the ``depth`` values at each entry replaced
 LRU, so constructive and destructive interference both occur.
+
+That table under perfect selection is the sweep's stage-A history
+pass (:func:`repro.trace.kernels.stage_a_history`), so both measures
+are one vector pass over the trace's loads; ``tests/lvp/test_locality.py``
+holds them to a per-load :class:`~repro.lvp.lvpt.LVPT` loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.isa.opcodes import ValueKind
-from repro.lvp.lvpt import LVPT
 from repro.trace.records import Trace
 
 
@@ -41,21 +47,25 @@ class LocalityResult:
         return 100.0 * self.locality
 
 
+def _hits(trace: Trace, depth: int, entries: int):
+    """Per dynamic load, in program order: was its value among its
+    table entry's *depth* most recent distinct values?  Also returns
+    the decoded events.  This is the sweep's stage-A pass for the
+    untagged, pc-indexed, perfect-selection LVPT."""
+    # Imported here: repro.trace.kernels imports repro.lvp submodules.
+    from repro.trace.kernels import decode_events, stage_a_history
+
+    events = decode_events(trace, branches=False)
+    hits, _ = stage_a_history(events, entries, depth)
+    return hits, events
+
+
 def measure_value_locality(trace: Trace, depth: int = 1,
                            entries: int = 1024) -> LocalityResult:
     """Measure load value locality of *trace* at *depth* (Figure 1)."""
-    table = LVPT(entries, history_depth=depth, selection="perfect")
-    loads = trace.loads()
-    pcs = loads.pc.tolist()
-    values = loads.value.tolist()
-    hits = 0
-    check = table.would_be_correct
-    update = table.update
-    for pc, value in zip(pcs, values):
-        if check(pc, value):
-            hits += 1
-        update(pc, value)
-    return LocalityResult(trace.name, trace.target, depth, len(pcs), hits)
+    hits, _ = _hits(trace, depth, entries)
+    return LocalityResult(trace.name, trace.target, depth, len(hits),
+                          int(np.count_nonzero(hits)))
 
 
 def measure_locality_by_kind(
@@ -66,23 +76,13 @@ def measure_locality_by_kind(
     All loads share one history table (interference included); hits and
     totals are then attributed to the kind of the loaded value.
     """
-    table = LVPT(entries, history_depth=depth, selection="perfect")
-    loads = trace.loads()
-    pcs = loads.pc.tolist()
-    values = loads.value.tolist()
-    kinds = loads.kind.tolist()
-    totals = {kind: 0 for kind in ValueKind}
-    hits = {kind: 0 for kind in ValueKind}
-    check = table.would_be_correct
-    update = table.update
-    for pc, value, kind in zip(pcs, values, kinds):
-        kind = ValueKind(kind)
-        totals[kind] += 1
-        if check(pc, value):
-            hits[kind] += 1
-        update(pc, value)
+    hits, events = _hits(trace, depth, entries)
+    kinds = trace.kind[events.load_positions]
+    bins = len(ValueKind)
+    totals = np.bincount(kinds, minlength=bins)
+    hit_counts = np.bincount(kinds[hits], minlength=bins)
     return {
         kind: LocalityResult(trace.name, trace.target, depth,
-                             totals[kind], hits[kind])
+                             int(totals[kind]), int(hit_counts[kind]))
         for kind in ValueKind
     }

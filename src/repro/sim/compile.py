@@ -14,17 +14,31 @@ and each block is emitted as one specialized Python function via
   constants,
 * registers promoted to function locals (loaded on entry, written back
   on exit; reads of the hardwired ``r0`` fold to the literal ``0``),
-* trace-column appends batched into one ``list.extend`` per column per
-  block (fully-constant columns become pre-built constant tuples), and
+* only the *dynamic* record slots recorded -- effective addresses,
+  values and kinds that depend on the run, and conditional branches'
+  taken bits -- batched into one ``list.extend`` per column per block,
+  and
 * the instruction-budget check hoisted to one comparison per block.
 
-The whole program becomes a single source string compiled to a single
-code object, cached per :class:`Program` in a ``WeakKeyDictionary``;
-each run ``exec``s that code object in a fresh namespace so the run's
-:class:`~repro.sim.memory.Memory` methods and trace buffers are bound
-as default arguments (zero per-call rebinding cost).  Computed jumps
-(``JALR``/``JR``/``RET``/``BCTR``) can land mid-block; such entry
-points are compiled lazily on first use and cached on the engine.
+Everything else a trace holds is static per instruction: pc, opcode,
+op class, registers, access size, and every record slot that is a
+literal (a byte store's kind, a store of ``r0``'s value).  Code
+generation puts it in a per-program *static table*.  A run records only
+the start index of each block it executes; afterwards one numpy gather
+of the table over the executed index ranges rebuilds all eleven
+columns, and each dynamic column's recorded values are scattered into
+its dynamic slots.  The trace's arrays come out in their final dtypes.
+
+The whole program becomes a single source string compiled once per
+:class:`Program` (cached in a ``WeakKeyDictionary``) to a ``_bind``
+function that defines every block function in its body.  Each run calls
+``_bind`` with that run's :class:`~repro.sim.memory.Memory` methods, the
+FP helpers and the four dynamic sinks, so block functions reach them
+through ``_bind``'s closure.  Computed jumps (``JALR``/``JR``/``RET``/
+``BCTR``) can land mid-block; such entry points are compiled lazily on
+first use into a ``_bind`` of their own, cached on the engine, and
+share the static table: whether a slot is dynamic depends on the
+instruction alone.
 
 The interpreter remains the reference oracle: the compiled engine is
 required to be *bit-identical* to it -- same trace columns, same final
@@ -52,11 +66,14 @@ import math
 import os
 import weakref
 
+import numpy as np
+
 from repro.errors import ConfigError, ExecutionError, ExecutionLimitExceeded
 from repro.isa.opcodes import OP_CLASS, OpClass, Opcode
 from repro.isa.program import INSTR_SIZE, Program, TEXT_BASE
 from repro.isa.registers import CTR, LR, NUM_REGS
 from repro.sim.functional import EXIT_ADDRESS, _from_float, _to_float
+from repro.trace.records import _DTYPES
 
 _U64 = (1 << 64) - 1
 _SIGN = 1 << 63
@@ -117,15 +134,17 @@ def _tgt_expr(instr) -> str:
     return f"(({t!r} - {TEXT_BASE}) // {INSTR_SIZE})"
 
 
-#: Default-argument list binding the per-run namespace into each block
-#: function at ``exec`` time (trace-column extends, memory methods, FP
-#: helpers).  Evaluated once per function definition, never per call.
-_DEFAULTS = (
-    "_xpc=_xpc, _xop=_xop, _xcl=_xcl, _xds=_xds, _xs1=_xs1, _xs2=_xs2, "
-    "_xad=_xad, _xva=_xva, _xkn=_xkn, _xsz=_xsz, _xtk=_xtk, "
-    "_rw=_rw, _ww=_ww, _ru4=_ru4, _wu4=_wu4, _ru1=_ru1, _wu1=_wu1, "
-    "_tf=_tf, _ff=_ff, _sqrt=_sqrt, _tr=_tr"
-)
+#: Parameters of every generated ``_bind``: the run's memory methods,
+#: the FP helpers and the four dynamic record sinks.  Block functions
+#: are defined inside ``_bind`` and reach these through its closure.
+_BIND_PARAMS = ("_rw, _ww, _ru4, _wu4, _ru1, _wu1, _tf, _ff, _sqrt, _tr, "
+                "_xad, _xva, _xkn, _xtk")
+
+#: Trace columns with record slots that may be dynamic, each with the
+#: sink its dynamic slots are appended to (bound in ``_BIND_PARAMS``
+#: order).  Every other column is static per instruction.
+_DYNAMIC = (("addr", "_xad"), ("value", "_xva"), ("kind", "_xkn"),
+            ("taken", "_xtk"))
 
 
 def _emit(j: int, instr, pc: int) -> dict:  # noqa: C901
@@ -134,7 +153,10 @@ def _emit(j: int, instr, pc: int) -> dict:  # noqa: C901
     Record markers are ``("lit", value)``, ``("name", local)``,
     ``("reg", c)`` (value of register *c* at this point) or
     ``("kreg", c)`` (its kind); reg markers are resolved to locals or
-    capture temps once the whole block is known.
+    capture temps once the whole block is known.  Whether a slot is a
+    literal depends on the instruction alone, so the static table and
+    every block (leader or lazy entry) agree on which slots a run
+    records.
     """
     op = instr.opcode
     O = Opcode
@@ -323,8 +345,8 @@ def _emit(j: int, instr, pc: int) -> dict:  # noqa: C901
         stmts.append(f"{a} = ({RV(c1)} + {imm}) & {_U64}")
         stmts.append(f"_ww({a}, {RV(c2)}, {RK(c2)})")
         item["addr"] = ("name", a)
-        item["value"] = ("reg", c2)
-        item["kind"] = ("kreg", c2)
+        item["value"] = ("reg", c2) if c2 else ("lit", 0)
+        item["kind"] = ("kreg", c2) if c2 else ("lit", 0)
         item["size"] = 8
     elif op is O.STW:
         a, v = f"a{j}", f"v{j}"
@@ -349,7 +371,7 @@ def _emit(j: int, instr, pc: int) -> dict:  # noqa: C901
         stmts.append(f"{a} = ({RV(c1)} + {imm}) & {_U64}")
         stmts.append(f"_ww({a}, {RV(c2)}, 1)")
         item["addr"] = ("name", a)
-        item["value"] = ("reg", c2)
+        item["value"] = ("reg", c2) if c2 else ("lit", 0)
         item["kind"] = ("lit", 1)
         item["size"] = 8
 
@@ -446,13 +468,10 @@ def _emit(j: int, instr, pc: int) -> dict:  # noqa: C901
     return item
 
 
-def _emit_block(instructions, start: int, stop: int,
-                fn_name: str) -> list[str]:
-    """Emit the source lines of one basic-block function."""
-    items = []
-    for j in range(start, stop):
-        items.append(_emit(j, instructions[j],
-                           TEXT_BASE + j * INSTR_SIZE))
+def _emit_block(items: list, start: int, fn_name: str) -> list[str]:
+    """Emit the source lines of one basic-block function from the
+    :func:`_emit` items of instructions ``start, start + 1, ...``."""
+    stop = start + len(items)
     terminal = items[-1]["terminal"]
     if terminal is None:  # fell off the block: next leader (or pc error)
         terminal = repr(stop)
@@ -475,19 +494,17 @@ def _emit_block(instructions, start: int, stop: int,
                 loads_k.append(c)
         written |= it["writes"]
         vm, km = it["value"], it["kind"]
-        if vm[0] == "reg" and vm[1] != 0 and vm[1] not in written \
-                and vm[1] not in sv:
+        if vm[0] == "reg" and vm[1] not in written and vm[1] not in sv:
             sv.add(vm[1])
             loads_v.append(vm[1])
-        if km[0] == "kreg" and km[1] != 0 and km[1] not in written \
-                and km[1] not in sk:
+        if km[0] == "kreg" and km[1] not in written and km[1] not in sk:
             sk.add(km[1])
             loads_k.append(km[1])
 
     # Resolve reg/kreg record markers.  A register referenced by a
     # record and overwritten by a *later* instruction in the block must
     # be captured into a temp at record time; otherwise the live local
-    # (or literal 0 for r0) is referenced directly in the batched tuple.
+    # is referenced directly in the batched tuple.
     after: set[int] = set()
     suffixes = [frozenset()] * len(items)
     for idx in range(len(items) - 1, -1, -1):
@@ -498,9 +515,7 @@ def _emit_block(instructions, start: int, stop: int,
         vm = it["value"]
         if vm[0] == "reg":
             c = vm[1]
-            if c == 0:
-                it["value"] = ("lit", 0)
-            elif c in suffixes[idx]:
+            if c in suffixes[idx]:
                 it["stmts"].append(f"cv{j} = {_r(c)}")
                 it["value"] = ("name", f"cv{j}")
             else:
@@ -508,31 +523,13 @@ def _emit_block(instructions, start: int, stop: int,
         km = it["kind"]
         if km[0] == "kreg":
             c = km[1]
-            if c == 0:
-                it["kind"] = ("lit", 0)
-            elif c in suffixes[idx]:
+            if c in suffixes[idx]:
                 it["stmts"].append(f"ck{j} = {_k(c)}")
                 it["kind"] = ("name", f"ck{j}")
             else:
                 it["kind"] = ("name", _k(c))
 
-    def col(markers) -> str:
-        if all(m[0] == "lit" for m in markers):
-            return repr(tuple(m[1] for m in markers))
-        return "(" + ", ".join(
-            repr(m[1]) if m[0] == "lit" else m[1] for m in markers
-        ) + ",)"
-
-    rng = range(start, stop)
-    pcs = repr(tuple(TEXT_BASE + j * INSTR_SIZE for j in rng))
-    ops = repr(tuple(int(instructions[j].opcode) for j in rng))
-    cls = repr(tuple(int(OP_CLASS[instructions[j].opcode]) for j in rng))
-    dsts = repr(tuple(instructions[j].dst for j in rng))
-    s1s = repr(tuple(instructions[j].src1 for j in rng))
-    s2s = repr(tuple(instructions[j].src2 for j in rng))
-    sizes = repr(tuple(it["size"] for it in items))
-
-    lines = [f"def {fn_name}(regs, rkinds, {_DEFAULTS}):"]
+    lines = [f"def {fn_name}(regs, rkinds):"]
     for c in loads_v:
         lines.append(f"    {_r(c)} = regs[{c}]")
     for c in loads_k:
@@ -540,22 +537,27 @@ def _emit_block(instructions, start: int, stop: int,
     for it in items:
         for s in it["stmts"]:
             lines.append("    " + s)
-    lines.append(f"    _xpc({pcs})")
-    lines.append(f"    _xop({ops})")
-    lines.append(f"    _xcl({cls})")
-    lines.append(f"    _xds({dsts})")
-    lines.append(f"    _xs1({s1s})")
-    lines.append(f"    _xs2({s2s})")
-    lines.append(f"    _xad({col([it['addr'] for it in items])})")
-    lines.append(f"    _xva({col([it['value'] for it in items])})")
-    lines.append(f"    _xkn({col([it['kind'] for it in items])})")
-    lines.append(f"    _xsz({sizes})")
-    lines.append(f"    _xtk({col([it['taken'] for it in items])})")
+    # Only dynamic slots are recorded; literals live in the static table.
+    for column, sink in _DYNAMIC:
+        names = [it[column][1] for it in items if it[column][0] != "lit"]
+        if names:
+            lines.append(f"    {sink}(({', '.join(names)},))")
     for c in sorted(written):
         lines.append(f"    regs[{c}] = {_r(c)}")
         lines.append(f"    rkinds[{c}] = {_k(c)}")
     lines.append(f"    return {terminal}")
     return lines
+
+
+def _binder(fn_lines: list[str], result: str, filename: str):
+    """Compile the block functions in *fn_lines* inside a ``_bind``
+    that takes ``_BIND_PARAMS`` and returns *result*; return ``_bind``."""
+    source = "\n".join([f"def _bind({_BIND_PARAMS}):",
+                        *("    " + line for line in fn_lines),
+                        f"    return {result}"]) + "\n"
+    ns: dict = {}
+    exec(compile(source, filename, "exec"), ns)
+    return ns["_bind"]
 
 
 def partition(program: Program) -> list[tuple[int, int]]:
@@ -593,89 +595,111 @@ def partition(program: Program) -> list[tuple[int, int]]:
     return ranges
 
 
-def generate_source(program: Program) -> tuple[str, dict[int, int]]:
-    """Generate the whole-program block source and a start->length map."""
-    parts = [f"# compiled VRISC blocks for {program.name!r}"]
-    lengths: dict[int, int] = {}
-    for start, stop in partition(program):
-        parts.extend(_emit_block(program.instructions, start, stop,
-                                 f"_b{start}"))
-        lengths[start] = stop - start
-    parts.append("_BLOCKS = {" + ", ".join(
-        f"{s}: (_b{s}, {ln})" for s, ln in lengths.items()) + "}")
-    return "\n".join(parts) + "\n", lengths
+def _static_table(instructions, items) -> tuple[dict, dict]:
+    """Per static instruction: every trace column's recorded value (0
+    in a dynamic slot), and a mask of the dynamic slots per column."""
+    n = len(instructions)
+    lists = {
+        "opcode": [int(ins.opcode) for ins in instructions],
+        "opclass": [int(OP_CLASS[ins.opcode]) for ins in instructions],
+        "dst": [ins.dst for ins in instructions],
+        "src1": [ins.src1 for ins in instructions],
+        "src2": [ins.src2 for ins in instructions],
+        "size": [it["size"] for it in items],
+    }
+    dynamic = {}
+    for column, _ in _DYNAMIC:
+        markers = [it[column] for it in items]
+        lists[column] = [m[1] if m[0] == "lit" else 0 for m in markers]
+        dynamic[column] = np.array([m[0] != "lit" for m in markers],
+                                   dtype=bool)
+    table = {name: np.array(values, dtype=_DTYPES[name])
+             for name, values in lists.items()}
+    table["pc"] = TEXT_BASE + INSTR_SIZE * np.arange(n, dtype=_DTYPES["pc"])
+    return table, dynamic
+
+
+def _spans(instructions, ranges) -> np.ndarray:
+    """Length of the block entered at each instruction index: its
+    basic block at a leader, else (a lazy entry) up to and including
+    the next control-flow op."""
+    n = len(instructions)
+    span = [0] * n
+    stop = n
+    for i in range(n - 1, -1, -1):
+        if OP_CLASS[instructions[i].opcode] is _BRANCH:
+            stop = i + 1
+        span[i] = stop - i
+    for start, end in ranges:
+        span[start] = end - start
+    return np.array(span, dtype=np.intp)
 
 
 class CompiledProgram:
     """A program compiled to per-basic-block Python functions.
 
     Construction generates and ``compile()``s the whole-program source
-    once; :meth:`execute` ``exec``s the cached code object per run with
-    that run's memory and trace buffers bound into the namespace.
+    once, along with the program's static trace table.
+    :meth:`execute` binds that run's memory and record sinks into fresh
+    block functions, runs them, and rebuilds the trace from the
+    executed block starts and the recorded dynamic slots.
     """
 
     def __init__(self, program: Program) -> None:
         program.entry_pc  # raises LinkError early if not linked
         self.program = program
-        self.source, self.block_lengths = generate_source(program)
-        self.code = compile(self.source,
-                            f"<vrisc-compiled:{program.name}>", "exec")
-        self._lazy: dict[int, tuple] = {}  # start -> (code, length)
+        instructions = program.instructions
+        items = [_emit(j, ins, TEXT_BASE + j * INSTR_SIZE)
+                 for j, ins in enumerate(instructions)]
+        self._table, self._dynamic = _static_table(instructions, items)
+        ranges = partition(program)
+        self._span = _spans(instructions, ranges)
+        lines: list[str] = []
+        for start, stop in ranges:
+            lines.extend(_emit_block(items[start:stop], start, f"_b{start}"))
+        blocks = "{" + ", ".join(
+            f"{s}: (_b{s}, {e - s})" for s, e in ranges) + "}"
+        self._bind = _binder(lines, blocks,
+                             f"<vrisc-compiled:{program.name}>")
+        self._lazy: dict = {}  # start -> _bind of its lazy entry
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.block_lengths)
-
-    def _namespace(self, memory, cols) -> dict:
-        if cols is None:
-            noop = _noop_extend
-            ext = [noop] * 11
-        else:
-            ext = [cols.pc.extend, cols.opcode.extend, cols.opclass.extend,
-                   cols.dst.extend, cols.src1.extend, cols.src2.extend,
-                   cols.addr.extend, cols.value.extend, cols.kind.extend,
-                   cols.size.extend, cols.taken.extend]
-        return {
-            "_xpc": ext[0], "_xop": ext[1], "_xcl": ext[2], "_xds": ext[3],
-            "_xs1": ext[4], "_xs2": ext[5], "_xad": ext[6], "_xva": ext[7],
-            "_xkn": ext[8], "_xsz": ext[9], "_xtk": ext[10],
-            "_rw": memory.read_word, "_ww": memory.write_word,
-            "_ru4": memory.read_u32, "_wu4": memory.write_u32,
-            "_ru1": memory.read_u8, "_wu1": memory.write_u8,
-            "_tf": _to_float, "_ff": _from_float,
-            "_sqrt": math.sqrt, "_tr": math.trunc,
-        }
-
-    def _lazy_block(self, index: int, ns: dict, blocks: dict) -> tuple:
+    def _lazy_block(self, index: int, helpers: tuple,
+                    blocks: dict) -> tuple:
         """Compile (or re-bind) a block entered mid-stream by a computed
         jump.  Lazy blocks run from *index* to the next control-flow op."""
-        cached = self._lazy.get(index)
-        if cached is None:
+        length = int(self._span[index])
+        bind = self._lazy.get(index)
+        if bind is None:
             instructions = self.program.instructions
-            n = len(instructions)
-            i = index
-            while OP_CLASS[instructions[i].opcode] is not _BRANCH \
-                    and i + 1 < n:
-                i += 1
-            stop = i + 1
-            lines = _emit_block(instructions, index, stop, f"_lz{index}")
-            code = compile("\n".join(lines) + "\n",
-                           f"<vrisc-compiled:{self.program.name}:+{index}>",
-                           "exec")
-            cached = (code, stop - index)
-            self._lazy[index] = cached
-        code, length = cached
-        exec(code, ns)
-        blk = (ns[f"_lz{index}"], length)
-        blocks[index] = blk
+            items = [_emit(j, instructions[j], TEXT_BASE + j * INSTR_SIZE)
+                     for j in range(index, index + length)]
+            bind = _binder(
+                _emit_block(items, index, f"_lz{index}"), f"_lz{index}",
+                f"<vrisc-compiled:{self.program.name}:+{index}>")
+            self._lazy[index] = bind
+        blk = blocks[index] = (bind(*helpers), length)
         return blk
 
     def execute(self, memory, regs: list[int], rkinds: list[int],
-                cols, limit: int) -> int:
-        """Run to completion; mirrors ``FunctionalSimulator._execute``."""
-        ns = self._namespace(memory, cols)
-        exec(self.code, ns)
-        blocks = ns["_BLOCKS"]
+                limit: int, trace: bool = True):
+        """Run to completion; mirrors ``FunctionalSimulator._execute``.
+
+        Returns the instruction count and, if *trace*, the trace
+        columns as arrays in their final dtypes (else ``None``).
+        """
+        if trace:
+            starts: list[int] = []
+            sinks = ([], [], [], [])
+            record = starts.append
+            extends = [sink.extend for sink in sinks]
+        else:
+            record = _noop
+            extends = [_noop] * 4
+        helpers = (memory.read_word, memory.write_word, memory.read_u32,
+                   memory.write_u32, memory.read_u8, memory.write_u8,
+                   _to_float, _from_float, math.sqrt, math.trunc,
+                   *extends)
+        blocks = self._bind(*helpers)
         program = self.program
         name = program.name
         n = len(program.instructions)
@@ -683,31 +707,52 @@ class CompiledProgram:
         count = 0
         get = blocks.get
         while True:
-            if count >= limit:
-                raise ExecutionLimitExceeded(
-                    f"{name}: exceeded {limit} instructions"
-                )
             blk = get(index)
             if blk is None:
+                # A known block needs no separate check: count >= limit
+                # already fails the length check below.
+                if count >= limit:
+                    raise ExecutionLimitExceeded(
+                        f"{name}: exceeded {limit} instructions"
+                    )
                 if not 0 <= index < n:
                     raise ExecutionError(
                         f"{name}: pc out of range (index {index})"
                     )
-                blk = self._lazy_block(index, ns, blocks)
+                blk = self._lazy_block(index, helpers, blocks)
             fn, length = blk
             if count + length > limit:
                 raise ExecutionLimitExceeded(
                     f"{name}: exceeded {limit} instructions"
                 )
             count += length
+            record(index)
             nxt = fn(regs, rkinds)
             if nxt is None:
-                return count
+                break
             index = nxt
+        if not trace:
+            return count, None
+        return count, self._columns(count, starts, sinks)
+
+    def _columns(self, count: int, starts: list[int], sinks) -> dict:
+        """Gather the static table over the executed index ranges and
+        scatter each dynamic column's recorded values into its slots."""
+        starts = np.array(starts, dtype=np.intp)
+        lengths = self._span[starts]
+        first = np.cumsum(lengths) - lengths  # trace position of each start
+        executed = np.arange(count) + np.repeat(starts - first, lengths)
+        columns = {name: column[executed]
+                   for name, column in self._table.items()}
+        for (name, _), values in zip(_DYNAMIC, sinks):
+            column = columns[name]
+            column[self._dynamic[name][executed]] = np.array(
+                values, dtype=column.dtype)
+        return columns
 
 
-def _noop_extend(_values) -> None:
-    """Column sink for untraced runs."""
+def _noop(_values) -> None:
+    """Record sink for untraced runs."""
 
 
 _ENGINE_CACHE: "weakref.WeakKeyDictionary[Program, CompiledProgram]" = \

@@ -118,18 +118,18 @@ class FunctionalSimulator:
         regs[LR] = EXIT_ADDRESS
         rkinds[LR] = int(ValueKind.INSTR_ADDR)
 
-        cols = TraceColumns() if collect_trace else None
-        if resolve_engine(engine) == "compiled":
-            count = compiled_engine_for(program).execute(
-                memory, regs, rkinds, cols, limit=self.max_instructions)
-        else:
-            count = self._execute(memory, regs, rkinds, cols)
-
+        name = name or program.name
         trace = None
-        if cols is not None:
-            trace = Trace.from_columns(
-                cols, name=name or program.name, target=target
-            )
+        if resolve_engine(engine) == "compiled":
+            count, columns = compiled_engine_for(program).execute(
+                memory, regs, rkinds, self.max_instructions, collect_trace)
+            if columns is not None:
+                trace = Trace(columns, name=name, target=target)
+        else:
+            cols = TraceColumns() if collect_trace else None
+            count = self._execute(memory, regs, rkinds, cols)
+            if cols is not None:
+                trace = Trace.from_columns(cols, name=name, target=target)
         return ExecutionResult(trace, memory, regs, count)
 
     # The loop below intentionally trades structure for speed; see the

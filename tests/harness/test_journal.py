@@ -73,6 +73,27 @@ class TestJournalLines:
         types = [r["type"] for r in replay_journal(journal.journal_path)]
         assert types == ["run_started", "planned", "planned", "done"]
 
+    def test_opening_records_one_write_one_fsync(self, tmp_path,
+                                                  monkeypatch):
+        from repro.harness import journal as journal_mod
+        writes, fsyncs = [], []
+        real_write, real_fsync = os.write, os.fsync
+        monkeypatch.setattr(journal_mod.os, "write", lambda fd, data: (
+            writes.append(data), real_write(fd, data))[1])
+        monkeypatch.setattr(journal_mod.os, "fsync", lambda fd: (
+            fsyncs.append(fd), real_fsync(fd))[1])
+        # The latest-run pointer is a separate file with its own write.
+        monkeypatch.setattr(journal_mod, "publish_latest", lambda *args: None)
+        journal = RunJournal.create(tmp_path, "r1", _manifest())
+        journal.close()
+        records = [{"type": "run_started", "run_id": "r1"},
+                   {"type": "planned", "benchmark": "b1"},
+                   {"type": "planned", "benchmark": "b2"}]
+        expected = b"".join(journal_mod._encode_record(r) for r in records)
+        assert writes == [expected]
+        assert len(fsyncs) == 1
+        assert journal.journal_path.read_bytes() == expected
+
     def test_truncated_trailing_line_tolerated(self, tmp_path):
         journal = RunJournal.create(tmp_path, "r1", _manifest())
         journal.close()

@@ -464,6 +464,29 @@ class TestSweepJournalUnit:
         return build_sweep_manifest("compress", "ppc", "tiny", grid,
                                     chunk_size=4, jobs=1)
 
+    def test_opening_records_one_write_one_fsync(self, tmp_path,
+                                                  monkeypatch):
+        import os
+
+        from repro.harness import sweep as sweep_mod
+        writes, fsyncs = [], []
+        real_write, real_fsync = os.write, os.fsync
+        monkeypatch.setattr(sweep_mod.os, "write", lambda fd, data: (
+            writes.append(data), real_write(fd, data))[1])
+        monkeypatch.setattr(sweep_mod.os, "fsync", lambda fd: (
+            fsyncs.append(fd), real_fsync(fd))[1])
+        # The latest-run pointer is a separate file with its own write.
+        monkeypatch.setattr(sweep_mod, "publish_latest", lambda *args: None)
+        grid = sensitivity_grid()[:8]
+        journal = SweepJournal.create(tmp_path, "run", self._manifest(grid))
+        records = [{"type": "run_started", "run_id": "run"},
+                   {"type": "planned", "chunk": 0},
+                   {"type": "planned", "chunk": 1}]
+        expected = b"".join(sweep_mod._encode_record(r) for r in records)
+        assert writes == [expected]
+        assert len(fsyncs) == 1
+        assert journal.journal_path.read_bytes() == expected
+
     def test_fingerprint_detects_tampering(self, tmp_path):
         grid = sensitivity_grid()[:8]
         journal = SweepJournal.create(tmp_path, "run", self._manifest(grid))

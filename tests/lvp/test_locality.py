@@ -1,7 +1,11 @@
 """Unit tests for the value-locality measurement (Figures 1-2)."""
 
+import pytest
+
+from repro.harness import Session
 from repro.isa import OpClass, ValueKind
-from repro.lvp import measure_locality_by_kind, measure_value_locality
+from repro.lvp import LVPT, measure_locality_by_kind, measure_value_locality
+from repro.workloads.suite import NAMES
 
 from tests.trace.test_records import make_trace
 
@@ -94,3 +98,45 @@ class TestByKind:
     def test_hits_bounded_by_totals(self, grep_trace):
         for result in measure_locality_by_kind(grep_trace, 16).values():
             assert 0 <= result.hits <= result.total_loads
+
+
+def lvpt_loop(trace, depth, entries=1024):
+    """Per-kind (totals, hits) from one per-load pass over an untagged,
+    pc-indexed, perfect-selection LVPT: the oracle of the vector pass."""
+    table = LVPT(entries, history_depth=depth, selection="perfect")
+    loads = trace.loads()
+    totals = dict.fromkeys(ValueKind, 0)
+    hits = dict.fromkeys(ValueKind, 0)
+    for pc, value, kind in zip(loads.pc.tolist(), loads.value.tolist(),
+                               loads.kind.tolist()):
+        kind = ValueKind(kind)
+        totals[kind] += 1
+        if table.would_be_correct(pc, value):
+            hits[kind] += 1
+        table.update(pc, value)
+    return totals, hits
+
+
+@pytest.fixture(scope="module")
+def suite_session():
+    return Session(scale="tiny")
+
+
+class TestMatchesLVPTLoop:
+    @pytest.mark.parametrize("target", ("ppc", "alpha"))
+    @pytest.mark.parametrize("name", NAMES)
+    def test_every_tiny_trace(self, suite_session, name, target):
+        trace = suite_session.trace(name, target)
+        for depth in (1, 16):
+            totals, hits = lvpt_loop(trace, depth)
+            overall = measure_value_locality(trace, depth)
+            assert overall.total_loads == sum(totals.values())
+            assert overall.hits == sum(hits.values())
+            by_kind = measure_locality_by_kind(trace, depth)
+            assert {k: r.total_loads for k, r in by_kind.items()} == totals
+            assert {k: r.hits for k, r in by_kind.items()} == hits
+
+    def test_small_table_interference(self, compress_trace):
+        totals, hits = lvpt_loop(compress_trace, 4, entries=16)
+        result = measure_value_locality(compress_trace, 4, entries=16)
+        assert result.hits == sum(hits.values())

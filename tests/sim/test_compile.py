@@ -9,6 +9,7 @@ register files, and instruction counts under both engines.
 import pytest
 
 from repro.errors import ConfigError
+from repro.isa import CodeBuilder
 from repro.sim import (
     CompiledProgram,
     ENGINES,
@@ -16,6 +17,7 @@ from repro.sim import (
     resolve_engine,
     run_program,
 )
+from repro.sim.compile import partition
 from repro.trace.records import TRACE_COLUMNS
 from repro.workloads.suite import BENCHMARKS, NAMES
 
@@ -98,3 +100,53 @@ def test_no_trace_mode_matches():
     assert interp.trace is None and compiled.trace is None
     assert interp.registers == compiled.registers
     assert interp.instruction_count == compiled.instruction_count
+
+
+def _mid_block_entry(target):
+    """A program whose computed jumps (``jr``, then ``bctr``) land on a
+    label in the middle of a straight-line run, while a direct jump
+    reaches the same instructions from the run's leader."""
+    b = CodeBuilder("lazy", target=target)
+    b.data.label("buf")
+    b.data.space(16)
+    b.label("main")
+    b.load_addr(30, "buf")
+    b.load_addr(4, "mid")
+    b.li(9, 5)
+    b.li(3, 0)
+    b.jr(4)
+    b.label("top")
+    b.addi(3, 3, 1)
+    b.mov(8, 3)
+    b.label("mid")  # not a leader: no direct branch targets it
+    b.addi(3, 3, 10)
+    b.st(3, 30, 0)
+    b.ld(7, 30, 0)
+    b.mov(6, 8)  # records r8, which the next instruction overwrites
+    b.addi(8, 8, 4)
+    b.add(6, 7, 3)
+    b.addi(9, 9, -1)
+    b.beq(9, 0, "done")
+    b.andi(10, 9, 1)
+    b.beq(10, 0, "via_top")
+    b.mtctr(4)
+    b.bctr()
+    b.label("via_top")
+    b.j("top")
+    b.label("done")
+    b.halt()
+    return b.build()
+
+
+@pytest.mark.parametrize("target", ("ppc", "alpha"))
+def test_mid_block_entry_matches_interpreter(target):
+    program = _mid_block_entry(target)
+    mid = program.index_of(program.symbols["mid"])
+    engine = compiled_engine_for(program)
+    assert mid not in {start for start, _ in partition(program)}
+    for _ in range(2):  # the second run re-binds the cached lazy entry
+        interp, compiled = _both_engines(program, "lazy")
+        assert mid in engine._lazy
+        assert interp.instruction_count == compiled.instruction_count
+        assert interp.registers == compiled.registers
+        assert_traces_equal(interp.trace, compiled.trace)

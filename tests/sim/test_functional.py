@@ -3,20 +3,25 @@
 import pytest
 
 from repro.errors import ExecutionError, ExecutionLimitExceeded
-from repro.isa import CodeBuilder, FPR_BASE, STACK_TOP, assemble
+from repro.isa import CodeBuilder, FPR_BASE, STACK_TOP, TEXT_BASE, assemble
 from repro.sim import FunctionalSimulator, run_program
 
 U64 = (1 << 64) - 1
 F = FPR_BASE
 
 
-def run_main(body, target="ppc"):
-    """Build main() around *body* (leaf) and return the ExecutionResult."""
+def build_main(body, target="ppc"):
+    """Build a program whose main() is *body* (leaf) then ``halt``."""
     b = CodeBuilder("t", target=target)
     b.label("main")
     body(b)
     b.halt()
-    return run_program(b.build())
+    return b.build()
+
+
+def run_main(body, target="ppc"):
+    """Build main() around *body* (leaf) and return the ExecutionResult."""
+    return run_program(build_main(body, target))
 
 
 def reg3(body):
@@ -418,31 +423,58 @@ class TestInitialState:
         assert reg3(body) == DATA_BASE
 
 
+def _outcome(program, engine, max_instructions=50_000_000):
+    """The exception a run raises on *engine*, as (type, message)."""
+    sim = FunctionalSimulator(program, max_instructions=max_instructions)
+    with pytest.raises((ExecutionError, ExecutionLimitExceeded)) as info:
+        sim.run(engine=engine)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("engine", ("interp", "compiled"))
 class TestLimitsAndErrors:
-    def test_instruction_budget(self):
+    """Both engines fail alike: same exception type, same message."""
+
+    def test_instruction_budget(self, engine):
         b = CodeBuilder("t")
         b.label("main")
         b.label("spin")
         b.j("spin")
         program = b.build()
-        sim = FunctionalSimulator(program, max_instructions=1000)
-        with pytest.raises(ExecutionLimitExceeded):
-            sim.run()
+        outcome = _outcome(program, engine, max_instructions=1000)
+        assert outcome == (ExecutionLimitExceeded,
+                           "t: exceeded 1000 instructions")
 
-    def test_wild_jump_detected(self):
+    def test_budget_exceeded_mid_block(self, engine):
+        # A three-instruction loop body: the budget runs out inside it.
+        def body(b):
+            b.label("loop")
+            b.addi(3, 3, 1)
+            b.addi(4, 4, 2)
+            b.j("loop")
+        assert _outcome(build_main(body), engine, max_instructions=1000) \
+            == (ExecutionLimitExceeded, "t: exceeded 1000 instructions")
+
+    def test_wild_jump_detected(self, engine):
         def body(b):
             b.li(4, 0x9999_0000)
             b.jr(4)
-        with pytest.raises(ExecutionError):
-            run_main(body)
+        index = (0x9999_0000 - TEXT_BASE) // 4
+        assert _outcome(build_main(body), engine) == (
+            ExecutionError, f"t: pc out of range (index {index})")
 
-    def test_no_trace_mode(self):
+    def test_misaligned_access_mid_block(self, engine):
         def body(b):
             b.li(3, 1)
-        b = CodeBuilder("t")
-        b.label("main")
-        body(b)
-        b.halt()
-        result = FunctionalSimulator(b.build()).run(collect_trace=False)
+            b.ld(4, 2, 3)  # TOC + 3: not 8-byte aligned
+            b.li(5, 2)
+        assert _outcome(build_main(body), engine) == (
+            ExecutionError, "misaligned 8-byte access at 0x100003")
+
+    def test_no_trace_mode(self, engine):
+        def body(b):
+            b.li(3, 1)
+        result = FunctionalSimulator(build_main(body)).run(
+            collect_trace=False, engine=engine)
         assert result.trace is None
         assert result.instruction_count == 2
