@@ -423,58 +423,68 @@ class TestInitialState:
         assert reg3(body) == DATA_BASE
 
 
-def _outcome(program, engine, max_instructions=50_000_000):
-    """The exception a run raises on *engine*, as (type, message)."""
-    sim = FunctionalSimulator(program, max_instructions=max_instructions)
-    with pytest.raises((ExecutionError, ExecutionLimitExceeded)) as info:
-        sim.run(engine=engine)
-    return type(info.value), str(info.value)
+ENGINES = ("interp", "compiled")
 
 
-@pytest.mark.parametrize("engine", ("interp", "compiled"))
+def _outcomes(program, max_instructions=50_000_000):
+    """The exception a run raises on each engine, as {engine: (type, message)}."""
+    outcomes = {}
+    for engine in ENGINES:
+        sim = FunctionalSimulator(program, max_instructions=max_instructions)
+        with pytest.raises((ExecutionError, ExecutionLimitExceeded)) as info:
+            sim.run(engine=engine)
+        outcomes[engine] = (type(info.value), str(info.value))
+    return outcomes
+
+
+def _on_both(outcome):
+    return dict.fromkeys(ENGINES, outcome)
+
+
 class TestLimitsAndErrors:
     """Both engines fail alike: same exception type, same message."""
 
-    def test_instruction_budget(self, engine):
+    def test_instruction_budget(self):
         b = CodeBuilder("t")
         b.label("main")
         b.label("spin")
         b.j("spin")
         program = b.build()
-        outcome = _outcome(program, engine, max_instructions=1000)
-        assert outcome == (ExecutionLimitExceeded,
-                           "t: exceeded 1000 instructions")
+        assert _outcomes(program, max_instructions=1000) == _on_both(
+            (ExecutionLimitExceeded, "t: exceeded 1000 instructions"))
 
-    def test_budget_exceeded_mid_block(self, engine):
+    def test_budget_exceeded_mid_block(self):
         # A three-instruction loop body: the budget runs out inside it.
         def body(b):
             b.label("loop")
             b.addi(3, 3, 1)
             b.addi(4, 4, 2)
             b.j("loop")
-        assert _outcome(build_main(body), engine, max_instructions=1000) \
-            == (ExecutionLimitExceeded, "t: exceeded 1000 instructions")
+        assert _outcomes(build_main(body), max_instructions=1000) == _on_both(
+            (ExecutionLimitExceeded, "t: exceeded 1000 instructions"))
 
-    def test_wild_jump_detected(self, engine):
+    def test_wild_jump_detected(self):
         def body(b):
             b.li(4, 0x9999_0000)
             b.jr(4)
         index = (0x9999_0000 - TEXT_BASE) // 4
-        assert _outcome(build_main(body), engine) == (
-            ExecutionError, f"t: pc out of range (index {index})")
+        assert _outcomes(build_main(body)) == _on_both(
+            (ExecutionError, f"t: pc out of range (index {index})"))
 
-    def test_misaligned_access_mid_block(self, engine):
+    def test_misaligned_access_mid_block(self):
         def body(b):
             b.li(3, 1)
             b.ld(4, 2, 3)  # TOC + 3: not 8-byte aligned
             b.li(5, 2)
-        assert _outcome(build_main(body), engine) == (
-            ExecutionError, "misaligned 8-byte access at 0x100003")
+        assert _outcomes(build_main(body)) == _on_both(
+            (ExecutionError, "misaligned 8-byte access at 0x100003"))
 
-    def test_no_trace_mode(self, engine):
+    def test_no_trace_mode(self):
         def body(b):
             b.li(3, 1)
-        result = FunctionalSimulator(build_main(body)).run(
-            collect_trace=False, engine=engine)
-        assert result.trace is None
-        assert result.instruction_count == 2
+        program = build_main(body)
+        for engine in ENGINES:
+            result = FunctionalSimulator(program).run(
+                collect_trace=False, engine=engine)
+            assert result.trace is None, engine
+            assert result.instruction_count == 2, engine
