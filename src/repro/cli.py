@@ -87,7 +87,11 @@ from repro.obs import (
     render_stats,
     validate_metrics,
 )
-from repro.harness.parallel import jobs_from_env, unit_timeout_from_env
+from repro.harness.parallel import (
+    jobs_from_env,
+    kill_sentinel_children,
+    unit_timeout_from_env,
+)
 from repro.harness.session import Session
 from repro.isa.disasm import disassemble
 from repro.lvp.config import (
@@ -106,23 +110,24 @@ from repro.workloads.suite import BENCHMARKS, get_benchmark
 
 
 #: Tier-pinning environment knobs validated at CLI entry, before any
-#: work runs under a typo'd tier: env var -> its legal values.
-def _engine_env_choices() -> dict:
-    from repro.sim.compile import ENGINES
-    from repro.trace.annotate import KERNELS
-    from repro.uarch.engine import MODEL_ENGINES
-    return {
-        "REPRO_ENGINE": ENGINES,
-        "REPRO_ANNOTATE_KERNEL": KERNELS,
-        "REPRO_MODEL_ENGINE": MODEL_ENGINES,
-    }
+#: work runs under a typo'd tier: env var -> (module, attribute) of its
+#: legal values.  The module is imported only when the knob is set.
+_ENGINE_ENV_CHOICES = {
+    "REPRO_ENGINE": ("repro.sim.compile", "ENGINES"),
+    "REPRO_ANNOTATE_KERNEL": ("repro.trace.annotate", "KERNELS"),
+    "REPRO_MODEL_ENGINE": ("repro.uarch.engine", "MODEL_ENGINES"),
+}
 
 
 def _validate_engine_env() -> Optional[str]:
     """The first invalid tier knob's error message, if any."""
-    for name, choices in _engine_env_choices().items():
+    import importlib
+    for name, (module, attribute) in _ENGINE_ENV_CHOICES.items():
         value = os.environ.get(name)
-        if value and value not in choices:
+        if not value:
+            continue
+        choices = getattr(importlib.import_module(module), attribute)
+        if value not in choices:
             return (f"invalid {name}={value!r}: choose from "
                     f"{', '.join(choices)}")
     return None
@@ -307,6 +312,8 @@ def _install_interrupt_handlers(journal: RunJournal,
     def handler(signum, frame):
         if os.getpid() != owner:  # a forked worker inherited us
             os._exit(128 + signum)
+        with contextlib.suppress(Exception):
+            kill_sentinel_children()
         with contextlib.suppress(Exception):
             journal.interrupted(signum)
         name = signal.Signals(signum).name

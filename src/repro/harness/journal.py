@@ -59,6 +59,7 @@ from repro.harness.parallel import (
     _CachedTraceRef,
     _ShardResult,
     _ShardSpec,
+    kill_sentinel_children,
 )
 from repro.obs.metrics import write_metrics
 
@@ -528,13 +529,15 @@ class RunJournal(EngineObserver):
                 and self._checkpoints_done >= self._crash_after):
             # Chaos drill: die the hardest way possible (no atexit, no
             # flush) right after the journal claims this checkpoint.
-            # Pool workers are reaped first -- a real crash would leave
-            # them to die on their broken queues, but the drill must
-            # not leave orphans holding the caller's pipes open.
+            # Pool workers and sentinel children are reaped first -- a
+            # real crash would leave them to die on their broken pipes,
+            # but the drill must not leave orphans holding the caller's
+            # pipes open.
             import multiprocessing
             for child in multiprocessing.active_children():
                 with contextlib.suppress(Exception):
                     child.terminate()
+            kill_sentinel_children()
             os._exit(23)
 
     def shard_retry(self, benchmark: str, attempt: int, delay: float,

@@ -58,10 +58,13 @@ footnoted, never fatal.
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import copy
 import os
 import pickle
 import signal
+import sys
 import threading
 import time
 import warnings
@@ -454,9 +457,11 @@ def _lighten_payload(session, scale: str) -> tuple[dict, dict]:
 
     Only traces whose v2 bundle is actually on disk are substituted
     (the cache may have refused or evicted a store); annotations whose
-    ``.trace`` is being replaced are re-pointed at the same ref so one
-    trace's arrays are not smuggled home through the annotation's
-    back-reference.  With no cache configured this is the identity.
+    ``.trace`` is being replaced are copied and the copy re-pointed at
+    the same ref, so one trace's arrays are not smuggled home through
+    the annotation's back-reference.  The session itself is left
+    untouched: a deferred sentinel forked later still reads real
+    traces from it.  With no cache configured this is the identity.
     """
     traces = dict(session._traces)
     annotated = dict(session._annotated)
@@ -475,75 +480,114 @@ def _lighten_payload(session, scale: str) -> tuple[dict, dict]:
         for akey, annotation in annotated.items():
             ref = refs.get((akey[0], akey[1]))
             if ref is not None:
-                annotation.trace = ref
+                annotated[akey] = light = copy.copy(annotation)
+                light.trace = ref
     return traces, annotated
+
+
+class _Shard:
+    """One benchmark's units run against a private worker session.
+
+    *checks* (a :class:`~repro.harness.sentinels.DeferredChecks`, or
+    None for the inline guard) is lent to the session's guard, which
+    then checks sampled model units in a forked child.
+    """
+
+    def __init__(self, spec: _ShardSpec, checks=None) -> None:
+        crash = os.environ.get(CRASH_ENV)
+        if crash and crash == spec.benchmark:
+            kill_sentinel_children()  # leave no orphan on the caller's pipes
+            os._exit(13)  # simulate a killed/segfaulted worker
+        from repro.harness.session import Session
+        self.spec = spec
+        self.session = Session(
+            scale=spec.scale, benchmarks=(spec.benchmark,),
+            verify=spec.verify, cache_dir=spec.cache_dir,
+            metrics=spec.metrics, unit_timeout=spec.unit_timeout)
+        self.session.guard.deferred = checks
+        self.timings: list[UnitTiming] = []
+        self.profiles: Optional[dict] = {} if spec.profile else None
+
+    def run(self, units: Sequence[WorkUnit]) -> None:
+        """Execute *units* in order, timing (and profiling) each."""
+        session = self.session
+        rss_limit = rss_limit_from_env()
+        pid = os.getpid()
+        for unit in units:
+            start = time.perf_counter()
+            ok = True
+            profiler = None
+            if self.profiles is not None:
+                import cProfile
+                profiler = cProfile.Profile()
+                profiler.enable()
+            try:
+                _check_rss(rss_limit, unit)
+                with _unit_watchdog(self.spec.unit_timeout, unit):
+                    _execute_unit(session, unit)
+            except BenchmarkFailure:
+                # Recorded on the worker session; dependent units of the
+                # same benchmark re-raise instantly via negative
+                # memoization.
+                ok = False
+            except (UnitTimeoutError, MemoryBudgetError) as exc:
+                # The alarm fired between stage try-blocks (or the RSS
+                # budget tripped before the unit started), so the
+                # session did not get to record it: pin the failure on
+                # the unit's own stage so the benchmark is footnoted all
+                # the same.
+                ok = False
+                key = ("watchdog", (unit.benchmark, unit.stage, unit.target,
+                                    unit.lvp, unit.machine))
+                if key not in session._failed:
+                    session._fail(unit.benchmark, unit.stage, unit.target,
+                                  key, exc)
+            finally:
+                if profiler is not None:
+                    profiler.disable()
+                    self.profiles[unit.label] = _profile_text(profiler)
+            self.timings.append(UnitTiming(unit, time.perf_counter() - start,
+                                           pid, ok))
+
+    def rerun_model_stage(self) -> None:
+        """A deferred check failed: drop the model stage and run it
+        again through the inline guard.  Traces and annotations were
+        checked before it, so this reproduces the inline run exactly --
+        same demotions, counters, and failures."""
+        self.session.guard.deferred = None
+        self.session.forget_model_stage()
+        self.timings = [t for t in self.timings if t.unit.stage != "model"]
+        self.run([unit for unit in self.spec.units if unit.stage == "model"])
+
+    def payload(self) -> _ShardResult:
+        """The shard's merge payload (what is checkpointed and merged)."""
+        session = self.session
+        failed = {key: _portable_failure(failure)
+                  for key, failure in session._failed.items()}
+        fragment = None
+        if session.metrics is not None:
+            session.collect_run_counters()
+            fragment = session.metrics.fragment()
+        traces, annotated = _lighten_payload(session, self.spec.scale)
+        return _ShardResult(
+            benchmark=self.spec.benchmark,
+            traces=traces,
+            annotated=annotated,
+            ppc_runs=session._ppc_runs,
+            alpha_runs=session._alpha_runs,
+            failed=failed,
+            timings=self.timings,
+            metrics=fragment,
+            profiles=self.profiles,
+            demotions=list(session.demotions),
+        )
 
 
 def _run_shard(spec: _ShardSpec) -> _ShardResult:
     """Worker entry point: run every unit of one benchmark."""
-    crash = os.environ.get(CRASH_ENV)
-    if crash and crash == spec.benchmark:
-        os._exit(13)  # simulate a killed/segfaulted worker
-    from repro.harness.session import Session
-    session = Session(scale=spec.scale, benchmarks=(spec.benchmark,),
-                      verify=spec.verify, cache_dir=spec.cache_dir,
-                      metrics=spec.metrics, unit_timeout=spec.unit_timeout)
-    timings: list[UnitTiming] = []
-    profiles: Optional[dict] = {} if spec.profile else None
-    rss_limit = rss_limit_from_env()
-    pid = os.getpid()
-    for unit in spec.units:
-        start = time.perf_counter()
-        ok = True
-        profiler = None
-        if spec.profile:
-            import cProfile
-            profiler = cProfile.Profile()
-            profiler.enable()
-        try:
-            _check_rss(rss_limit, unit)
-            with _unit_watchdog(spec.unit_timeout, unit):
-                _execute_unit(session, unit)
-        except BenchmarkFailure:
-            # Recorded on the worker session; dependent units of the
-            # same benchmark re-raise instantly via negative memoization.
-            ok = False
-        except (UnitTimeoutError, MemoryBudgetError) as exc:
-            # The alarm fired between stage try-blocks (or the RSS
-            # budget tripped before the unit started), so the session
-            # did not get to record it: pin the failure on the unit's
-            # own stage so the benchmark is footnoted all the same.
-            ok = False
-            key = ("watchdog", (unit.benchmark, unit.stage, unit.target,
-                                unit.lvp, unit.machine))
-            if key not in session._failed:
-                session._fail(unit.benchmark, unit.stage, unit.target,
-                              key, exc)
-        finally:
-            if profiler is not None:
-                profiler.disable()
-                profiles[unit.label] = _profile_text(profiler)
-        timings.append(UnitTiming(unit, time.perf_counter() - start,
-                                  pid, ok))
-    failed = {key: _portable_failure(failure)
-              for key, failure in session._failed.items()}
-    fragment = None
-    if session.metrics is not None:
-        session.collect_run_counters()
-        fragment = session.metrics.fragment()
-    traces, annotated = _lighten_payload(session, spec.scale)
-    return _ShardResult(
-        benchmark=spec.benchmark,
-        traces=traces,
-        annotated=annotated,
-        ppc_runs=session._ppc_runs,
-        alpha_runs=session._alpha_runs,
-        failed=failed,
-        timings=timings,
-        metrics=fragment,
-        profiles=profiles,
-        demotions=list(session.demotions),
-    )
+    shard = _Shard(spec)
+    shard.run(spec.units)
+    return shard.payload()
 
 
 # ---------------------------------------------------------------------------
@@ -625,9 +669,13 @@ class ParallelEngine:
     ``run()`` executes the workplan with ``jobs`` workers and merges
     every result (and failure) back into the parent *session*, ordered
     by benchmark name.  ``jobs=1`` executes the same shard/merge path
-    in-process -- useful as the differential oracle -- while the public
-    entry points (:meth:`Session.warm`, the CLI) skip the engine
-    entirely at ``jobs=1`` so the default serial path is untouched.
+    in-process: that is the default journaled ``repro experiment`` path
+    (:func:`~repro.harness.journal.run_journaled`), while
+    :meth:`Session.warm` and the unjournaled CLI skip the engine at
+    ``jobs=1`` and stay lazy.  In-process, sampled model units are
+    checked in a forked child while the next units run
+    (:mod:`repro.harness.sentinels`); a shard is checkpointed only
+    once its checks have settled.
 
     ``max_attempts`` bounds how many times one benchmark may take a
     worker down (pool breakage) before it is recorded as a
@@ -640,6 +688,10 @@ class ParallelEngine:
     benchmarks are merged without being re-run.  ``observer`` receives
     parent-side progress callbacks (see :class:`EngineObserver`).
     """
+
+    #: Check sampled model units in a forked child on the in-process
+    #: path (False runs every check inline, as pool workers do).
+    defer_model_checks = hasattr(os, "fork")
 
     def __init__(self, session, jobs: int = 1,
                  units: Optional[Sequence[WorkUnit]] = None,
@@ -685,12 +737,7 @@ class ParallelEngine:
         start = time.perf_counter()
         shards = self._shards()
         if self.jobs <= 1 or len(shards) <= 1:
-            results = {}
-            for spec in shards:
-                self.observer.shard_started(spec)
-                result = _run_shard(spec)
-                results[spec.benchmark] = result
-                self.observer.shard_finished(spec, result)
+            results = self._run_in_process(shards)
             lost: dict[str, BaseException] = {}
             retried: tuple[str, ...] = ()
         else:
@@ -701,6 +748,44 @@ class ParallelEngine:
         self._merge(results, lost, report)
         report.wall_seconds = time.perf_counter() - start
         return report
+
+    def _run_in_process(self, shards: list[_ShardSpec]) -> dict:
+        """Run shards one after another in this process.
+
+        Sampled model units are checked by forked children while later
+        shards run.  Shards finish (payload, ``shard_finished``) in
+        order, each once its checks have settled, so the parent holds
+        only the sessions of shards still waiting on a check.
+        """
+        from repro.harness.sentinels import DeferredChecks
+        checks = DeferredChecks(getattr(self.session, "metrics", None))
+        lent = checks if self.defer_model_checks else None
+        results: dict[str, _ShardResult] = {}
+        waiting: collections.deque = collections.deque()
+
+        def finish(shard: _Shard) -> None:
+            if checks.failed(shard.spec.benchmark):
+                shard.rerun_model_stage()
+            result = shard.payload()
+            results[shard.spec.benchmark] = result
+            self.observer.shard_finished(shard.spec, result)
+
+        try:
+            for spec in shards:
+                self.observer.shard_started(spec)
+                shard = _Shard(spec, lent)
+                shard.run(spec.units)
+                waiting.append(shard)
+                checks.poll()
+                while waiting and checks.settled(waiting[0].spec.benchmark):
+                    finish(waiting.popleft())
+            while waiting:
+                shard = waiting.popleft()
+                checks.wait(shard.spec.benchmark)
+                finish(shard)
+        finally:
+            checks.close()
+        return results
 
     def _run_pool(self, shards: list[_ShardSpec]):
         """Run shards under a process pool, rebuilding it on breakage."""
@@ -843,6 +928,15 @@ class ParallelEngine:
                     failure = BenchmarkFailure(name, "worker", target, cause)
                     session._failed[key] = failure
                     session.failures.append(failure)
+
+
+def kill_sentinel_children() -> None:
+    """Kill and reap any deferred-sentinel child still running (for
+    signal handlers and crash drills; nothing to do unless the
+    in-process engine has loaded :mod:`repro.harness.sentinels`)."""
+    sentinels = sys.modules.get("repro.harness.sentinels")
+    if sentinels is not None:
+        sentinels.kill_children()
 
 
 def warm_session(session, jobs: int,

@@ -18,6 +18,10 @@ PHASE_ORDER = ("trace", "annotate", "model", "report")
 #: Marker appended to each benchmark's slowest phase cell.
 SLOWEST_MARK = " *"
 
+#: Run-scope counters of deferred sentinel children, rendered as their
+#: own row (their time is outside every span of the parent).
+SENTINEL_PREFIX = "sentinel/"
+
 
 def _ordered_phases(phases: Mapping[str, Mapping[str, float]]) -> list[str]:
     """Observed phase names: canonical ones first, extras sorted."""
@@ -123,6 +127,16 @@ def render_stats(document: Mapping, full: bool = False) -> str:
         sections.append(f"report phase (exhibit rendering): "
                         f"{float(report_seconds):.3f}s")
     run = document.get("run", {})
+    children = run.get(SENTINEL_PREFIX + "children")
+    if children:
+        sections.append(
+            f"sentinel children (model checks off the critical path): "
+            f"{int(children)} process(es), "
+            f"{float(run.get(SENTINEL_PREFIX + 'cpu_s', 0.0)):.3f}s CPU, "
+            f"peak RSS "
+            f"{float(run.get(SENTINEL_PREFIX + 'peak_rss_mb', 0.0)):.1f} MB")
+    run = {name: value for name, value in run.items()
+           if not name.startswith(SENTINEL_PREFIX)}
     if run:
         lines = ["Run-scope counters (per-process, not deterministic):"]
         for name in sorted(run):

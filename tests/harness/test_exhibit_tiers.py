@@ -10,8 +10,11 @@ a timing that a noisy host might hide.
 
 The model and annotate relations are pinned, not the raw numbers, so
 a new exhibit or a redrawn sentinel sample does not need this file
-edited.  The trace stage's sample holds no grep/compress unit, so
-every simulation must run compiled.
+edited.  The trace stage's sample holds no grep/compress/gperf unit,
+so every simulation must run compiled.  The journaled run checks its
+sampled model units (gperf has one) in forked children, so no
+reference model run happens in this process: each is a sentinel child
+in the run scope of ``metrics.json``.
 """
 
 import collections
@@ -91,10 +94,11 @@ def test_exhibit_calls_run_on_fast_tiers(monkeypatch, tmp_path):
 
     runs = tmp_path / "runs"
     assert main(["experiment", "all", "--scale", "tiny",
-                 "--benchmarks", "grep,compress", "--jobs", "1",
+                 "--benchmarks", "grep,compress,gperf", "--jobs", "1",
                  "--runs-dir", str(runs), "--run-id", "gate"]) == 0
 
-    counters = load_metrics(runs / "gate")["benchmarks"]
+    document = load_metrics(runs / "gate")
+    counters = document["benchmarks"]
 
     def sentinel_checks(stage):
         return sum(scope.get(f"tier/{stage}/sentinel_checks", 0)
@@ -106,7 +110,9 @@ def test_exhibit_calls_run_on_fast_tiers(monkeypatch, tmp_path):
         for scope in counters.values())
     assert design_points > 0
     assert calls["model", "fast"] == design_points
-    assert calls["model", "reference"] == sentinel_checks("model")
+    assert calls["model", "reference"] == 0
+    assert sentinel_checks("model") > 0
+    assert document["run"]["sentinel/children"] == sentinel_checks("model")
 
     assert calls["sim", "compiled"] > 0
     assert calls["sim", "interp"] == sentinel_checks("trace") == 0
