@@ -37,19 +37,6 @@ Commands
     under planted faults (tier divergence, kills, cache damage,
     resource budgets...) and assert byte-identical exhibits or a
     cleanly footnoted degradation (see ``docs/resilience.md``).
-``serve``
-    Run the long-lived simulation service: an asyncio daemon serving
-    trace/annotate/model/experiment over a unix socket (and optional
-    local HTTP) with admission control, request coalescing, circuit
-    breakers, per-request deadlines, and graceful drain -- interrupted
-    experiment runs journal through the run journal and resume
-    byte-identically after a restart (see ``docs/serve.md``).
-    ``--status``/``--ping``/``--drain`` talk to a running daemon.
-``loadgen``
-    Drive a running (or freshly spawned) server with a warm-up, a
-    coalescing steady phase, and an overload burst; write/check the
-    ``BENCH_SERVE.json`` service benchmark (latency percentiles,
-    coalescing hit rate, shed rate).
 ``report``
     Write a single-file HTML report of all exhibits.
 ``stats [RUN_ID]``
@@ -595,131 +582,6 @@ def cmd_chaos(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_serve(args) -> int:
-    from repro.errors import ServeError
-    from repro.serve.client import ServeClient
-    from repro.serve.server import ServeConfig, render_status, serve_main
-    if args.status or args.ping or args.drain:
-        client = ServeClient(args.socket, timeout=30.0)
-        try:
-            if args.status:
-                print(render_status(client.status()))
-            elif args.ping:
-                pong = client.ping()
-                print(f"pong from pid {pong['pid']}")
-            else:
-                client.drain()
-                print("drain requested")
-        except (OSError, ConnectionError) as exc:
-            print(f"repro: error: no server answering at "
-                  f"{args.socket}: {exc}", file=sys.stderr)
-            return 2
-        finally:
-            client.close()
-        return 0
-    config = ServeConfig(
-        socket_path=args.socket, state_dir=args.state_dir,
-        http_port=args.http_port, workers=args.workers,
-        queue_limit=args.queue_limit, scale=args.scale,
-        drain_timeout=args.drain_timeout,
-        default_deadline=args.default_deadline,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown)
-    import asyncio
-    try:
-        return asyncio.run(serve_main(config))
-    except ServeError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-
-
-def cmd_loadgen(args) -> int:
-    from repro.errors import ServeError
-    from repro.serve.loadgen import (
-        compare_serve_bench,
-        load_serve_bench,
-        render_serve_bench,
-        run_loadgen,
-        validate_serve_bench,
-        write_serve_bench,
-    )
-    progress = None if args.quiet \
-        else (lambda line: print(line, file=sys.stderr))
-    spawned = None
-    tempdir = None
-    socket_path = args.socket
-    try:
-        if socket_path is None:
-            # No server named: spawn a private tiny-scale one for the
-            # duration of the run.
-            import subprocess
-            import tempfile
-            tempdir = tempfile.mkdtemp(prefix="repro-loadgen-")
-            socket_path = os.path.join(tempdir, "serve.sock")
-            spawned = subprocess.Popen(
-                [sys.executable, "-m", "repro", "serve",
-                 "--socket", socket_path,
-                 "--state-dir", os.path.join(tempdir, "state"),
-                 "--scale", args.scale,
-                 "--workers", str(args.workers),
-                 "--queue-limit", str(args.queue_limit)],
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL)
-            if progress:
-                progress(f"loadgen: spawned private server "
-                         f"(pid {spawned.pid})")
-        document = run_loadgen(
-            socket_path, requests=args.requests,
-            concurrency=args.concurrency, overload=args.overload,
-            progress=progress)
-    except ServeError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if spawned is not None:
-            with contextlib.suppress(ProcessLookupError, OSError):
-                spawned.terminate()
-            with contextlib.suppress(Exception):
-                spawned.wait(timeout=30)
-        if tempdir is not None:
-            import shutil
-            shutil.rmtree(tempdir, ignore_errors=True)
-    errors = validate_serve_bench(document)
-    if errors:
-        print("repro: error: serve bench document failed validation:",
-              file=sys.stderr)
-        for error in errors:
-            print(f"  - {error}", file=sys.stderr)
-        return 2
-    print(render_serve_bench(document))
-    if args.output:
-        write_serve_bench(document, args.output)
-        print(f"wrote {args.output}")
-    if args.check:
-        try:
-            baseline = load_serve_bench(args.baseline)
-        except OSError:
-            print(f"repro: error: no baseline at {args.baseline} "
-                  "(run 'repro loadgen --output' first)",
-                  file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"repro: error: damaged baseline {args.baseline}: "
-                  f"{exc}", file=sys.stderr)
-            return 2
-        regressions = compare_serve_bench(document, baseline,
-                                          threshold=args.threshold)
-        if regressions:
-            print(f"serve regressions vs {args.baseline}:",
-                  file=sys.stderr)
-            for regression in regressions:
-                print(f"  - {regression}", file=sys.stderr)
-            return 1
-        print(f"no regressions vs {args.baseline} "
-              f"(threshold {args.threshold:g}x)")
-    return 0
-
-
 def cmd_report(args) -> int:
     from repro.analysis.html import build_html_report
     names = tuple(args.benchmarks.split(",")) if args.benchmarks else None
@@ -946,110 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="suppress per-drill progress on "
                                    "stderr")
     chaos_parser.set_defaults(func=cmd_chaos)
-
-    serve_parser = commands.add_parser(
-        "serve", help="run the long-lived simulation service")
-    serve_parser.add_argument(
-        "--socket", default=".repro/serve.sock", metavar="PATH",
-        help="unix socket to listen on (default: .repro/serve.sock)")
-    serve_parser.add_argument(
-        "--state-dir", default=".repro/serve", metavar="DIR",
-        help="service state: runs, cached results, parked resumes, "
-             "metrics (default: .repro/serve)")
-    serve_parser.add_argument(
-        "--http-port", type=int, default=None, metavar="PORT",
-        help="also listen on local HTTP (0 = any free port; "
-             "default: unix socket only)")
-    serve_parser.add_argument(
-        "--workers", type=_jobs_arg, default=2, metavar="N",
-        help="worker processes for simulation ops (default: 2)")
-    serve_parser.add_argument(
-        "--queue-limit", type=_jobs_arg, default=16, metavar="N",
-        help="admission high-water mark: requests past this many "
-             "waiters are shed with a 429-style overload error "
-             "(default: 16)")
-    serve_parser.add_argument(
-        "--scale", default="small",
-        choices=("tiny", "small", "reference"),
-        help="default input scale for requests that omit one "
-             "(default: small)")
-    serve_parser.add_argument(
-        "--drain-timeout", type=_timeout_arg, default=10.0,
-        metavar="SECONDS",
-        help="graceful-drain budget on SIGTERM before in-flight "
-             "experiment runs are parked for resume (default: 10)")
-    serve_parser.add_argument(
-        "--default-deadline", type=_timeout_arg, default=0.0,
-        metavar="SECONDS",
-        help="deadline applied to requests that carry none "
-             "(default: 0 = none)")
-    serve_parser.add_argument(
-        "--breaker-threshold", type=_jobs_arg, default=3, metavar="N",
-        help="consecutive failures that open a benchmark's circuit "
-             "(default: 3)")
-    serve_parser.add_argument(
-        "--breaker-cooldown", type=_timeout_arg, default=30.0,
-        metavar="SECONDS",
-        help="seconds an open circuit waits before its half-open "
-             "probe (default: 30)")
-    serve_parser.add_argument(
-        "--status", action="store_true",
-        help="query a running server: queue depth, in-flight, shed "
-             "and coalescing counters, breaker states")
-    serve_parser.add_argument(
-        "--ping", action="store_true",
-        help="check a running server answers")
-    serve_parser.add_argument(
-        "--drain", action="store_true",
-        help="ask a running server to drain and exit")
-    serve_parser.set_defaults(func=cmd_serve)
-
-    loadgen_parser = commands.add_parser(
-        "loadgen", help="drive a server and benchmark the service")
-    loadgen_parser.add_argument(
-        "--socket", default=None, metavar="PATH",
-        help="socket of a running server (default: spawn a private "
-             "tiny-scale server for the run)")
-    loadgen_parser.add_argument(
-        "--requests", type=_jobs_arg, default=60, metavar="N",
-        help="steady-phase request volume (default: 60)")
-    loadgen_parser.add_argument(
-        "--concurrency", type=_jobs_arg, default=6, metavar="N",
-        help="client threads in the steady phase (default: 6)")
-    loadgen_parser.add_argument(
-        "--overload", type=_jobs_arg, default=32, metavar="N",
-        help="size of the final all-at-once overload burst "
-             "(default: 32)")
-    loadgen_parser.add_argument(
-        "--scale", default="tiny",
-        choices=("tiny", "small", "reference"),
-        help="scale for a spawned private server (default: tiny)")
-    loadgen_parser.add_argument(
-        "--workers", type=_jobs_arg, default=2, metavar="N",
-        help="workers for a spawned private server (default: 2)")
-    loadgen_parser.add_argument(
-        "--queue-limit", type=_jobs_arg, default=16, metavar="N",
-        help="queue limit for a spawned private server (default: 16)")
-    loadgen_parser.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="write the measurements as JSON "
-             "(e.g. BENCH_SERVE.json)")
-    loadgen_parser.add_argument(
-        "--check", action="store_true",
-        help="compare against the committed baseline; exit 1 on "
-             "regressions")
-    loadgen_parser.add_argument(
-        "--baseline", default="BENCH_SERVE.json", metavar="FILE",
-        help="baseline document for --check "
-             "(default: BENCH_SERVE.json)")
-    loadgen_parser.add_argument(
-        "--threshold", type=float, default=5.0, metavar="X",
-        help="--check fails only when a latency percentile is more "
-             "than X times the baseline (default: 5.0)")
-    loadgen_parser.add_argument(
-        "--quiet", action="store_true",
-        help="suppress phase progress on stderr")
-    loadgen_parser.set_defaults(func=cmd_loadgen)
 
     report_parser = commands.add_parser(
         "report", help="write an HTML report of all exhibits")

@@ -151,66 +151,6 @@ class UnitTimeoutError(ReproError):
     """
 
 
-class ServeError(ReproError):
-    """Base class for failures of the long-lived simulation service.
-
-    Raised by :mod:`repro.serve` -- the daemon, its scheduler, and the
-    client -- for service-shaped failures (overload, deadlines, open
-    circuits, malformed protocol frames).  Each concrete subclass maps
-    onto one ``repro.serve/v1`` protocol error kind and, over the HTTP
-    listener, one status code (see :mod:`repro.serve.protocol`).
-    """
-
-
-class ServiceOverloadError(ServeError):
-    """The service shed this request instead of queueing it.
-
-    The 429 of the serve layer: raised when the scheduler's bounded
-    queue is past its high-water mark (or the server is draining), so
-    load past capacity degrades to fast, explicit rejections instead of
-    unbounded queue growth and collapse.  ``retry_after_s`` is the
-    scheduler's backoff hint for the client.
-    """
-
-    def __init__(self, message: str, retry_after_s: float = 0.0) -> None:
-        super().__init__(message)
-        self.retry_after_s = float(retry_after_s)
-
-    def __reduce__(self):
-        return (type(self), (self.args[0], self.retry_after_s))
-
-
-class DeadlineExceededError(ServeError):
-    """A request ran past its deadline and was abandoned.
-
-    Raised when the per-request deadline -- enforced inside the worker
-    by the same SIGALRM watchdog that bounds experiment work units, and
-    backstopped by the scheduler's own timer -- expires before the
-    result is ready.  Terminal for the request; the circuit breaker
-    counts it as a failure of the request's subject.
-    """
-
-
-class CircuitOpenError(ServeError):
-    """The request's subject is circuit-broken after repeated failures.
-
-    A benchmark (or exhibit) that keeps failing stops consuming worker
-    slots: after ``breaker_threshold`` consecutive failures its circuit
-    opens and requests are rejected outright for a cooldown period,
-    after which a single probe request is admitted (half-open) and a
-    success closes the circuit again.
-    """
-
-
-class ProtocolError(ServeError):
-    """A serve request or response frame is malformed.
-
-    Raised for oversized frames, non-JSON payloads, unknown operations,
-    or a protocol version this build does not speak.  Maps onto the
-    ``bad_request`` error kind (HTTP 400).
-    """
-
-
 class JournalError(ReproError):
     """A run journal, manifest, or checkpoint is unusable.
 

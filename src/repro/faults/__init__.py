@@ -22,7 +22,6 @@ from repro.faults.doctor import (
     FaultOutcome,
     JOURNAL_CHECKS,
     RECOVERED,
-    SERVE_CHECKS,
     SILENT,
     run_doctor,
 )
@@ -43,8 +42,7 @@ from repro.faults.plan import (
 )
 
 __all__ = [
-    "DETECTED", "ENGINE_CHECKS", "JOURNAL_CHECKS", "RECOVERED",
-    "SERVE_CHECKS", "SILENT",
+    "DETECTED", "ENGINE_CHECKS", "JOURNAL_CHECKS", "RECOVERED", "SILENT",
     "DoctorReport", "FaultOutcome", "run_doctor",
     "audit_violations", "copy_trace",
     "inject_cache_fault", "inject_tier_fault", "inject_trace_fault",

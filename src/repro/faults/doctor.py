@@ -26,19 +26,11 @@ retry backoff schedule's determinism and bounds.
 
 A fifth layer of **engines** self-tests (also outside the seeded
 plan) covers the tiered execution engines: each fast tier -- the
-compiled simulator, the monomorphic and vectorized annotate kernels,
-the fast timing loop -- re-runs one workload against its oracle tier
-and must agree field for field, and a forced-demotion drill
-(``REPRO_TIER_FAULT``)
+compiled simulator, the vectorized annotate kernel, the fast timing
+loop -- re-runs one workload against its oracle tier and must agree
+field for field, and a forced-demotion drill (``REPRO_TIER_FAULT``)
 proves the divergence sentinel detects a corrupted fast tier, demotes
 it, and serves the oracle's answer.
-
-A sixth layer of **serve** self-tests covers the long-lived service's
-control plane entirely in-process (the scheduler is runner-agnostic by
-design, so no daemon or socket is needed): protocol frame round-trip
-and damaged-frame rejection, admission shed past the queue limit,
-request coalescing, the scheduler-side deadline backstop, the circuit
-breaker's open/reject cycle, and the drain gate.
 """
 
 from __future__ import annotations
@@ -65,12 +57,8 @@ JOURNAL_CHECKS = ("replay", "truncation", "tamper", "checkpoint",
                   "watchdog", "backoff")
 
 #: The engines-layer self-tests (tier agreement + forced demotion).
-ENGINE_CHECKS = ("trace_tier", "annotate_tier", "annotate_vector",
-                 "model_tier", "forced_demotion")
-
-#: The serve-layer self-tests (service control plane, in-process).
-SERVE_CHECKS = ("protocol", "admission", "coalesce", "deadline",
-                "breaker", "drain")
+ENGINE_CHECKS = ("trace_tier", "annotate_vector", "model_tier",
+                 "forced_demotion")
 
 
 @dataclass
@@ -112,8 +100,7 @@ class DoctorReport:
     def render(self) -> str:
         """Human-readable campaign report."""
         injected = sum(1 for o in self.outcomes
-                       if o.spec.layer not in ("journal", "engines",
-                                               "serve"))
+                       if o.spec.layer not in ("journal", "engines"))
         checks = len(self.outcomes) - injected
         lines = [
             "Fault-injection doctor",
@@ -126,8 +113,7 @@ class DoctorReport:
         ]
         counts = self.counts()
         totals = {DETECTED: 0, RECOVERED: 0, SILENT: 0}
-        for layer in ("trace", "cache", "lvp", "journal", "engines",
-                      "serve"):
+        for layer in ("trace", "cache", "lvp", "journal", "engines"):
             row = counts.get(layer)
             if row is None:
                 continue
@@ -362,10 +348,6 @@ def _engine_self_tests(trace: Trace, benchmark: str,
 
         check("trace_tier", "compiled vs interp",
               guard.diff_executions(execute("compiled"), execute("interp")))
-        check("annotate_tier", "mono vs general (Simple)",
-              guard.diff_annotations(
-                  annotate_trace(trace, SIMPLE, kernel="mono"),
-                  annotate_trace(trace, SIMPLE, kernel="general")))
         check("annotate_vector", "vector vs general (Simple)",
               guard.diff_annotations(
                   annotate_trace(trace, SIMPLE, kernel="vector"),
@@ -404,190 +386,6 @@ def _engine_self_tests(trace: Trace, benchmark: str,
     return outcomes
 
 
-def _serve_self_tests() -> list[FaultOutcome]:
-    """Deterministic drills over the service control plane.
-
-    The scheduler is runner-agnostic, so every robustness path --
-    coalescing, admission shed, the deadline backstop, the circuit
-    breaker, the drain gate -- runs here in-process against stub
-    runners, with no daemon, socket, or simulation behind it.
-    """
-    import asyncio
-
-    from repro.errors import (
-        CircuitOpenError,
-        DeadlineExceededError,
-        ProtocolError,
-        ServiceOverloadError,
-    )
-    from repro.serve import protocol
-    from repro.serve.scheduler import Scheduler
-
-    outcomes: list[FaultOutcome] = []
-
-    def record(kind: str, status: str, detail: str) -> None:
-        outcomes.append(
-            FaultOutcome(FaultSpec("serve", kind, 0), status, detail))
-
-    # 1. Protocol: a frame survives an encode/decode/validate round
-    # trip, and damaged frames are rejected before they reach the
-    # scheduler.
-    try:
-        request = protocol.make_request(
-            "trace", {"bench": "grep", "scale": "tiny"},
-            request_id="doctor-1", deadline_s=5.0)
-        round_trip = protocol.validate_request(
-            protocol.decode_frame(protocol.encode_frame(request)))
-        damaged = (
-            b"not json at all\n",
-            b"[1, 2, 3]\n",
-            protocol.encode_frame({"proto": "repro.serve/v0",
-                                   "op": "trace", "params": {}}),
-            protocol.encode_frame({"proto": protocol.PROTOCOL_ID,
-                                   "op": "nonsense", "params": {}}),
-        )
-        rejected = 0
-        for frame in damaged:
-            try:
-                protocol.validate_request(protocol.decode_frame(frame))
-            except ProtocolError:
-                rejected += 1
-        if round_trip == request and rejected == len(damaged):
-            record("protocol", DETECTED,
-                   f"frame round trip held; {rejected}/{len(damaged)} "
-                   "damaged frames rejected")
-        else:
-            record("protocol", SILENT,
-                   f"only {rejected}/{len(damaged)} damaged frames "
-                   "rejected" if round_trip == request
-                   else "a frame did not survive its own round trip")
-    except Exception as exc:
-        record("protocol", SILENT,
-               f"protocol drill raised {type(exc).__name__}: {exc}")
-
-    # 2-6. Scheduler drills, each an async coroutine returning
-    # (status, detail); a crash is itself a SILENT failure.
-    async def admission() -> tuple[str, str]:
-        release = asyncio.Event()
-
-        async def runner(op, params, deadline_s):
-            await release.wait()
-            return "ok"
-
-        sched = Scheduler(runner, workers=1, queue_limit=1)
-        first = asyncio.ensure_future(sched.submit("trace", {"n": 1}))
-        await asyncio.sleep(0.01)  # occupies the only worker
-        second = asyncio.ensure_future(sched.submit("trace", {"n": 2}))
-        await asyncio.sleep(0.01)  # fills the one-deep queue
-        try:
-            await sched.submit("trace", {"n": 3})
-            verdict = (SILENT, "a request past the high-water mark "
-                               "was admitted instead of shed")
-        except ServiceOverloadError as exc:
-            hint = getattr(exc, "retry_after_s", 0.0)
-            verdict = (DETECTED,
-                       f"queue-limit breach shed with a "
-                       f"{hint:g}s retry hint") if hint > 0 else \
-                      (SILENT, "shed response carried no retry hint")
-        release.set()
-        await asyncio.gather(first, second)
-        return verdict
-
-    async def coalesce() -> tuple[str, str]:
-        calls = 0
-
-        async def runner(op, params, deadline_s):
-            nonlocal calls
-            calls += 1
-            await asyncio.sleep(0.02)
-            return "shared"
-
-        sched = Scheduler(runner, workers=2)
-        pairs = await asyncio.gather(*[
-            sched.submit("trace", {"bench": "grep"}) for _ in range(6)])
-        shared = sum(1 for _r, meta in pairs if meta["coalesced"])
-        if calls == 1 and shared == 5 \
-                and all(result == "shared" for result, _m in pairs):
-            return (RECOVERED,
-                    "6 identical requests shared one execution")
-        return (SILENT,
-                f"coalescing leaked: {calls} executions, "
-                f"{shared} coalesced metas")
-
-    async def deadline() -> tuple[str, str]:
-        async def runner(op, params, deadline_s):
-            await asyncio.sleep(30.0)
-
-        sched = Scheduler(runner, deadline_grace=0.0)
-        try:
-            await sched.submit("trace", {"bench": "grep"},
-                               deadline_s=0.05)
-        except DeadlineExceededError:
-            if sched.stats.deadline_expired == 1:
-                return (DETECTED,
-                        "backstop expired a 0.05s deadline on a "
-                        "30s-wedged runner")
-            return (SILENT, "deadline raised but was not counted")
-        return (SILENT, "a 0.05s deadline never expired")
-
-    async def breaker() -> tuple[str, str]:
-        async def runner(op, params, deadline_s):
-            raise ValueError("planted persistent failure")
-
-        sched = Scheduler(runner, breaker_threshold=2,
-                          breaker_cooldown=60.0)
-        for n in range(2):
-            try:
-                await sched.submit("annotate", {"bench": "grep", "n": n})
-                return (SILENT, "a planted failure did not propagate")
-            except ValueError:
-                pass
-        try:
-            await sched.submit("annotate", {"bench": "grep", "n": 2})
-        except CircuitOpenError:
-            if sched.stats.circuit_rejections == 1:
-                return (DETECTED,
-                        "circuit opened after 2 failures and "
-                        "rejected the third request")
-            return (SILENT, "circuit rejected but was not counted")
-        except ValueError:
-            return (SILENT,
-                    "third failure ran; the circuit never opened")
-        return (SILENT, "third request succeeded unexpectedly")
-
-    async def drain() -> tuple[str, str]:
-        async def runner(op, params, deadline_s):
-            return "done"
-
-        sched = Scheduler(runner)
-        await sched.submit("trace", {"bench": "grep"})
-        sched.draining = True
-        try:
-            await sched.submit("trace", {"bench": "compress"})
-            return (SILENT, "a draining scheduler admitted new work")
-        except ServiceOverloadError:
-            pass
-        # Already-computed answers stay servable while draining.
-        _result, meta = await sched.submit("trace", {"bench": "grep"})
-        if meta["cached"] and await sched.wait_idle(1.0):
-            return (DETECTED,
-                    "drain gate shed new work; cached result still "
-                    "served; queue went idle")
-        return (SILENT, "drain gate held but the cached result or "
-                        "idle wait misbehaved")
-
-    for kind, drill in (("admission", admission), ("coalesce", coalesce),
-                        ("deadline", deadline), ("breaker", breaker),
-                        ("drain", drain)):
-        try:
-            status, detail = asyncio.run(drill())
-        except Exception as exc:
-            status, detail = SILENT, (f"{kind} drill raised "
-                                      f"{type(exc).__name__}: {exc}")
-        record(kind, status, detail)
-    return outcomes
-
-
 def run_doctor(seed: int = 0, faults: int = 60,
                benchmark: str = "grep", scale: str = "tiny",
                trace: Optional[Trace] = None) -> DoctorReport:
@@ -614,5 +412,4 @@ def run_doctor(seed: int = 0, faults: int = 60,
                 outcomes.append(_run_lvp_fault(spec, trace))
     outcomes.extend(_journal_self_tests())
     outcomes.extend(_engine_self_tests(trace, benchmark, scale))
-    outcomes.extend(_serve_self_tests())
     return DoctorReport(seed, trace.name or benchmark, scale, outcomes)

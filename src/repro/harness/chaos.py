@@ -29,7 +29,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,10 +48,6 @@ DRILL_KINDS = (
     "hang",           # wedged unit -> watchdog timeout, footnoted
     "oracle_env",     # oracle tier pinned -> byte-identical output
     "bad_knob",       # invalid tier knob -> clean usage error
-    "serve_kill_resume",  # SIGTERM mid-run -> park, restart, resume
-    "serve_overload",     # burst past the queue limit -> clean shed
-    "serve_deadline",     # un-meetable deadline -> 504, server healthy
-    "serve_coalesce",     # identical concurrent requests -> one run
 )
 
 #: Statuses.
@@ -209,92 +204,6 @@ class _Driver:
 
 
 # ---------------------------------------------------------------------------
-# Serve drills: a private daemon per drill.
-# ---------------------------------------------------------------------------
-class _ServeHarness:
-    """One private ``repro serve`` daemon for one serve drill."""
-
-    def __init__(self, drill_dir: pathlib.Path, scale: str,
-                 workers: int = 2, queue_limit: int = 16,
-                 drain_timeout: float = 10.0) -> None:
-        # Unix socket paths are limited to ~108 bytes and the drill
-        # directory (under --artifacts) can be arbitrarily deep, so
-        # the socket lives in its own short-lived tempdir.
-        self._sockdir = tempfile.mkdtemp(prefix="repro-srv-")
-        self.socket_path = os.path.join(self._sockdir, "s.sock")
-        self.state_dir = drill_dir / "serve-state"
-        self.stderr_path = drill_dir / "server.stderr"
-        self.scale = scale
-        self.workers = workers
-        self.queue_limit = queue_limit
-        self.drain_timeout = drain_timeout
-        self.proc: Optional[subprocess.Popen] = None
-
-    def start(self) -> None:
-        with open(self.stderr_path, "ab") as handle:
-            self.proc = subprocess.Popen(
-                [sys.executable, "-m", "repro", "serve",
-                 "--socket", self.socket_path,
-                 "--state-dir", str(self.state_dir),
-                 "--scale", self.scale,
-                 "--workers", str(self.workers),
-                 "--queue-limit", str(self.queue_limit),
-                 "--drain-timeout", str(self.drain_timeout)],
-                env=_base_env(), stdout=subprocess.DEVNULL,
-                stderr=handle)
-
-    def terminate(self) -> None:
-        if self.proc is not None and self.proc.poll() is None:
-            self.proc.terminate()
-
-    def wait(self, timeout: float = 60.0) -> Optional[int]:
-        if self.proc is None:
-            return None
-        try:
-            return self.proc.wait(timeout)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            return self.proc.wait(10)
-
-    def stop(self) -> None:
-        self.terminate()
-        self.wait(30.0)
-        shutil.rmtree(self._sockdir, ignore_errors=True)
-
-
-def _serve_burst(socket_path: str, plan,
-                 timeout: float) -> list[tuple[str, object]]:
-    """Fire every (op, params) in *plan* concurrently; returns
-    ``(fate, payload)`` per request -- ``ok``/``shed``/``error``."""
-    import threading
-
-    from repro.errors import ServiceOverloadError
-    from repro.serve.client import ServeClient
-
-    results: list = [None] * len(plan)
-
-    def one(index: int, op: str, params: dict) -> None:
-        client = ServeClient(socket_path, timeout=timeout)
-        try:
-            results[index] = ("ok", client.request(op, params))
-        except ServiceOverloadError as exc:
-            results[index] = ("shed", str(exc))
-        except Exception as exc:
-            results[index] = ("error", f"{type(exc).__name__}: {exc}")
-        finally:
-            client.close()
-
-    threads = [threading.Thread(target=one, args=(i, op, params),
-                                daemon=True)
-               for i, (op, params) in enumerate(plan)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout)
-    return results
-
-
-# ---------------------------------------------------------------------------
 # Drill expectations.
 # ---------------------------------------------------------------------------
 def _expect(checks) -> tuple[str, str]:
@@ -431,231 +340,6 @@ def _run_drill(driver: _Driver, drill: ChaosDrill,
         ])
         if status == PASS:
             detail = f"{knob}=warp9 rejected with a clean usage error"
-    elif kind == "serve_kill_resume":
-        from repro.serve.client import ServeClient
-        harness = _ServeHarness(drill_dir, driver.scale,
-                                drain_timeout=1.0)
-        checks = []
-        try:
-            harness.start()
-            probe = ServeClient(harness.socket_path,
-                                timeout=DRILL_TIMEOUT)
-            ready = probe.wait_until_ready(30.0)
-            checks.append((ready, "server never became ready"))
-            if ready:
-                # Submit the experiment, wait for its write-ahead
-                # pending entry, then SIGTERM the server mid-run.
-                import threading
-                fate: dict = {}
-
-                def ask() -> None:
-                    own = ServeClient(harness.socket_path,
-                                      timeout=DRILL_TIMEOUT)
-                    try:
-                        fate["result"] = own.experiment(
-                            driver.exhibit, list(driver.benchmarks),
-                            scale=driver.scale)
-                    except Exception as exc:
-                        fate["error"] = f"{type(exc).__name__}: {exc}"
-                    finally:
-                        own.close()
-
-                asker = threading.Thread(target=ask, daemon=True)
-                asker.start()
-                pending = harness.state_dir / "pending"
-                give_up = time.monotonic() + 60.0
-                while time.monotonic() < give_up \
-                        and not list(pending.glob("*.json")):
-                    time.sleep(0.05)
-                time.sleep(0.1)
-                harness.terminate()
-                exit_code = harness.wait(60.0)
-                asker.join(30.0)
-                checks.append((exit_code == 0,
-                               f"drain exit {exit_code}, wanted 0"))
-                # Restart on the same state dir: recovery resubmits
-                # the parked run; a fresh client request coalesces
-                # with it and must return the baseline's bytes.
-                harness.start()
-                again = ServeClient(harness.socket_path,
-                                    timeout=DRILL_TIMEOUT)
-                ready2 = again.wait_until_ready(30.0)
-                checks.append(
-                    (ready2, "restarted server never became ready"))
-                if ready2:
-                    result = again.experiment(
-                        driver.exhibit, list(driver.benchmarks),
-                        scale=driver.scale)
-                    checks.append(
-                        (result["text"] == baseline,
-                         "resumed output differs from baseline"))
-                again.close()
-            probe.close()
-        finally:
-            harness.stop()
-        status, detail = _expect(checks)
-        if status == PASS:
-            detail = "killed mid-run, restarted, resume byte-identical"
-    elif kind == "serve_overload":
-        harness = _ServeHarness(drill_dir, driver.scale,
-                                workers=1, queue_limit=1)
-        try:
-            harness.start()
-            from repro.serve.client import ServeClient
-            probe = ServeClient(harness.socket_path,
-                                timeout=DRILL_TIMEOUT)
-            ready = probe.wait_until_ready(30.0)
-            checks = [(ready, "server never became ready")]
-            if ready:
-                # A tiny-scale annotate can finish faster than the
-                # next client thread even connects, so a cold burst
-                # against an idle server may shed nothing.  Make the
-                # overload deterministic instead: park the lone worker
-                # with one slow experiment request, fill the 1-deep
-                # queue with a second, and only then burst -- every
-                # burst arrival now finds the queue at its high-water
-                # mark for as long as the first occupier runs.
-                import threading
-
-                occupied: list = []
-
-                def occupy(benches: list) -> None:
-                    slow = ServeClient(harness.socket_path,
-                                       timeout=DRILL_TIMEOUT)
-                    try:
-                        slow.experiment(driver.exhibit, benches,
-                                        scale=driver.scale)
-                        occupied.append("ok")
-                    except Exception as exc:
-                        occupied.append(
-                            f"{type(exc).__name__}: {exc}")
-                    finally:
-                        slow.close()
-
-                occupiers = [
-                    threading.Thread(
-                        target=occupy, args=(benches,), daemon=True)
-                    for benches in (list(driver.benchmarks),
-                                    list(driver.benchmarks)[:1])
-                ]
-                occupiers[0].start()
-                busy_by = time.monotonic() + 30.0
-                while time.monotonic() < busy_by \
-                        and probe.status().get("in_flight", 0) < 1:
-                    time.sleep(0.01)
-                occupiers[1].start()
-                while time.monotonic() < busy_by \
-                        and probe.status().get("queue_depth", 0) < 1:
-                    time.sleep(0.01)
-                before = probe.status()
-                parked = before.get("in_flight", 0) >= 1 \
-                    and before.get("queue_depth", 0) >= 1
-                configs = ("Simple", "Constant", "Limit", "Perfect",
-                           "Stride", "Gshare")
-                plan = [("annotate",
-                         {"bench": driver.benchmarks[
-                             i % len(driver.benchmarks)],
-                          "scale": driver.scale,
-                          "config": configs[i % len(configs)],
-                          "target": ("ppc", "alpha")[i // 6]})
-                        for i in range(12)]
-                fates = _serve_burst(harness.socket_path, plan,
-                                     DRILL_TIMEOUT)
-                for occupier in occupiers:
-                    occupier.join(DRILL_TIMEOUT)
-                shed = sum(1 for f in fates if f and f[0] == "shed")
-                errors = [f[1] for f in fates
-                          if f and f[0] == "error"]
-                after = probe.status()
-                checks += [
-                    (parked, "occupiers never saturated the queue"),
-                    (shed >= 1, "nothing was shed past a 1-deep queue"),
-                    (occupied == ["ok", "ok"],
-                     f"admitted work failed: {occupied}"),
-                    (not errors, f"hard failures: {errors[:2]}"),
-                    (after.get("shed", 0) >= shed,
-                     "status does not count the shed requests"),
-                    (not after.get("draining"),
-                     "server wound up draining"),
-                ]
-            probe.close()
-        finally:
-            harness.stop()
-        status, detail = _expect(checks)
-        if status == PASS:
-            detail = f"{shed}/12 shed cleanly, server stayed healthy"
-    elif kind == "serve_deadline":
-        from repro.errors import DeadlineExceededError
-        from repro.serve.client import ServeClient
-        harness = _ServeHarness(drill_dir, driver.scale)
-        try:
-            harness.start()
-            client = ServeClient(harness.socket_path,
-                                 timeout=DRILL_TIMEOUT)
-            ready = client.wait_until_ready(30.0)
-            checks = [(ready, "server never became ready")]
-            if ready:
-                expired = False
-                try:
-                    # 0.2s is below even the subprocess's interpreter
-                    # start-up, so the deadline cannot be met.
-                    client.experiment(driver.exhibit,
-                                      list(driver.benchmarks),
-                                      scale=driver.scale,
-                                      deadline_s=0.2)
-                except DeadlineExceededError:
-                    expired = True
-                except Exception as exc:
-                    checks.append(
-                        (False, f"wanted DeadlineExceededError, got "
-                                f"{type(exc).__name__}: {exc}"))
-                after = client.status()
-                checks += [
-                    (expired, "the 0.2s deadline did not expire"),
-                    (after.get("deadline_expired", 0) >= 1,
-                     "status does not count the expiry"),
-                    (after.get("pending_resumes", 0) >= 1,
-                     "expired run was not parked for resume"),
-                ]
-            client.close()
-        finally:
-            harness.stop()
-        status, detail = _expect(checks)
-        if status == PASS:
-            detail = "deadline expired as 504, run parked, server alive"
-    elif kind == "serve_coalesce":
-        from repro.serve.client import ServeClient
-        harness = _ServeHarness(drill_dir, driver.scale)
-        try:
-            harness.start()
-            probe = ServeClient(harness.socket_path,
-                                timeout=DRILL_TIMEOUT)
-            ready = probe.wait_until_ready(30.0)
-            checks = [(ready, "server never became ready")]
-            if ready:
-                plan = [("trace", {"bench": victim,
-                                   "scale": driver.scale})] * 8
-                fates = _serve_burst(harness.socket_path, plan,
-                                     DRILL_TIMEOUT)
-                ok = [f[1] for f in fates if f and f[0] == "ok"]
-                import json as _json
-                distinct = {_json.dumps(r, sort_keys=True) for r in ok}
-                after = probe.status()
-                shared = after.get("coalesced", 0) \
-                    + after.get("cache_hits", 0)
-                checks += [
-                    (len(ok) == 8, f"only {len(ok)}/8 succeeded"),
-                    (len(distinct) == 1,
-                     f"{len(distinct)} distinct results for one key"),
-                    (shared >= 4,
-                     f"only {shared}/8 requests shared an execution"),
-                ]
-            probe.close()
-        finally:
-            harness.stop()
-        status, detail = _expect(checks)
-        if status == PASS:
-            detail = "8 identical requests shared one execution"
     else:
         return ChaosOutcome(drill, FAIL, f"unknown drill kind {kind!r}")
 

@@ -1,8 +1,8 @@
 """Guarded tier execution: divergence sentinels + degradation ladder.
 
-PR 5 made the fast tiers (compiled VRISC blocks, the monomorphic
-annotate kernel, the fast timing loops) the default, with their
-original implementations kept as differential oracles.  This module
+The fast tiers (compiled VRISC blocks, the vectorized annotate kernel,
+the fast timing loops) are the default, with their original
+implementations kept as differential oracles.  This module
 puts those oracles to work *at run time*:
 
 **Divergence sentinels.**  A seeded, label-keyed sampler re-executes a
@@ -14,15 +14,13 @@ wrong fast tier is not a failed benchmark but a *demotion*.
 
 **Degradation ladder.**  On divergence, any fault, or a watchdog
 timeout inside a fast tier, the guard demotes the unit's (benchmark,
-stage, target) one rung down its ladder -- compiled→interp,
-vector→mono→general, fast-model→reference -- retries in place, and
-records a :class:`TierDemotion`: counted in the ``repro.obs``
-benchmark scope (``tier/<stage>/...``), journalled by the run journal,
-and rendered as a "Tier notes" block under the exhibit.  The demotion
-is sticky for the session, so a bad compiled block cannot keep
-corrupting its benchmark's later units; a key demoted mid-ladder
-(vector→mono) keeps the remaining rungs guarded, so a later divergence
-can walk it the rest of the way to the oracle.
+stage, target) to its oracle tier -- compiled→interp, vector→general,
+fast-model→reference -- retries in place, and records a
+:class:`TierDemotion`: counted in the ``repro.obs`` benchmark scope
+(``tier/<stage>/...``), journalled by the run journal, and rendered as
+a "Tier notes" block under the exhibit.  The demotion is sticky for
+the session, so a bad compiled block cannot keep corrupting its
+benchmark's later units.
 
 **Deferred model checks.**  On the in-process engine path the engine
 lends the guard a :class:`~repro.harness.sentinels.DeferredChecks`
@@ -55,7 +53,7 @@ import os
 import warnings
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -78,11 +76,10 @@ SENTINEL_SEED_ENV = "REPRO_SENTINEL_SEED"
 #: (default ``trace``) and force the sentinel to check that unit.
 TIER_FAULT_ENV = "REPRO_TIER_FAULT"
 
-#: stage -> (fastest tier, ..., oracle tier): the degradation ladder.
-#: Demotions step one rung at a time; the last entry is the oracle.
+#: stage -> (fast tier, oracle tier): the degradation ladder.
 TIER_LADDER = {
     "trace": ("compiled", "interp"),
-    "annotate": ("vector", "mono", "general"),
+    "annotate": ("vector", "general"),
     "model": ("fast", "reference"),
 }
 
@@ -300,33 +297,22 @@ class TierGuard:
                              f"{name}/trace/{target}", run)
 
     def run_annotate(self, name: str, target: str, trace, config):
-        """Annotation with the vector→mono→general ladder.
+        """Annotation with the vector→general ladder.
 
-        The ladder is filtered to the config's eligible kernels: shapes
-        the monomorphic kernel cannot run (stride, gshare, tagged, ...)
-        drop the ``mono`` rung, and configurations neither fast kernel
-        can handle (the Perfect oracle, profile filters) resolve to the
-        general path anyway, so the guard runs them directly -- there
-        is no faster tier to verify.
+        Configurations the vector kernel cannot handle (the Perfect
+        oracle, profile filters) resolve to the general path anyway, so
+        the guard runs them directly -- there is no faster tier to
+        verify.
         """
-        from repro.trace.annotate import (
-            annotate_trace,
-            mono_eligible,
-            vector_eligible,
-        )
+        from repro.trace.annotate import annotate_trace, vector_eligible
 
         def run(kernel: str):
             return annotate_trace(trace, config, kernel=kernel)
 
-        tiers = [tier for tier, eligible in (
-            ("vector", vector_eligible(config)),
-            ("mono", mono_eligible(config)),
-            ("general", True)) if eligible]
-        if len(tiers) == 1:
+        if not vector_eligible(config):
             return self._pinned(name, "annotate", run, None)
         return self._guarded(name, "annotate", target,
-                             f"{name}/annotate/{target}/{config.name}", run,
-                             tiers=tuple(tiers))
+                             f"{name}/annotate/{target}/{config.name}", run)
 
     def run_model(self, name: str, target: str, label: str,
                   runner: Callable):
@@ -354,9 +340,7 @@ class TierGuard:
         return run(pinned)
 
     def _guarded(self, name: str, stage: str, target: str, label: str,
-                 run: Callable, tiers: Optional[tuple] = None):
-        if tiers is None:
-            tiers = TIER_LADDER[stage]
+                 run: Callable):
         if self.deferred is not None:
             self.deferred.poll()
         if os.environ.get(_PIN_ENVS[stage]):
@@ -365,15 +349,11 @@ class TierGuard:
             # oracle-only comparison run is produced.)
             return self._pinned(name, stage, run, None)
         key = (name, stage, target)
-        demotion = self._demoted.get(key)
-        if demotion is not None:
-            # Sticky: resume the ladder at the rung the key was demoted
-            # to (the remaining rungs stay guarded against the oracle).
-            if demotion.to_tier in tiers:
-                tiers = tiers[tiers.index(demotion.to_tier):]
-            else:
-                tiers = tiers[-1:]
-        return self._run_ladder(key, label, run, tuple(tiers))
+        tiers = TIER_LADDER[stage]
+        if key in self._demoted:
+            # Sticky: a demoted key runs straight on the oracle tier.
+            tiers = tiers[-1:]
+        return self._run_ladder(key, label, run, tiers)
 
     def _run_ladder(self, key, label: str, run: Callable, tiers: tuple):
         """Run one unit on the fastest rung of *tiers*, sentinel-checked

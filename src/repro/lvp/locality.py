@@ -53,9 +53,9 @@ def _hits(trace: Trace, depth: int, entries: int):
     the decoded events.  This is the sweep's stage-A pass for the
     untagged, pc-indexed, perfect-selection LVPT."""
     # Imported here: repro.trace.kernels imports repro.lvp submodules.
-    from repro.trace.kernels import decode_events, stage_a_history
+    from repro.trace.kernels import stage_a_history, trace_events
 
-    events = decode_events(trace, branches=False)
+    events = trace_events(trace, branches=False)
     hits, _ = stage_a_history(events, entries, depth)
     return hits, events
 

@@ -60,7 +60,7 @@ from repro.lvp.hybrid import HybridPredictor
 from repro.lvp.lct import LoadClass
 from repro.lvp.stride import StridePredictor
 from repro.lvp.unit import LoadOutcome, LVPStats
-from repro.trace.records import Trace
+from repro.trace.records import Trace, memoized
 
 #: Sentinel in the per-instruction outcome column for "not a load".
 NOT_A_LOAD = 255
@@ -136,6 +136,7 @@ class SweepEvents:
         if grouped is None:
             grouped = self._segments[entries] = group_by_index(
                 pc_indices(self.load_pcs, entries))
+            _read_only(*grouped)
         return grouped
 
     def word_ids(self) -> tuple[np.ndarray, int]:
@@ -144,7 +145,9 @@ class SweepEvents:
         flag array instead of a sort), and the number of ids."""
         if self._word_ids is None:
             unique, inverse = np.unique(self.mem_words, return_inverse=True)
-            self._word_ids = (inverse.reshape(-1), len(unique))
+            ids = inverse.reshape(-1)
+            _read_only(ids)
+            self._word_ids = (ids, len(unique))
         return self._word_ids
 
 
@@ -186,7 +189,23 @@ def decode_events(trace: Trace, branches: bool = True) -> SweepEvents:
         # A load is never a branch, so the inclusive count at its
         # position counts the branches strictly before it.
         events.load_branches = np.cumsum(is_branch)[load_positions]
+    _read_only(*(value for value in vars(events).values()
+                 if isinstance(value, np.ndarray)))
     return events
+
+
+def trace_events(trace: Trace, branches: bool = True) -> SweepEvents:
+    """:func:`decode_events`, once per (trace, *branches*) while the
+    trace lives: every annotation and locality pass over one trace
+    shares the decode and the groupings cached on it."""
+    return memoized(trace, ("events", branches),
+                    lambda: decode_events(trace, branches))
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    """Freeze *arrays* in place: decoded events are shared."""
+    for array in arrays:
+        array.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------

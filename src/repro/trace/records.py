@@ -15,6 +15,7 @@ user state" and fed them to downstream simulators.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -189,3 +190,25 @@ class MemoryView:
                 int(self.index[i]), int(self.pc[i]), int(self.addr[i]),
                 int(self.value[i]), int(self.size[i]),
             )
+
+
+_MEMO: "weakref.WeakKeyDictionary[Trace, dict]" = weakref.WeakKeyDictionary()
+
+
+def memoized(trace: Trace, key: tuple, compute):
+    """``compute()``, once per (trace, key) while *trace* lives.
+
+    State derived from a trace alone (its decoded event streams, the
+    timing models' LVP-invariant stages) is shared by every caller of
+    the same :class:`Trace` object and dropped with it.  Traces are
+    immutable: code that edits records works on a ``materialize()``
+    copy, which is a separate key.  Memoized values are shared, so the
+    arrays in them must be read-only.
+    """
+    entry = _MEMO.get(trace)
+    if entry is None:
+        entry = _MEMO[trace] = {}
+    result = entry.get(key)
+    if result is None:
+        result = entry[key] = compute()
+    return result

@@ -17,17 +17,15 @@ Both fast timing-model loops (``repro.uarch.ppc620.model`` and
 * **Stage 3 -- the scheduler**, per run, in the machine's own module.
 
 Stage 1 and 2 results are memoized per :class:`~repro.trace.records.Trace`
-object in a :class:`weakref.WeakKeyDictionary`, so they live exactly as
-long as the trace.  Traces are immutable: code that edits records
-works on a ``Trace.materialize()`` copy, which is a separate key.  The
-memo keeps only the rare events (I-cache misses, branch
-mispredictions, L1-missing loads) as ``uint32`` instruction positions;
-each run expands them into the lists its loop indexes.
+object (:func:`~repro.trace.records.memoized`), so they live exactly as
+long as the trace.  The memo keeps only the rare events (I-cache
+misses, branch mispredictions, L1-missing loads) as ``uint32``
+instruction positions; each run expands them into the lists its loop
+indexes.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,22 +33,9 @@ import numpy as np
 from repro.isa.opcodes import Opcode, OpClass
 from repro.lvp.unit import LoadOutcome
 from repro.trace.annotate import NOT_A_LOAD, AnnotatedTrace
-from repro.trace.records import Trace
+from repro.trace.records import Trace, memoized
 from repro.uarch.components.branch import BranchPredictor, BranchStats
 from repro.uarch.components.cache import Cache, CacheStats
-
-_MEMO: "weakref.WeakKeyDictionary[Trace, dict]" = weakref.WeakKeyDictionary()
-
-
-def _memoized(trace: Trace, key: tuple, compute):
-    """``compute()``, once per (trace, key)."""
-    entry = _MEMO.get(trace)
-    if entry is None:
-        entry = _MEMO[trace] = {}
-    result = entry.get(key)
-    if result is None:
-        result = entry[key] = compute()
-    return result
 
 
 def _positions(flags: list[bool], where) -> np.ndarray:
@@ -173,9 +158,9 @@ def precompute(annotated: AnnotatedTrace, config,
     mask_key = (None if constant is None
                 else np.packbits(constant).tobytes())
     return (
-        _memoized(trace, ("front",) + front,
+        memoized(trace, ("front",) + front,
                   lambda: _front_end(trace, *front)),
-        _memoized(trace, ("data",) + data + (mask_key,),
+        memoized(trace, ("data",) + data + (mask_key,),
                   lambda: _data_cache(trace, *data, constant)),
     )
 

@@ -5,14 +5,12 @@ from repro.faults import (
     ENGINE_CHECKS,
     JOURNAL_CHECKS,
     RECOVERED,
-    SERVE_CHECKS,
     SILENT,
     run_doctor,
 )
 
-#: Every campaign appends the journal-, engines-, and serve-layer
-#: self-tests.
-EXTRA = len(JOURNAL_CHECKS) + len(ENGINE_CHECKS) + len(SERVE_CHECKS)
+#: Every campaign appends the journal- and engines-layer self-tests.
+EXTRA = len(JOURNAL_CHECKS) + len(ENGINE_CHECKS)
 
 
 class TestDoctorCampaign:
@@ -32,7 +30,7 @@ class TestDoctorCampaign:
         report = run_doctor(seed=0, faults=18, trace=grep_trace)
         counts = report.counts()
         assert set(counts) == {"trace", "cache", "lvp", "journal",
-                               "engines", "serve"}
+                               "engines"}
         total = sum(row[status] for row in counts.values()
                     for status in (DETECTED, RECOVERED, SILENT))
         assert total == 18 + EXTRA
@@ -55,19 +53,12 @@ class TestDoctorCampaign:
         assert forced.status == DETECTED
         assert "demoted" in forced.detail
 
-    def test_serve_layer_kinds(self, grep_trace):
-        report = run_doctor(seed=0, faults=9, trace=grep_trace)
-        serve = [o for o in report.outcomes if o.spec.layer == "serve"]
-        assert [o.spec.kind for o in serve] == list(SERVE_CHECKS)
-        assert all(o.status != SILENT for o in serve)
-
     def test_render_reports_verdict(self, grep_trace):
         report = run_doctor(seed=0, faults=9, trace=grep_trace)
         text = report.render()
         assert "Fault-injection doctor" in text
         assert "journal" in text
         assert "engines" in text
-        assert "serve" in text
         assert "verdict: OK" in text
 
     def test_silent_outcome_fails_report(self, grep_trace):

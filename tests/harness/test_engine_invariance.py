@@ -19,9 +19,9 @@ LEGACY_ENV = {"REPRO_ENGINE": "interp",
 
 #: Environment overrides pinning every tier to its fast path.  The
 #: annotate knob is ``auto``, not ``vector``: exhibits also annotate
-#: configs the fast kernels cannot take (deep history, perfect,
-#: stride, gshare), and ``auto`` steps down the vector -> mono ->
-#: general ladder there while forcing ``vector`` would refuse.
+#: configs the vector kernel cannot take (the Perfect oracle), and
+#: ``auto`` runs the general kernel there while forcing ``vector``
+#: would refuse.
 TIERED_ENV = {"REPRO_ENGINE": "compiled",
               "REPRO_ANNOTATE_KERNEL": "auto",
               "REPRO_MODEL_ENGINE": "fast"}

@@ -14,7 +14,8 @@ edited.  The trace stage's sample holds no grep/compress/gperf unit,
 so every simulation must run compiled.  The journaled run checks its
 sampled model units (gperf has one) in forked children, so no
 reference model run happens in this process: each is a sentinel child
-in the run scope of ``metrics.json``.
+in the run scope of ``metrics.json``.  Every annotation and locality
+pass over one trace shares a single decode of its event streams.
 """
 
 import collections
@@ -25,6 +26,7 @@ from repro.obs import load_metrics
 from repro.sim import functional
 from repro.sim.compile import resolve_engine
 from repro.trace import annotate as annotate_module
+from repro.trace import kernels
 from repro.trace.annotate import resolve_kernel
 from repro.uarch.axp21164.model import AXP21164Model
 from repro.uarch.engine import resolve_model_engine
@@ -92,6 +94,15 @@ def test_exhibit_calls_run_on_fast_tiers(monkeypatch, tmp_path):
     _patch_everywhere(monkeypatch, annotate_module, "annotate_trace",
                       annotate_trace)
 
+    decodes = collections.Counter()
+    original_decode = kernels.decode_events
+
+    def decode_events(trace, branches=True):
+        decodes[trace.name, trace.target, branches] += 1
+        return original_decode(trace, branches)
+
+    _patch_everywhere(monkeypatch, kernels, "decode_events", decode_events)
+
     runs = tmp_path / "runs"
     assert main(["experiment", "all", "--scale", "tiny",
                  "--benchmarks", "grep,compress,gperf", "--jobs", "1",
@@ -118,6 +129,9 @@ def test_exhibit_calls_run_on_fast_tiers(monkeypatch, tmp_path):
     assert calls["sim", "interp"] == sentinel_checks("trace") == 0
 
     assert calls["annotate", "vector"] > 0
-    assert calls["annotate", "mono"] == 0
     assert calls["annotate", "general"] == \
         perfect + sentinel_checks("annotate")
+
+    # One decode per trace (no exhibit config is gshare-indexed).
+    assert len(decodes) == calls["sim", "compiled"]
+    assert set(decodes.values()) == {1}

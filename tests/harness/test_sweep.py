@@ -27,7 +27,6 @@ from repro.errors import (
     BenchmarkFailure,
     ConfigError,
     JournalError,
-    ProtocolError,
 )
 from repro.harness.journal import replay_journal
 from repro.harness.sweep import (
@@ -172,6 +171,12 @@ class TestGrid:
     def test_grid_from_args_limit(self):
         assert len(grid_from_args(None, 7)) == 7
         assert len(grid_from_args("lvpt=256,1024,4096", 2)) == 2
+
+    def test_grid_spec_cells_carry_digests(self, compress_trace):
+        grid = grid_from_args("lvpt=256,1024;bits=1,2", None)
+        cells = evaluate_configs(compress_trace, grid)
+        assert len(cells) == 4
+        assert all(cell.outcome_digest for cell in cells)
 
     def test_chunk_plan_covers_every_index_once(self):
         grid = sensitivity_grid()
@@ -541,39 +546,6 @@ class TestSweepJournalUnit:
             SweepJournal.open(tmp_path, "latest")
         with pytest.raises(JournalError):
             SweepJournal.open(tmp_path, "nope")
-
-
-class TestServeSweepOp:
-    def test_normalize_fills_defaults(self):
-        from repro.serve.scheduler import normalize_params
-        params = normalize_params("sweep", {"bench": "compress"},
-                                  default_scale="tiny")
-        assert params == {"bench": "compress", "scale": "tiny",
-                          "target": "ppc", "grid": None, "limit": None}
-
-    @pytest.mark.parametrize("params", [
-        {"bench": "nope"},
-        {"bench": "compress", "grid": 7},
-        {"bench": "compress", "grid": "wat=3"},
-        {"bench": "compress", "limit": 0},
-        {"bench": "compress", "limit": 513},
-        {"bench": "compress", "limit": True},
-    ])
-    def test_normalize_rejects(self, params):
-        from repro.serve.scheduler import normalize_params
-        with pytest.raises(ProtocolError):
-            normalize_params("sweep", params, default_scale="tiny")
-
-    def test_compute_sweep_op(self):
-        from repro.serve.scheduler import _compute_sim_op
-        payload = _compute_sim_op("sweep", {
-            "bench": "compress", "scale": "tiny", "target": "ppc",
-            "grid": "lvpt=256,1024;bits=1,2", "limit": None,
-        })
-        result = payload["result"]
-        assert result["configs"] == 4
-        assert len(result["cells"]) == 4
-        assert all(cell["outcome_digest"] for cell in result["cells"])
 
 
 # ---------------------------------------------------------------------------

@@ -71,18 +71,17 @@ class TestConfigBehaviours:
 class TestDeepMruOnVectorTier:
     """An MRU entry's head is the last value written at any depth, so
     deep MRU histories run on the vector tier, bit-identical to the
-    mono and general kernels."""
+    general kernel."""
 
     @pytest.mark.parametrize("depth", [2, 4, 16])
-    def test_matches_mono_and_general(self, compress_trace, depth):
+    def test_matches_general(self, compress_trace, depth):
         config = LVPConfig(name=f"mru{depth}", history_depth=depth,
                            lvpt_entries=256)
         assert vector_eligible(config)
         vector = annotate_trace(compress_trace, config, kernel="vector")
-        for kernel in ("mono", "general"):
-            other = annotate_trace(compress_trace, config, kernel=kernel)
-            assert np.array_equal(vector.outcomes, other.outcomes)
-            assert vector.stats == other.stats
+        general = annotate_trace(compress_trace, config, kernel="general")
+        assert np.array_equal(vector.outcomes, general.outcomes)
+        assert vector.stats == general.stats
 
 
 class TestCvuCapacityIsNotMonotone:

@@ -1,12 +1,12 @@
-"""Differential suite: the vector annotation kernel vs mono vs general.
+"""Differential suite: the vector annotation kernel vs the general one.
 
 The vector tier runs the shared staged kernels (a vectorized stage-A
 pass per predictor family, stage-B LCT counters, stage-C CVU replay)
 for every configuration but the Perfect oracle and profile filters,
 without audit logs or fault hooks; it exists only for speed and must
-be bit-identical to the general kernel (and to the monomorphic kernel
-where that one runs) on every config it accepts, and must refuse (or
-be auto-routed away from) every case it cannot faithfully annotate.
+be bit-identical to the general kernel on every config it accepts,
+and must refuse (or be auto-routed away from) every case it cannot
+faithfully annotate.
 """
 
 from dataclasses import replace
@@ -26,11 +26,12 @@ from repro.lvp.config import (
 )
 from repro.sim import run_program
 from repro.trace.annotate import (
+    KERNELS,
     annotate_trace,
-    mono_eligible,
     resolve_kernel,
     vector_eligible,
 )
+from repro.trace.kernels import trace_events
 from repro.workloads.suite import NAMES, get_benchmark
 
 #: History shapes with no stock config: perfect selection on a tagged
@@ -125,7 +126,29 @@ class TestEligibility:
 
     def test_env_pin(self, monkeypatch):
         monkeypatch.setenv("REPRO_ANNOTATE_KERNEL", "vector")
-        assert resolve_kernel("mono", SIMPLE, False, None) == "vector"
+        assert resolve_kernel("general", SIMPLE, False, None) == "vector"
+
+
+class TestKernelResolution:
+    def test_kernels_tuple(self):
+        assert KERNELS == ("auto", "general", "vector")
+
+    @pytest.mark.parametrize("config", (PERFECT,), ids=lambda c: c.name)
+    def test_auto_falls_back_to_general(self, config):
+        assert resolve_kernel("auto", config, False, None) == "general"
+
+    def test_auto_falls_back_for_audit_and_hook(self):
+        assert resolve_kernel("auto", SIMPLE, True, None) == "general"
+        assert resolve_kernel("auto", SIMPLE, False, _hook) == "general"
+
+    @pytest.mark.parametrize("kernel", ("simd", "mono"))
+    def test_unknown_kernel_rejected(self, kernel):
+        with pytest.raises(ConfigError, match="unknown"):
+            resolve_kernel(kernel, SIMPLE, False, None)
+
+    def test_env_overrides_argument(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ANNOTATE_KERNEL", "general")
+        assert resolve_kernel("vector", SIMPLE, False, None) == "general"
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -141,15 +164,11 @@ def test_vector_bit_identical_simple(tiny_traces, name):
 @pytest.mark.parametrize("name", ("compress", "eqntott"))
 def test_vector_bit_identical_all_eligible_configs(tiny_traces, name,
                                                    config):
-    """Two traces x every eligible config, against the general tier
-    and, where it runs, the mono tier."""
+    """Two traces x every eligible config, against the general tier."""
     trace = tiny_traces(name)
     general = annotate_trace(trace, config, kernel="general")
     vector = annotate_trace(trace, config, kernel="vector")
     assert_annotations_equal(general, vector)
-    if mono_eligible(config):
-        mono = annotate_trace(trace, config, kernel="mono")
-        assert_annotations_equal(mono, vector)
 
 
 @pytest.mark.parametrize("config", ELIGIBLE, ids=lambda c: c.name)
@@ -161,6 +180,37 @@ def test_auto_routes_to_vector_and_matches(tiny_traces, config):
     general = annotate_trace(trace, config, kernel="general")
     auto = annotate_trace(trace, config)
     assert_annotations_equal(general, auto)
+
+
+@pytest.mark.parametrize(
+    "config", PAPER_CONFIGS + EXTENSION_CONFIGS, ids=lambda c: c.name)
+def test_auto_matches_general_everywhere(tiny_traces, config):
+    """The production default (auto) is bit-identical to the oracle,
+    the Perfect oracle's fallback to general included."""
+    trace = tiny_traces("compress")
+    general = annotate_trace(trace, config, kernel="general")
+    auto = annotate_trace(trace, config)
+    assert_annotations_equal(general, auto)
+
+
+def test_audit_mode_still_works(tiny_traces):
+    """audit=True silently routes around the vector kernel."""
+    trace = tiny_traces("grep")
+    audited = annotate_trace(trace, SIMPLE, audit=True)
+    plain = annotate_trace(trace, SIMPLE, kernel="general")
+    assert (audited.outcomes == plain.outcomes).all()
+    assert audited.audit_log is not None
+
+
+def test_trace_events_decoded_once_and_read_only(tiny_traces):
+    """Every vector annotation of one trace shares one read-only decode
+    per branch-stream flag."""
+    trace = tiny_traces("grep").materialize()  # a fresh memo key
+    events = trace_events(trace, branches=False)
+    assert trace_events(trace, branches=False) is events
+    assert trace_events(trace, branches=True) is not events
+    assert not events.load_values.flags.writeable
+    assert not events.segments(1024).order.flags.writeable
 
 
 def test_vector_on_cached_readonly_trace(tmp_path, tiny_traces):

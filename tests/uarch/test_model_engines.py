@@ -24,6 +24,7 @@ import repro
 from repro.errors import ConfigError
 from repro.lvp.config import CONSTANT, PAPER_CONFIGS, SIMPLE
 from repro.sim import run_program
+from repro.trace import records
 from repro.trace.annotate import annotate_trace
 from repro.uarch import (
     AXP21164,
@@ -32,7 +33,6 @@ from repro.uarch import (
     PPC620,
     PPC620_PLUS,
     PPC620Model,
-    factored,
     resolve_model_engine,
 )
 from repro.workloads.suite import BENCHMARKS, get_benchmark
@@ -229,10 +229,10 @@ class TestMemo:
         trace = _build_trace("grep", "ppc")
         annotated = annotate_trace(trace, SIMPLE)
         PPC620Model(PPC620).run(annotated, engine="fast")
-        assert trace in factored._MEMO
-        entries = len(factored._MEMO)
+        assert trace in records._MEMO
+        entries = len(records._MEMO)
         alive = weakref.ref(trace)
         del trace, annotated
         gc.collect()
         assert alive() is None
-        assert len(factored._MEMO) == entries - 1
+        assert len(records._MEMO) == entries - 1
