@@ -299,10 +299,9 @@ class TierGuard:
     def run_annotate(self, name: str, target: str, trace, config):
         """Annotation with the vector→general ladder.
 
-        Configurations the vector kernel cannot handle (the Perfect
-        oracle, profile filters) resolve to the general path anyway, so
-        the guard runs them directly -- there is no faster tier to
-        verify.
+        Configurations the vector kernel cannot handle (profile
+        filters) resolve to the general path anyway, so the guard runs
+        them directly -- there is no faster tier to verify.
         """
         from repro.trace.annotate import annotate_trace, vector_eligible
 

@@ -40,12 +40,13 @@ def vector_eligible(config: LVPConfig, audit: bool = False,
 
     The vector tier runs the staged kernels of
     :mod:`repro.trace.kernels`, which have a stage-A pass for every
-    predictor family, index mode, tag setting and selection policy.
-    Only the Perfect oracle (no tables), a profile filter (loads that
-    bypass the tables), an audit log (per-load forwarded values) and a
-    fault hook (per-event table corruption) need the general path.
+    predictor family, index mode, tag setting and selection policy, and
+    annotates the Perfect oracle (no tables) by its fixed formula.
+    Only a profile filter (loads that bypass the tables), an audit log
+    (per-load forwarded values) and a fault hook (per-event table
+    corruption) need the general path.
     """
-    return (not audit and fault_hook is None and not config.perfect
+    return (not audit and fault_hook is None
             and config.profile_filter is None)
 
 
@@ -71,7 +72,7 @@ def resolve_kernel(kernel, config: LVPConfig, audit: bool,
     if kernel == "vector" and not vector_eligible(config, audit, fault_hook):
         raise ConfigError(
             f"kernel 'vector' cannot annotate config {config.name!r} with "
-            "audit/fault-hook/perfect/filter features requested; use "
+            "audit/fault-hook/filter features requested; use "
             "'auto' or 'general'"
         )
     if kernel == "auto":
@@ -133,8 +134,9 @@ def annotate_trace(trace: Trace, config: LVPConfig, *,
     feature; ``"vector"`` runs the shared staged kernels from
     :mod:`repro.trace.kernels` -- a vectorized predictor pass, a
     vectorized LCT counter scan, and a CVU replay over only the
-    constant-classified loads -- for every configuration without the
-    Perfect oracle, a profile filter, an audit log or a fault hook (see
+    constant-classified loads, or for the Perfect oracle its fixed
+    result (every load ``CORRECT``) -- for every configuration without
+    a profile filter, an audit log or a fault hook (see
     :func:`vector_eligible`); ``"auto"`` (default) picks ``vector``
     where eligible and ``general`` elsewhere.  ``REPRO_ANNOTATE_KERNEL``
     overrides.
@@ -190,10 +192,22 @@ def _annotate_vector(trace: Trace,
     Stage A is the configuration's vectorized predictor pass (numpy
     over the loads grouped by table entry -- no per-load Python loop),
     stage B is the vectorized LCT counter scan, and stage C replays the
-    CVU over only the constant-classified loads.  The composition is
-    bit-identical to the general kernel on the :func:`vector_eligible`
-    domain; ``tests/trace/test_vector.py`` enforces it differentially.
+    CVU over only the constant-classified loads.  The Perfect oracle
+    needs none of them: every load is ``CORRECT`` and predictable and
+    predicted, stores are counted, and nothing touches a CVU.  The
+    result is bit-identical to the general kernel on the
+    :func:`vector_eligible` domain; ``tests/trace/test_vector.py``
+    enforces it differentially.
     """
+    if config.perfect:
+        is_load = trace.is_load
+        loads = int(np.count_nonzero(is_load))
+        outcomes = np.where(is_load, np.uint8(LoadOutcome.CORRECT),
+                            np.uint8(NOT_A_LOAD))
+        stats = LVPStats(loads=loads, stores=trace.num_stores,
+                         predictable_predicted=loads)
+        stats.outcomes[LoadOutcome.CORRECT] = loads
+        return outcomes, stats
     events = trace_events(trace, branches=config.index_mode == "gshare")
     hits, idxs = run_stage_a(events, config)
     classes = run_stage_b(events, hits, config.lct_entries,

@@ -34,33 +34,51 @@ from repro.isa.opcodes import Opcode, OpClass
 from repro.isa.registers import NUM_REGS
 from repro.lvp.unit import LoadOutcome
 from repro.trace.annotate import NOT_A_LOAD, AnnotatedTrace
+from repro.trace.records import Trace, memoized
 from repro.uarch.axp21164.config import AXP21164Config
 from repro.uarch.components.branch import BranchPredictor, BranchStats
 from repro.uarch.components.cache import Cache, CacheStats, MemoryHierarchy
 from repro.uarch.components.latencies import AXP21164_LATENCY
-from repro.uarch.engine import latency_arrays, resolve_model_engine
-from repro.uarch.factored import load_outcome_counts, precompute
+from repro.uarch.engine import (
+    fu_of_class_array,
+    latency_arrays,
+    resolve_model_engine,
+)
+from repro.uarch.factored import (
+    DataCache,
+    FrontEnd,
+    load_outcome_counts,
+    precompute,
+)
 
 # Flat lookup tables for the fast scheduling loop.
-_LAT_RESULT = latency_arrays(AXP21164_LATENCY)[1]
+_LAT_RESULT = np.array(latency_arrays(AXP21164_LATENCY)[1], dtype=np.int32)
 
-
-def _slot_kinds() -> list[int]:
-    """Per-opclass issue-slot category: int/fp/load/store/branch."""
-    kinds = [4] * (max(int(c) for c in OpClass) + 1)
-    for cls in OpClass:
-        if cls in (OpClass.SIMPLE_INT, OpClass.COMPLEX_INT):
-            kinds[int(cls)] = 0
-        elif cls in (OpClass.FP_SIMPLE, OpClass.FP_COMPLEX):
-            kinds[int(cls)] = 1
-        elif cls is OpClass.LOAD:
-            kinds[int(cls)] = 2
-        elif cls is OpClass.STORE:
-            kinds[int(cls)] = 3
-    return kinds
-
-
-_SLOT_KIND = _slot_kinds()
+#: Scheduling kinds of the fast loop.  Integer, FP, store and branch
+#: instructions have one each (a mispredicted branch its own); loads
+#: start at ``_K_LOAD`` (an L1 hit issued without a prediction) and
+#: split by what the load does to the schedule.
+_K_INT, _K_FP, _K_STORE, _K_BRANCH, _K_MISPREDICT, _K_LOAD = range(6)
+_K_MISS = 6  # missed the L1: prediction abandoned, no MAF stalls issue
+_K_INCORRECT = 7  # an L1 hit mispredicted: squash and redispatch
+_K_ZERO_CYCLE = 8  # an L1 hit predicted correctly (CVU-verified too)
+#: Hit-load kind, indexed by LoadOutcome (no prediction, incorrect,
+#: correct, constant).
+_K_OF_OUTCOME = np.array((_K_LOAD, _K_INCORRECT, _K_ZERO_CYCLE,
+                          _K_ZERO_CYCLE), dtype=np.uint8)
+#: Issue-slot category (int, fp, load, store, branch) of each kind.
+_SLOT_OF_KIND = (0, 1, 3, 4, 4, 2, 2, 2, 2)
+_KIND_OF_CLASS = np.array(fu_of_class_array({
+    int(OpClass.SIMPLE_INT): _K_INT,
+    int(OpClass.COMPLEX_INT): _K_INT,
+    int(OpClass.FP_SIMPLE): _K_FP,
+    int(OpClass.FP_COMPLEX): _K_FP,
+    int(OpClass.LOAD): _K_LOAD,
+    int(OpClass.STORE): _K_STORE,
+    int(OpClass.BRANCH): _K_BRANCH,
+}), dtype=np.uint8)
+#: Clears an address's low three bits: the store map's word.
+_WORD_MASK = ~np.uint64(7)
 
 
 @dataclass
@@ -314,30 +332,35 @@ class AXP21164Model:
         I-cache misses, branch mispredictions and each load's cache
         service level come from :mod:`repro.uarch.factored`, computed
         once per trace and shared by every run; this loop is only the
-        in-order issue logic, with latency and slot-category lookups
-        flattened to lists and the register scoreboard as a list.
+        in-order issue logic.  It is one ``zip`` over per-instruction
+        columns: a scheduling kind (slot category, with a mispredicted
+        branch, an L1-missing load and a hit load's LVP outcome folded
+        in), the result latency with the cache trip added, the fetch
+        stall, the operands and the store map's word.  The kind and
+        latency columns are derived once per trace, stage 1 and stage 2
+        result as compact numpy arrays (:func:`_columns`); a run only
+        folds in its outcomes.
         """
         config = self.config
         trace = annotated.trace
         front, data = precompute(annotated, config, use_lvp)
+        kinds, latencies = memoized(
+            trace, ("axp21164", front, data, config.l2_latency,
+                    config.memory_latency),
+            lambda: _columns(trace, front, data, config))
+        if use_lvp:
+            kinds = kinds.copy()
+            hits = kinds == _K_LOAD
+            kinds[hits] = _K_OF_OUTCOME[annotated.outcomes[hits]]
+        columns = zip(kinds.tolist(), trace.dst.tolist(),
+                      trace.src1.tolist(), trace.src2.tolist(),
+                      latencies.tolist(),
+                      front.icache_stalls(config.l2_latency).tolist(),
+                      (trace.addr & _WORD_MASK).tolist())
 
-        opcodes = trace.opcode.tolist()
-        opclasses = trace.opclass.tolist()
-        dsts = trace.dst.tolist()
-        src1s = trace.src1.tolist()
-        src2s = trace.src2.tolist()
-        addrs = trace.addr.tolist()
-        outcome_list = annotated.outcomes.tolist() if use_lvp else None
-        icache_stalls = front.icache_stalls(config.l2_latency)
-        mispredicts = front.mispredicted()
-        load_penalty = data.add_penalties([0] * len(trace),
-                                          config.l2_latency,
-                                          config.memory_latency)
-        count = len(opcodes)
-
-        lat_result = _LAT_RESULT
-        slot_kind = _SLOT_KIND
-        # Per slot kind (int, fp, load, store, branch): issues per cycle.
+        slot_of = _SLOT_OF_KIND
+        # Per slot category (int, fp, load, store, branch): issues per
+        # cycle.
         slot_limit = (config.int_per_cycle, config.fp_per_cycle,
                       config.loads_per_cycle, config.stores_per_cycle,
                       config.branches_per_cycle)
@@ -358,21 +381,16 @@ class AXP21164Model:
         vm_penalty = config.value_mispredict_penalty
         maf = config.maf
 
-        for i in range(count):
-            opclass = opclasses[i]
-            kind = slot_kind[opclass]
-
+        for kind, dst, src1, src2, latency, stall, word in columns:
             ready = 0
-            s = src1s[i]
-            if s > 0:
-                ready = reg_ready[s]
-            s = src2s[i]
-            if s > 0:
-                v = reg_ready[s]
+            if src1 > 0:
+                ready = reg_ready[src1]
+            if src2 > 0:
+                v = reg_ready[src2]
                 if v > ready:
                     ready = v
-            if kind == 2:
-                dep = store_get(addrs[i] & ~7, 0)
+            if kind >= _K_LOAD:
+                dep = store_get(word, 0)
                 if dep > ready:
                     ready = dep
 
@@ -381,47 +399,42 @@ class AXP21164Model:
                 candidate = ready
             if stall_until > candidate:
                 candidate = stall_until
-            candidate += icache_stalls[i]
+            candidate += stall
             # In-order slotting: a full cycle pushes the instruction to
             # the next one, whose slots are all free.
+            slot = slot_of[kind]
             if candidate == cycle and (slots_total >= issue_width
-                                       or slots[kind] >= slot_limit[kind]):
+                                       or slots[slot] >= slot_limit[slot]):
                 candidate += 1
             if candidate > cycle:
                 cycle = candidate
                 slots_total = 0
                 slots = [0, 0, 0, 0, 0]
             slots_total += 1
-            slots[kind] += 1
+            slots[slot] += 1
 
             # ---- execute -----------------------------------------------
-            result_time = cycle + lat_result[opcodes[i]]
-            if kind == 2:
-                penalty = load_penalty[i]
-                if penalty:
-                    # Miss: prediction abandoned with no penalty; without
-                    # a MAF the whole pipeline stalls.
-                    result_time += penalty
-                    if not maf and result_time > stall_until:
-                        stall_until = result_time
-                elif use_lvp:
-                    outcome = outcome_list[i]
-                    if outcome == 3 or outcome == 2:
-                        result_time = cycle  # zero-cycle load
-                    elif outcome == 1:  # squash and redispatch
-                        restart = result_time + vm_penalty
-                        if restart > stall_until:
-                            stall_until = restart
-            elif kind == 3:
-                store_ready[addrs[i] & ~7] = result_time
+            result_time = cycle + latency
+            if kind > _K_LOAD:
+                if kind == _K_ZERO_CYCLE:
+                    result_time = cycle
+                elif kind == _K_INCORRECT:  # squash and redispatch
+                    restart = result_time + vm_penalty
+                    if restart > stall_until:
+                        stall_until = restart
+                # Miss: prediction abandoned with no penalty; without a
+                # MAF the whole pipeline stalls.
+                elif not maf and result_time > stall_until:
+                    stall_until = result_time
+            elif kind == _K_STORE:
+                store_ready[word] = result_time
                 if len(store_ready) > 4096:
                     store_ready.clear()
-            elif mispredicts[i]:
+            elif kind == _K_MISPREDICT:
                 v = cycle + 1 + mispredict_penalty
                 if v > stall_until:
                     stall_until = v
 
-            dst = dsts[i]
             if dst > 0:
                 reg_ready[dst] = result_time
             if result_time > last_result:
@@ -437,7 +450,7 @@ class AXP21164Model:
         return AXP21164Result(
             config_name=config.name,
             lvp_name=annotated.config.name if use_lvp else "none",
-            instructions=count,
+            instructions=len(trace),
             cycles=(cycle if cycle >= last_result else last_result) + 4,
             l1_stats=copy(data.l1_stats),
             branch_stats=copy(front.branch_stats),
@@ -446,3 +459,22 @@ class AXP21164Model:
             constant_past_miss=data.constant_past_miss,
             value_mispredicts=value_mispredicts,
         )
+
+
+def _columns(trace: Trace, front: FrontEnd, data: DataCache,
+             config: AXP21164Config) -> tuple[np.ndarray, np.ndarray]:
+    """The run-invariant columns of the fast loop for one trace, read-only
+    and in the narrowest dtype that holds them: the scheduling kind
+    before LVP outcomes, and the result latency plus each missing
+    load's cache trip."""
+    kinds = _KIND_OF_CLASS[trace.opclass]
+    kinds[front.mispredicts] = _K_MISPREDICT
+    kinds[data.l2_loads] = _K_MISS
+    kinds[data.memory_loads] = _K_MISS
+    latencies = data.add_penalties(_LAT_RESULT[trace.opcode],
+                                   config.l2_latency, config.memory_latency)
+    latencies = latencies.astype(np.min_scalar_type(int(latencies.max(
+        initial=0))))
+    kinds.flags.writeable = False
+    latencies.flags.writeable = False
+    return kinds, latencies

@@ -3,10 +3,11 @@
 Both machine models carry two scheduling loops: the ``reference``
 loop -- the original, component-object implementation that the unit
 tests pin down -- and a ``fast`` loop with the same arithmetic inlined
-(latency tables as flat lists, register scoreboards as lists, cache
-and branch-predictor state as local variables).  The two are held
-bit-identical by the differential suite in ``tests/uarch``; ``auto``
-(the default) picks the fast loop.
+(one ``zip`` over per-instruction columns built from opclass-indexed
+tables, register scoreboards as lists, cache and branch-predictor
+state precomputed per trace by :mod:`repro.uarch.factored`).  The two
+are held bit-identical by the differential suite in ``tests/uarch``;
+``auto`` (the default) picks the fast loop.
 """
 
 from __future__ import annotations
@@ -14,13 +15,7 @@ from __future__ import annotations
 import os
 
 from repro.errors import ConfigError
-from repro.isa.opcodes import (
-    CONDITIONAL_BRANCHES,
-    INDIRECT_BRANCHES,
-    OP_CLASS,
-    Opcode,
-    OpClass,
-)
+from repro.isa.opcodes import Opcode, OpClass
 
 #: Recognised values of the ``engine`` knob / ``REPRO_MODEL_ENGINE``.
 MODEL_ENGINES = ("auto", "reference", "fast")
@@ -56,33 +51,12 @@ def latency_arrays(table) -> tuple[list[int], list[int]]:
     return issue, result
 
 
-def _branch_kinds() -> list[int]:
-    """Per-opcode branch taxonomy: 1 conditional, 2 indirect, 0 other."""
-    size = max(int(op) for op in Opcode) + 1
-    kinds = [0] * size
-    for op in Opcode:
-        if op in CONDITIONAL_BRANCHES:
-            kinds[int(op)] = 1
-        elif op in INDIRECT_BRANCHES:
-            kinds[int(op)] = 2
-    return kinds
-
-
-#: Per-opcode branch kind (1 = conditional, 2 = indirect, 0 = other).
-BRANCH_KIND: list[int] = _branch_kinds()
-
-
 def fu_of_class_array(mapping: dict[int, int]) -> list[int]:
-    """Flatten an {opclass int: fu id} dict into an opclass-indexed list."""
+    """Flatten an {opclass int: fu id or kind} dict into an
+    opclass-indexed list."""
     size = max(int(c) for c in OpClass) + 1
     flat = [0] * size
     for cls, fu in mapping.items():
         flat[cls] = fu
     return flat
 
-
-# Re-exported for fast loops that classify by OpClass int.
-__all__ = [
-    "MODEL_ENGINES", "resolve_model_engine", "latency_arrays",
-    "BRANCH_KIND", "fu_of_class_array", "OP_CLASS",
-]

@@ -13,15 +13,19 @@ Both fast timing-model loops (``repro.uarch.ppc620.model`` and
   CONSTANT-load mask): loads and stores walk the L1/L2 in program
   order, and the only LVP dependence is that CVU-verified CONSTANT
   loads skip the cache.  Each load's service level (L1, L2, memory) is
-  therefore a function of the mask alone.
+  therefore a function of the mask alone.  The walk inlines
+  :class:`~repro.uarch.components.cache.Cache` (per-set LRU lists over
+  line and set numbers computed with numpy);
+  ``tests/uarch/test_data_cache_walk.py`` holds it to the same walk
+  through ``Cache`` objects.
 * **Stage 3 -- the scheduler**, per run, in the machine's own module.
 
 Stage 1 and 2 results are memoized per :class:`~repro.trace.records.Trace`
 object (:func:`~repro.trace.records.memoized`), so they live exactly as
 long as the trace.  The memo keeps only the rare events (I-cache
 misses, branch mispredictions, L1-missing loads) as ``uint32``
-instruction positions; each run expands them into the lists its loop
-indexes.
+instruction positions; each run expands them into the numpy columns
+its loop zips over.
 """
 
 from __future__ import annotations
@@ -38,29 +42,28 @@ from repro.uarch.components.branch import BranchPredictor, BranchStats
 from repro.uarch.components.cache import Cache, CacheStats
 
 
-def _positions(flags: list[bool], where) -> np.ndarray:
-    """The entries of *where* whose flag is set, as a read-only array
-    (memo values are shared by every run of a trace)."""
-    positions = np.asarray(where, dtype=np.uint32)[
-        np.array(flags, dtype=bool)]
-    positions.flags.writeable = False
-    return positions
+def _positions(positions: list[int]) -> np.ndarray:
+    """Instruction positions as a read-only array (memo values are
+    shared by every run of a trace)."""
+    array = np.array(positions, dtype=np.uint32)
+    array.flags.writeable = False
+    return array
 
 
-def _expand(count: int, positions: np.ndarray, value: int) -> list[int]:
-    """A per-instruction list: *value* at *positions*, 0 elsewhere."""
-    dense = [0] * count
-    for position in positions.tolist():
-        dense[position] = value
+def _expand(count: int, positions: np.ndarray, value: int) -> np.ndarray:
+    """A per-instruction column: *value* at *positions*, 0 elsewhere."""
+    dense = np.zeros(count, dtype=np.int32)
+    dense[positions] = value
     return dense
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrontEnd:
     """Stage 1: the front-end events of one trace.
 
     Events are rare, so they are kept as instruction positions; a run
-    expands them into per-instruction lists.
+    expands them into per-instruction columns.  Hashed by identity, so
+    state derived from it can be memoized under it.
     """
 
     count: int
@@ -70,19 +73,16 @@ class FrontEnd:
     mispredicts: np.ndarray
     branch_stats: BranchStats
 
-    def icache_stalls(self, l2_latency: int) -> list[int]:
+    def icache_stalls(self, l2_latency: int) -> np.ndarray:
         """Per-instruction fetch stall (0, or the L2 trip on a miss)."""
         return _expand(self.count, self.icache_misses, l2_latency)
 
-    def mispredicted(self) -> list[int]:
-        """Per-instruction flag: 1 for a mispredicted branch."""
-        return _expand(self.count, self.mispredicts, 1)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataCache:
     """Stage 2: the loads that miss the L1, and the L1 counts, of one
-    trace under one CONSTANT-load mask."""
+    trace under one CONSTANT-load mask (hashed by identity, like
+    :class:`FrontEnd`)."""
 
     count: int
     #: Positions of loads that miss the L1 and hit the L2.
@@ -93,14 +93,12 @@ class DataCache:
     #: CONSTANT loads whose line was absent from the L1 (21164 metric).
     constant_past_miss: int
 
-    def add_penalties(self, latencies: list[int], l2_latency: int,
-                      memory_latency: int) -> list[int]:
+    def add_penalties(self, latencies: np.ndarray, l2_latency: int,
+                      memory_latency: int) -> np.ndarray:
         """Add each missing load's extra latency to its entry of the
         per-instruction *latencies* (in place; returned for chaining)."""
-        for position in self.l2_loads.tolist():
-            latencies[position] += l2_latency
-        for position in self.memory_loads.tolist():
-            latencies[position] += l2_latency + memory_latency
+        latencies[self.l2_loads] += l2_latency
+        latencies[self.memory_loads] += l2_latency + memory_latency
         return latencies
 
     def l1_missed(self) -> np.ndarray:
@@ -125,7 +123,8 @@ def _front_end(trace: Trace, icache_size: int, icache_assoc: int,
         starts = np.flatnonzero(np.concatenate(
             ([True], lines[1:] != lines[:-1])))
         icache_misses = _positions(
-            [not icache.access(pc) for pc in pcs[starts].tolist()], starts)
+            [start for start, pc in zip(starts.tolist(), pcs[starts].tolist())
+             if not icache.access(pc)])
 
     branches = np.flatnonzero((trace.opclass == int(OpClass.BRANCH))
                               & (trace.opcode != int(Opcode.HALT)))
@@ -134,14 +133,15 @@ def _front_end(trace: Trace, icache_size: int, icache_assoc: int,
     has_next = branches + 1 < count
     targets[has_next] = pcs[branches[has_next] + 1]
     predictor = BranchPredictor()
-    missed = [not predictor.predict_and_update(opcode, pc, taken, target)
-              for opcode, pc, taken, target in zip(
-                  trace.opcode[branches].tolist(), pcs[branches].tolist(),
-                  trace.taken[branches].tolist(), targets.tolist())]
+    missed = [branch for branch, opcode, pc, taken, target in zip(
+                  branches.tolist(), trace.opcode[branches].tolist(),
+                  pcs[branches].tolist(), trace.taken[branches].tolist(),
+                  targets.tolist())
+              if not predictor.predict_and_update(opcode, pc, taken, target)]
     return FrontEnd(
         count=count,
         icache_misses=icache_misses,
-        mispredicts=_positions(missed, branches),
+        mispredicts=_positions(missed),
         branch_stats=predictor.stats,
     )
 
@@ -178,7 +178,14 @@ def _constant_mask(annotated: AnnotatedTrace,
 def _data_cache(trace: Trace, l1_size: int, l1_assoc: int, line_size: int,
                 l2_size: int, l2_assoc: int,
                 constant: np.ndarray | None) -> DataCache:
-    """Stage 2 for one cache geometry and CONSTANT-load mask."""
+    """Stage 2 for one cache geometry and CONSTANT-load mask.
+
+    The walk is :class:`Cache` inlined: each level is a list of per-set
+    LRU lists of line numbers (most recent last), and every memory op's
+    line and set numbers are computed up front with numpy.  Loads
+    allocate on a miss; write-through stores only refresh a resident
+    line; CONSTANT loads only probe the L1.
+    """
     opclass = trace.opclass
     is_load = opclass == int(OpClass.LOAD)
     memory_ops = np.flatnonzero(is_load | (opclass == int(OpClass.STORE)))
@@ -186,29 +193,59 @@ def _data_cache(trace: Trace, l1_size: int, l1_assoc: int, line_size: int,
     role = is_load[memory_ops].astype(np.uint8)
     if constant is not None:
         role[constant[memory_ops]] = 2
-    l1 = Cache(l1_size, l1_assoc, line_size)
-    l2 = Cache(l2_size, l2_assoc, line_size)
-    # Per load that misses the L1: True if the L2 holds its line.
-    l2_hit: list[bool] = []
-    missing: list[int] = []
+    # The Cache constructor validates each geometry.
+    num_sets1 = Cache(l1_size, l1_assoc, line_size).num_sets
+    num_sets2 = Cache(l2_size, l2_assoc, line_size).num_sets
+    l1_sets: list[list[int]] = [[] for _ in range(num_sets1)]
+    l2_sets: list[list[int]] = [[] for _ in range(num_sets2)]
+    lines = trace.addr[memory_ops] // line_size
+    # Positions of the loads that miss the L1, by the level that has them.
+    l2_loads: list[int] = []
+    memory_loads: list[int] = []
     constant_past_miss = 0
-    for position, op, addr in zip(memory_ops.tolist(), role.tolist(),
-                                  trace.addr[memory_ops].tolist()):
+    for position, op, line, set1, set2 in zip(
+            memory_ops.tolist(), role.tolist(), lines.tolist(),
+            (lines % num_sets1).tolist(), (lines % num_sets2).tolist()):
+        lru = l1_sets[set1]
         if op == 1:
-            if not l1.access(addr):
-                missing.append(position)
-                l2_hit.append(l2.access(addr))
+            if line in lru:
+                if lru[-1] != line:
+                    lru.remove(line)
+                    lru.append(line)
+                continue
+            lru.append(line)
+            if len(lru) > l1_assoc:
+                del lru[0]
+            lru = l2_sets[set2]
+            if line in lru:
+                l2_loads.append(position)
+                if lru[-1] != line:
+                    lru.remove(line)
+                    lru.append(line)
+            else:
+                memory_loads.append(position)
+                lru.append(line)
+                if len(lru) > l2_assoc:
+                    del lru[0]
         elif op == 2:
-            if not l1.probe(addr):
+            if line not in lru:
                 constant_past_miss += 1
         else:
-            l1.access(addr, is_store=True)
-            l2.access(addr, is_store=True)
+            if line in lru and lru[-1] != line:
+                lru.remove(line)
+                lru.append(line)
+            lru = l2_sets[set2]
+            if line in lru and lru[-1] != line:
+                lru.remove(line)
+                lru.append(line)
+    loads = int(np.count_nonzero(role == 1))
     return DataCache(
         count=len(trace),
-        l2_loads=_positions(l2_hit, missing),
-        memory_loads=_positions([not hit for hit in l2_hit], missing),
-        l1_stats=l1.stats,
+        l2_loads=_positions(l2_loads),
+        memory_loads=_positions(memory_loads),
+        l1_stats=CacheStats(
+            accesses=loads, misses=len(l2_loads) + len(memory_loads),
+            store_accesses=int(np.count_nonzero(role == 0))),
         constant_past_miss=constant_past_miss,
     )
 

@@ -56,7 +56,12 @@ from repro.uarch.engine import (
     latency_arrays,
     resolve_model_engine,
 )
-from repro.uarch.factored import load_outcome_counts, precompute
+from repro.uarch.factored import (
+    DataCache,
+    FrontEnd,
+    load_outcome_counts,
+    precompute,
+)
 from repro.uarch.ppc620.config import PPC620Config
 
 #: Functional-unit pool ids.
@@ -82,10 +87,36 @@ _FU_OF_CLASS = {
 VERIFY_BUCKETS = ("<4", "4", "5", "6", "7", ">7")
 
 # Flat lookup tables for the fast scheduling loop.
-_FU_OF_CLASS_LIST = fu_of_class_array(_FU_OF_CLASS)
-_FU_OF_CLASS_LIST_NP = np.array(_FU_OF_CLASS_LIST, dtype=np.uint8)
-_LAT_ISSUE, _LAT_RESULT = (np.array(table, dtype=np.int16)
+_FU_OF_CLASS_LIST_NP = np.array(fu_of_class_array(_FU_OF_CLASS),
+                                dtype=np.uint8)
+_LAT_ISSUE, _LAT_RESULT = (np.array(table, dtype=np.int32)
                            for table in latency_arrays(PPC620_LATENCY))
+
+#: Scheduling kinds of the fast loop.  The first four are plain
+#: instructions of one functional unit; a mispredicted branch, a store,
+#: and a load per LVP outcome (``_K_LOAD + LoadOutcome``; a run without
+#: LVP has only ``_K_LOAD``) each have their own, so the loop branches
+#: on one int.
+_K_SCFX, _K_MCFX, _K_FPU, _K_BRU, _K_MISPREDICT, _K_STORE, _K_LOAD = \
+    range(7)
+_K_INCORRECT = _K_LOAD + int(LoadOutcome.INCORRECT)
+_K_CORRECT = _K_LOAD + int(LoadOutcome.CORRECT)
+_K_CONSTANT = _K_LOAD + int(LoadOutcome.CONSTANT)
+#: Functional unit of each kind: the loop indexes pools and units by
+#: kind, and every kind of one unit aliases that unit's state.
+_KIND_FU = (FU_SCFX, FU_MCFX, FU_FPU, FU_BRU, FU_BRU, FU_LSU,
+            FU_LSU, FU_LSU, FU_LSU, FU_LSU)
+_KIND_OF_CLASS = np.array(fu_of_class_array({
+    int(OpClass.SIMPLE_INT): _K_SCFX,
+    int(OpClass.COMPLEX_INT): _K_MCFX,
+    int(OpClass.FP_SIMPLE): _K_FPU,
+    int(OpClass.FP_COMPLEX): _K_FPU,
+    int(OpClass.BRANCH): _K_BRU,
+    int(OpClass.STORE): _K_STORE,
+    int(OpClass.LOAD): _K_LOAD,
+}), dtype=np.uint8)
+#: Clears an address's low three bits: the store map's word.
+_WORD_MASK = ~np.uint64(7)
 
 
 @dataclass
@@ -547,40 +578,27 @@ class PPC620Model:
         service level come from :mod:`repro.uarch.factored`, computed
         once per trace and shared by every run; this loop is only the
         scheduler.  It keeps the reference arithmetic on leaner state:
-        per-instruction latency lists, list scoreboards, fixed-length
-        rings and heaps for the structural resources, and a set as the
-        bank ledger.
+        one ``zip`` over per-instruction columns built with numpy
+        (:func:`_columns`; the scheduling kind folds in the functional
+        unit, a mispredicted branch and a load's LVP outcome), list
+        scoreboards, fixed-length rings and heaps for the structural
+        resources, and a set of ``cycle * l1_banks + bank`` ints as the
+        bank ledger.  Its state is bounded by the machine, except the
+        ledger and the store-commit list the reference keeps too.
         """
         config = self.config
         trace = annotated.trace
         front, data = precompute(annotated, config, use_lvp)
-
-        opclasses = trace.opclass.tolist()
-        dsts = trace.dst.tolist()
-        src1s = trace.src1.tolist()
-        src2s = trace.src2.tolist()
-        addrs = trace.addr.tolist()
-        outcome_list = annotated.outcomes.tolist() if use_lvp else None
-        icache_stalls = front.icache_stalls(config.l2_latency)
-        mispredicts = front.mispredicted()
-        occupancies = _LAT_ISSUE[trace.opcode].tolist()
-        # Result latency, plus the cache trip for loads that make one.
-        latencies = data.add_penalties(_LAT_RESULT[trace.opcode].tolist(),
-                                       config.l2_latency,
-                                       config.memory_latency)
-        count = len(opclasses)
-
-        fu_of_class = _FU_OF_CLASS_LIST
-        cls_load = int(OpClass.LOAD)
-        cls_store = int(OpClass.STORE)
-
-        # Bank-usage ledger of (cycle, bank) pairs (BankTracker inlined;
-        # banks have one port, so a pair is either free or taken, and
-        # loads own a port, so only the store-commit pass below can
-        # conflict).
-        l1_line = config.l1_line
         num_banks = config.l1_banks
-        bank_used: set[tuple[int, int]] = set()
+        columns, store_banks = _columns(annotated, front, data, config,
+                                        use_lvp)
+
+        # Bank-usage ledger of cycle * num_banks + bank keys (BankTracker
+        # inlined; banks have one port, so a key is either free or
+        # taken, and loads own a port, so only the store-commit pass
+        # below can conflict).
+        bank_used: set[int] = set()
+        bank_add = bank_used.add
 
         # Structural resources as fixed-length state pre-filled with
         # cycle 0, so a slot not yet used never binds:
@@ -598,18 +616,22 @@ class PPC620Model:
         #   last dispatch, which never binds, and allocation replaces
         #   the root, which is always such a slot;
         # * functional-unit instances are heaps of free times likewise.
+        # Pools and units are indexed by kind: every kind of one
+        # functional unit aliases that unit's heap.
         dispatch_window = deque([0] * config.completion_buffer,
                                 maxlen=config.completion_buffer)
         gpr_ring = deque([0] * config.gpr_rename, maxlen=config.gpr_rename)
         fpr_ring = deque([0] * config.fpr_rename, maxlen=config.fpr_rename)
         ibuf_ring = deque([0] * config.instruction_buffer,
                           maxlen=config.instruction_buffer)
-        pool_rel = [[0] * config.rs_scfx, [0] * config.rs_mcfx,
-                    [0] * config.rs_fpu, [0] * config.rs_lsu,
-                    [0] * config.rs_bru]
-        unit_free = [[0] * config.num_scfx, [0] * config.num_mcfx,
-                     [0] * config.num_fpu, [0] * config.num_lsu,
-                     [0] * config.num_bru]
+        pool_of_fu = ([0] * config.rs_scfx, [0] * config.rs_mcfx,
+                      [0] * config.rs_fpu, [0] * config.rs_lsu,
+                      [0] * config.rs_bru)
+        units_of_fu = ([0] * config.num_scfx, [0] * config.num_mcfx,
+                       [0] * config.num_fpu, [0] * config.num_lsu,
+                       [0] * config.num_bru)
+        pool_rel = [pool_of_fu[fu] for fu in _KIND_FU]
+        unit_free = [units_of_fu[fu] for fu in _KIND_FU]
 
         # A register's speculative and real availability always coincide
         # (the reference loop writes both from one value), so one
@@ -632,8 +654,8 @@ class PPC620Model:
         complete_count = 0
 
         vh0 = vh1 = vh2 = vh3 = vh4 = vh5 = 0
-        store_commits: list[tuple[int, int]] = []
-        fu_wait_sum = [0, 0, 0, 0, 0]
+        store_commits: list[int] = []
+        wait_sum = [0] * len(_KIND_FU)
 
         fetch_width = config.fetch_width
         dispatch_width = config.dispatch_width
@@ -642,39 +664,38 @@ class PPC620Model:
         mispredict_penalty = config.mispredict_penalty
         rs_retention = config.rs_retention
 
-        for i in range(count):
-            opclass = opclasses[i]
-            fu = fu_of_class[opclass]
-
+        for kind, dst, src1, src2, occupancy, latency, stall, word, \
+                bank in columns:
             # ---- fetch -------------------------------------------------
-            candidate = fetch_cycle if fetch_cycle >= fetch_blocked_until \
-                else fetch_blocked_until
-            if candidate == fetch_cycle and fetch_count >= fetch_width:
-                candidate += 1
+            if fetch_blocked_until > fetch_cycle:
+                candidate = fetch_blocked_until
+            elif fetch_count >= fetch_width:
+                candidate = fetch_cycle + 1
+            else:
+                candidate = fetch_cycle
             first = ibuf_ring[0]
             if first > candidate:
                 candidate = first
-            candidate += icache_stalls[i]
+            candidate += stall
             if candidate != fetch_cycle:
                 fetch_cycle = candidate
                 fetch_count = 0
             fetch_count += 1
 
             # ---- dispatch ----------------------------------------------
-            candidate = fetch_cycle + 1
-            if dispatch_cycle > candidate:
-                candidate = dispatch_cycle
-            is_mem = fu == FU_LSU
             # A full dispatch group pushes by one cycle, whose group is
             # empty.
-            if candidate == dispatch_cycle and (
-                    dispatch_count >= dispatch_width
-                    or (is_mem and mem_dispatch_count >= mem_per_cycle)):
-                candidate += 1
+            if dispatch_cycle > fetch_cycle:
+                candidate = dispatch_cycle
+                if dispatch_count >= dispatch_width or (
+                        kind >= _K_STORE
+                        and mem_dispatch_count >= mem_per_cycle):
+                    candidate += 1
+            else:
+                candidate = fetch_cycle + 1
             first = dispatch_window[0]
             if first > candidate:
                 candidate = first
-            dst = dsts[i]
             ring = None
             if dst > 0:
                 if dst < 32:
@@ -685,7 +706,7 @@ class PPC620Model:
                     first = ring[0]
                     if first > candidate:
                         candidate = first
-            rel = pool_rel[fu]
+            rel = pool_rel[kind]
             first = rel[0]
             if first > candidate:
                 candidate = first
@@ -693,67 +714,61 @@ class PPC620Model:
                 dispatch_cycle = candidate
                 dispatch_count = 0
                 mem_dispatch_count = 0
-            dispatch_time = dispatch_cycle
             dispatch_count += 1
-            if is_mem:
+            if kind >= _K_STORE:
                 mem_dispatch_count += 1
-            ibuf_ring.append(dispatch_time)
+            ibuf_ring.append(dispatch_cycle)
 
             # ---- operands ----------------------------------------------
-            ready = dispatch_time
+            ready = dispatch_cycle
             spec_until = 0
-            s = src1s[i]
-            if s > 0:
-                v = reg_ready[s]
+            if src1 > 0:
+                v = reg_ready[src1]
                 if v > ready:
                     ready = v
-                spec_until = reg_verify[s]
-            s = src2s[i]
-            if s > 0:
-                v = reg_ready[s]
+                spec_until = reg_verify[src1]
+            if src2 > 0:
+                v = reg_ready[src2]
                 if v > ready:
                     ready = v
-                v = reg_verify[s]
+                v = reg_verify[src2]
                 if v > spec_until:
                     spec_until = v
-            fu_wait_sum[fu] += ready - dispatch_time
+            wait_sum[kind] += ready - dispatch_cycle
 
             # ---- issue / execute ---------------------------------------
-            free = unit_free[fu]
+            free = unit_free[kind]
             issue_time = free[0]
-            if issue_time <= dispatch_time:
-                issue_time = dispatch_time + 1
+            if issue_time <= dispatch_cycle:
+                issue_time = dispatch_cycle + 1
             if ready > issue_time:
                 issue_time = ready
-            occupancy = occupancies[i]
             heapreplace(free, issue_time + occupancy)
+            exec_done = avail = issue_time + latency
 
             verify_time = 0
             my_verify = spec_until
-            if opclass == cls_load:
-                addr = addrs[i]
-                dep = store_get(addr & ~7, 0)
+            if kind > _K_STORE:  # a load
+                dep = store_get(word, 0)
                 if dep > issue_time:
                     issue_time = free[0]
                     if dep > issue_time:
                         issue_time = dep
                     heapreplace(free, issue_time + occupancy)
+                    exec_done = avail = issue_time + latency
                 # Stage 2 already left CVU-verified loads out of the cache.
-                exec_done = avail = issue_time + latencies[i]
-                outcome = outcome_list[i] if use_lvp else 0
-                if outcome == 3:  # CONSTANT: no cache access
+                if kind == _K_CONSTANT:  # no cache access
                     verify_time = exec_done
                 else:
-                    bank_used.add((issue_time + 1,
-                                   (addr // l1_line) % num_banks))
-                    if outcome == 2 or outcome == 1:
+                    bank_add(issue_time * num_banks + bank)
+                    if kind != _K_LOAD:
                         verify_time = exec_done + 1
-                if outcome == 2 or outcome == 3:
+                if kind >= _K_CORRECT:
                     # Predicted: the value forwards at dispatch.
-                    avail = dispatch_time
+                    avail = dispatch_cycle
                     if verify_time > spec_until:
                         my_verify = verify_time
-                    bucket = verify_time - dispatch_time
+                    bucket = verify_time - dispatch_cycle
                     if bucket < 4:
                         vh0 += 1
                     elif bucket > 7:
@@ -766,19 +781,16 @@ class PPC620Model:
                         vh3 += 1
                     else:
                         vh4 += 1
-                elif outcome == 1 and verify_time > spec_until:
+                elif kind == _K_INCORRECT and verify_time > spec_until:
                     my_verify = verify_time
-            elif opclass == cls_store:
-                exec_done = avail = issue_time + latencies[i]
-                store_ready[addrs[i] & ~7] = exec_done
+            elif kind == _K_STORE:
+                store_ready[word] = exec_done
                 if len(store_ready) > 4096:
                     store_ready.clear()
-            else:
-                exec_done = avail = issue_time + latencies[i]
-                if mispredicts[i]:
-                    v = exec_done + mispredict_penalty
-                    if v > fetch_blocked_until:
-                        fetch_blocked_until = v
+            elif kind == _K_MISPREDICT:
+                v = exec_done + mispredict_penalty
+                if v > fetch_blocked_until:
+                    fetch_blocked_until = v
 
             if dst > 0:
                 reg_ready[dst] = avail
@@ -797,16 +809,16 @@ class PPC620Model:
             # my_verify >= verify_time whenever the load was predicted.
             candidate = (exec_done if exec_done >= my_verify
                          else my_verify) + 1
-            if candidate <= complete_cycle:
-                candidate = complete_cycle
-                if complete_count >= complete_width:
-                    candidate += 1
             if candidate > complete_cycle:
                 complete_cycle = candidate
-                complete_count = 0
-            complete_count += 1
-            if opclass == cls_store:
-                store_commits.append((complete_cycle, addrs[i]))
+                complete_count = 1
+            elif complete_count >= complete_width:
+                complete_cycle += 1
+                complete_count = 1
+            else:
+                complete_count += 1
+            if kind == _K_STORE:
+                store_commits.append(complete_cycle)
             dispatch_window.append(complete_cycle)
             if ring is not None:
                 ring.append(complete_cycle)
@@ -814,21 +826,23 @@ class PPC620Model:
         # Store-commit bank retries (single-ported banks for stores).
         conflicts = 0
         conflict_cycles: set = set()
-        for commit_cycle, addr in store_commits:
-            bank = (addr // l1_line) % num_banks
-            actual = commit_cycle
-            while (actual, bank) in bank_used:
+        for commit_cycle, bank in zip(store_commits, store_banks):
+            key = commit_cycle * num_banks + bank
+            while key in bank_used:
                 conflicts += 1
-                conflict_cycles.add(actual)
-                actual += 1
-            bank_used.add((actual, bank))
+                conflict_cycles.add(key // num_banks)
+                key += num_banks
+            bank_add(key)
 
+        fu_wait_sum = [0] * 5
+        for kind, fu in enumerate(_KIND_FU):
+            fu_wait_sum[fu] += wait_sum[kind]
         fu_count = np.bincount(_FU_OF_CLASS_LIST_NP[trace.opclass],
                                minlength=5).tolist()
         return PPC620Result(
             config_name=config.name,
             lvp_name=annotated.config.name if use_lvp else "none",
-            instructions=count,
+            instructions=len(trace),
             cycles=complete_cycle,
             l1_stats=copy(data.l1_stats),
             branch_stats=copy(front.branch_stats),
@@ -845,3 +859,35 @@ class PPC620Model:
             loads=trace.num_loads,
             load_outcomes=load_outcome_counts(annotated, use_lvp),
         )
+
+
+def _columns(annotated: AnnotatedTrace, front: FrontEnd, data: DataCache,
+             config: PPC620Config, use_lvp: bool) -> tuple[zip, list[int]]:
+    """The fast loop's per-instruction columns, zipped, and the bank of
+    each store in program order.
+
+    The columns are the scheduling kind, the destination and source
+    registers, the issue occupancy, the result latency plus the cache
+    trip of a load that makes one, the fetch stall, the store map's
+    word, and for a load ``bank + l1_banks``, so that its ledger key
+    ``(issue + 1) * l1_banks + bank`` is one multiply-add.  Built with
+    numpy; the temporaries die here, before the loop runs.
+    """
+    trace = annotated.trace
+    num_banks = config.l1_banks
+    kinds = _KIND_OF_CLASS[trace.opclass]
+    kinds[front.mispredicts] = _K_MISPREDICT
+    loads = trace.is_load
+    if use_lvp:
+        kinds[loads] += annotated.outcomes[loads]
+    latencies = data.add_penalties(_LAT_RESULT[trace.opcode],
+                                   config.l2_latency, config.memory_latency)
+    banks = (trace.addr // config.l1_line) % num_banks
+    columns = zip(kinds.tolist(), trace.dst.tolist(), trace.src1.tolist(),
+                  trace.src2.tolist(), _LAT_ISSUE[trace.opcode].tolist(),
+                  latencies.tolist(),
+                  front.icache_stalls(config.l2_latency).tolist(),
+                  (trace.addr & _WORD_MASK).tolist(),
+                  np.where(loads, banks + num_banks, 0).tolist())
+    return columns, banks[trace.is_store].tolist()
+

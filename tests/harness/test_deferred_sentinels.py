@@ -248,11 +248,16 @@ def test_fork_failure_falls_back_to_inline(monkeypatch):
 
 
 class _Recorder(EngineObserver):
-    def __init__(self):
+    """Records shard events; touches *flag* when shard ``sc`` starts."""
+
+    def __init__(self, flag):
         self.events = []
+        self.flag = flag
 
     def shard_started(self, spec):
         self.events.append(("started", spec.benchmark))
+        if spec.benchmark == "sc":
+            self.flag.touch()
 
     def shard_finished(self, spec, result):
         owned = [check for check in sentinels._LIVE.values()
@@ -260,9 +265,19 @@ class _Recorder(EngineObserver):
         self.events.append(("done", spec.benchmark, len(owned)))
 
 
-def test_checkpoint_follows_its_slow_check(monkeypatch):
-    _patch_reference(monkeypatch, lambda annotated: time.sleep(1.0))
-    recorder = _Recorder()
+def test_checkpoint_follows_its_slow_check(monkeypatch, tmp_path):
+    flag = tmp_path / "sc-started"
+
+    def wait_for_sc(annotated):
+        # The forked check cannot finish before the parent has started
+        # shard sc, however slow the parent is.  (A child closes every
+        # inherited descriptor, so the signal is a file, not a pipe.)
+        deadline = time.monotonic() + 60
+        while not flag.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+
+    _patch_reference(monkeypatch, wait_for_sc)
+    recorder = _Recorder(flag)
     outcome = _engine_outcome(observer=recorder)
     assert outcome["children"] == 2 and outcome["failures"] == []
     # The parent went on to sc while gperf's check ran, and journaled

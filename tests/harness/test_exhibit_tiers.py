@@ -14,8 +14,11 @@ edited.  The trace stage's sample holds no grep/compress/gperf unit,
 so every simulation must run compiled.  The journaled run checks its
 sampled model units (gperf has one) in forked children, so no
 reference model run happens in this process: each is a sentinel child
-in the run scope of ``metrics.json``.  Every annotation and locality
-pass over one trace shares a single decode of its event streams.
+in the run scope of ``metrics.json``.  Every exhibit config, the
+Perfect oracle included, annotates on the vector kernel, so the general
+kernel runs only the annotate sentinels' oracle re-runs.  Every
+annotation and locality pass over one trace shares a single decode of
+its event streams.
 """
 
 import collections
@@ -54,7 +57,6 @@ def test_exhibit_calls_run_on_fast_tiers(monkeypatch, tmp_path):
     for knob in _KNOBS:
         monkeypatch.delenv(knob, raising=False)
     calls = collections.Counter()
-    perfect = 0
 
     def count_model(model_cls):
         original = model_cls.run
@@ -81,14 +83,10 @@ def test_exhibit_calls_run_on_fast_tiers(monkeypatch, tmp_path):
     original_annotate = annotate_module.annotate_trace
 
     def annotate_trace(trace, config, **kwargs):
-        nonlocal perfect
         calls["annotate", resolve_kernel(
             kwargs.get("kernel"), config, kwargs.get("audit", False),
             kwargs.get("fault_hook"))] += 1
-        # The Perfect oracle is the one exhibit config no fast kernel
-        # takes (docs/performance.md); it is counted from the config
-        # itself, not from the eligibility test the kernels share.
-        perfect += config.perfect
+        calls["annotate", "perfect"] += config.perfect
         return original_annotate(trace, config, **kwargs)
 
     _patch_everywhere(monkeypatch, annotate_module, "annotate_trace",
@@ -128,9 +126,9 @@ def test_exhibit_calls_run_on_fast_tiers(monkeypatch, tmp_path):
     assert calls["sim", "compiled"] > 0
     assert calls["sim", "interp"] == sentinel_checks("trace") == 0
 
-    assert calls["annotate", "vector"] > 0
-    assert calls["annotate", "general"] == \
-        perfect + sentinel_checks("annotate")
+    assert calls["annotate", "perfect"] > 0
+    assert calls["annotate", "vector"] > calls["annotate", "perfect"]
+    assert calls["annotate", "general"] == sentinel_checks("annotate")
 
     # One decode per trace (no exhibit config is gshare-indexed).
     assert len(decodes) == calls["sim", "compiled"]

@@ -8,7 +8,13 @@ bounded backward loops, and indirect jumps through a jump table -- and
   under both execution engines;
 * both timing models must report identical results from the fast and
   the reference loop, including on small caches where the front-end and
-  data-cache passes meet conflict misses.
+  data-cache passes meet conflict misses, and on stress geometries
+  where one-entry structures and narrow widths make every resource
+  bind.
+
+Byte and word stores at offsets into the same buffer words (and the
+sub-word loads that read them back) alias in the store map and in the
+CVU's store snoop.
 """
 
 import dataclasses
@@ -32,12 +38,16 @@ _IMM_OPS = ("addi", "andi", "ori", "xori", "slli", "srli")
 _reg = st.integers(3, 23)  # stay clear of r0/SP/TOC
 _imm = st.integers(-(1 << 15), (1 << 15) - 1)
 _slot = st.integers(0, 15)
+#: Sub-word loads and stores crowd two buffer words, so they alias each
+#: other (and the full-word slots 0 and 1) often.
+_hot_slot = st.integers(0, 1)
 
 #: Loop counter and jump-table index registers (outside ``_reg``).
 _COUNTER = 24
 _INDEX = 25
 
-#: A straight-line step: an ALU op or a load/store.
+#: A straight-line step: an ALU op, a load/store, or a sub-word load or
+#: store at a byte offset into a buffer word.
 _plain_step = st.one_of(
     st.tuples(st.just("reg"), st.sampled_from(_REG_OPS), _reg, _reg,
               _reg),
@@ -47,6 +57,14 @@ _plain_step = st.one_of(
               st.integers(0, U64), st.just(0), st.just(0)),
     st.tuples(st.just("store"), _reg, _slot, st.just(0), st.just(0)),
     st.tuples(st.just("load"), _reg, _slot, st.just(0), st.just(0)),
+    st.tuples(st.just("sb"), _reg, _hot_slot, st.integers(0, 7),
+              st.just(0)),
+    st.tuples(st.just("stw"), _reg, _hot_slot, st.sampled_from((0, 4)),
+              st.just(0)),
+    st.tuples(st.just("lbu"), _reg, _hot_slot, st.integers(0, 7),
+              st.just(0)),
+    st.tuples(st.just("lw"), _reg, _hot_slot, st.sampled_from((0, 4)),
+              st.just(0)),
 )
 
 #: One random step: a straight-line step, a guarded skip (a forward
@@ -81,6 +99,9 @@ def _emit(builder, index, step):
     elif kind == "load":
         _, dst, slot, _, _ = step
         builder.ld(dst, 30, slot * 8)
+    elif kind in ("sb", "stw", "lbu", "lw"):
+        _, reg, slot, offset, _ = step
+        getattr(builder, kind)(reg, 30, slot * 8 + offset)
     elif kind == "skip":  # branch over one instruction
         _, op, a, b, dst = step
         label = f"skip_{index}"
@@ -134,16 +155,26 @@ def test_engines_bit_identical_on_random_programs(steps):
                 == getattr(compiled.trace, name)).all(), name
 
 
-#: Each machine at its own geometry and at a tiny one (two I-cache
-#: lines, a few D-cache sets), where random programs conflict-miss.
+#: Each machine at its own geometry, at a tiny one (two I-cache lines,
+#: a few D-cache sets), where random programs conflict-miss, and at a
+#: stress geometry: a 620 whose instruction buffer is narrower than
+#: dispatch, with one-entry rename buffers and reservation stations,
+#: three SCFX units, two LSUs taking two memory ops a cycle, single
+#: completion and release at issue; a single-issue 21164 with a MAF.
 _MACHINES = (
     lambda: PPC620Model(PPC620),
     lambda: PPC620Model(replace(
         PPC620, icache_size=64, icache_assoc=1, l1_size=128, l1_assoc=2,
         l2_size=512, l2_assoc=2)),
+    lambda: PPC620Model(replace(
+        PPC620, instruction_buffer=2, completion_buffer=3, gpr_rename=1,
+        fpr_rename=1, rs_scfx=1, rs_mcfx=1, rs_fpu=1, rs_lsu=1, rs_bru=1,
+        num_scfx=3, num_lsu=2, mem_per_cycle=2, complete_width=1,
+        rs_retention=False)),
     lambda: AXP21164Model(AXP21164),
     lambda: AXP21164Model(replace(
         AXP21164, icache_size=64, l1_size=64, l2_size=256)),
+    lambda: AXP21164Model(replace(AXP21164, issue_width=1, maf=True)),
 )
 
 

@@ -1,12 +1,12 @@
 """Differential suite: the vector annotation kernel vs the general one.
 
 The vector tier runs the shared staged kernels (a vectorized stage-A
-pass per predictor family, stage-B LCT counters, stage-C CVU replay)
-for every configuration but the Perfect oracle and profile filters,
-without audit logs or fault hooks; it exists only for speed and must
-be bit-identical to the general kernel on every config it accepts,
-and must refuse (or be auto-routed away from) every case it cannot
-faithfully annotate.
+pass per predictor family, stage-B LCT counters, stage-C CVU replay),
+or the Perfect oracle's fixed result, for every configuration but
+profile filters, without audit logs or fault hooks; it exists only for
+speed and must be bit-identical to the general kernel on every config
+it accepts, and must refuse (or be auto-routed away from) every case it
+cannot faithfully annotate.
 """
 
 from dataclasses import replace
@@ -40,9 +40,9 @@ TAGGED_LIMIT = replace(LIMIT, name="TaggedLimit", lvpt_tagged=True)
 GSHARE_LIMIT = replace(LIMIT, name="GshareLimit", index_mode="gshare",
                        ghr_bits=6)
 TAGGED = replace(SIMPLE, name="Tagged", lvpt_tagged=True)
-#: Every stock config the vector kernel accepts (everything but the
-#: Perfect oracle) -- derived, not listed, so a new eligible config
-#: automatically joins the suite -- plus the shapes above.
+#: Every stock config the vector kernel accepts -- derived, not listed,
+#: so a new eligible config automatically joins the suite -- plus the
+#: shapes above.
 ELIGIBLE = tuple(
     config for config in PAPER_CONFIGS + EXTENSION_CONFIGS
     if vector_eligible(config)
@@ -59,7 +59,6 @@ def _hook(unit, index):
 
 #: (config, audit, fault_hook) cases the vector kernel refuses.
 INELIGIBLE = (
-    pytest.param(PERFECT, False, None, id="Perfect"),
     pytest.param(SIMPLE, True, None, id="audit"),
     pytest.param(SIMPLE, False, _hook, id="hook"),
     pytest.param(FILTERED, False, None, id="filter"),
@@ -82,14 +81,16 @@ def assert_annotations_equal(a, b):
 
 @pytest.fixture(scope="module")
 def tiny_traces():
-    """Lazily built, memoized tiny ppc traces for the whole suite."""
+    """Lazily built, memoized tiny traces (ppc unless a target is
+    given) for the whole suite."""
     cache = {}
 
-    def get(name):
-        if name not in cache:
-            program = get_benchmark(name).build_program("ppc", "tiny")
-            cache[name] = run_program(program, name=name).trace
-        return cache[name]
+    def get(name, target="ppc"):
+        if (name, target) not in cache:
+            program = get_benchmark(name).build_program(target, "tiny")
+            cache[name, target] = run_program(
+                program, name=name, target=target).trace
+        return cache[name, target]
 
     return get
 
@@ -133,9 +134,10 @@ class TestKernelResolution:
     def test_kernels_tuple(self):
         assert KERNELS == ("auto", "general", "vector")
 
-    @pytest.mark.parametrize("config", (PERFECT,), ids=lambda c: c.name)
-    def test_auto_falls_back_to_general(self, config):
-        assert resolve_kernel("auto", config, False, None) == "general"
+    def test_auto_routes_perfect_to_vector(self):
+        assert vector_eligible(PERFECT)
+        assert resolve_kernel("auto", PERFECT, False, None) == "vector"
+        assert resolve_kernel("vector", PERFECT, False, None) == "vector"
 
     def test_auto_falls_back_for_audit_and_hook(self):
         assert resolve_kernel("auto", SIMPLE, True, None) == "general"
@@ -158,6 +160,18 @@ def test_vector_bit_identical_simple(tiny_traces, name):
     general = annotate_trace(trace, SIMPLE, kernel="general")
     vector = annotate_trace(trace, SIMPLE, kernel="vector")
     assert_annotations_equal(general, vector)
+
+
+@pytest.mark.parametrize("target", ("ppc", "alpha"))
+@pytest.mark.parametrize("name", NAMES)
+def test_vector_bit_identical_perfect(tiny_traces, name, target):
+    """Every benchmark on both targets, the Perfect oracle: the vector
+    tier's fixed result == the general kernel's per-load replay."""
+    trace = tiny_traces(name, target)
+    general = annotate_trace(trace, PERFECT, kernel="general")
+    vector = annotate_trace(trace, PERFECT, kernel="vector")
+    assert_annotations_equal(general, vector)
+    assert vector.outcomes.dtype == general.outcomes.dtype
 
 
 @pytest.mark.parametrize("config", ELIGIBLE, ids=lambda c: c.name)
@@ -185,8 +199,8 @@ def test_auto_routes_to_vector_and_matches(tiny_traces, config):
 @pytest.mark.parametrize(
     "config", PAPER_CONFIGS + EXTENSION_CONFIGS, ids=lambda c: c.name)
 def test_auto_matches_general_everywhere(tiny_traces, config):
-    """The production default (auto) is bit-identical to the oracle,
-    the Perfect oracle's fallback to general included."""
+    """The production default (auto) is bit-identical to the oracle on
+    every stock config."""
     trace = tiny_traces("compress")
     general = annotate_trace(trace, config, kernel="general")
     auto = annotate_trace(trace, config)

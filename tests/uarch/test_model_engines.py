@@ -18,6 +18,7 @@ import subprocess
 import sys
 import weakref
 
+import numpy as np
 import pytest
 
 import repro
@@ -229,6 +230,7 @@ class TestMemo:
         trace = _build_trace("grep", "ppc")
         annotated = annotate_trace(trace, SIMPLE)
         PPC620Model(PPC620).run(annotated, engine="fast")
+        AXP21164Model(AXP21164).run(annotated, engine="fast")
         assert trace in records._MEMO
         entries = len(records._MEMO)
         alive = weakref.ref(trace)
@@ -236,3 +238,17 @@ class TestMemo:
         gc.collect()
         assert alive() is None
         assert len(records._MEMO) == entries - 1
+
+    def test_21164_columns_are_compact_and_read_only(self):
+        """The 21164's run-invariant columns are memoized with the
+        trace as read-only one-byte arrays, not as Python lists."""
+        trace = _build_trace("grep", "alpha")
+        AXP21164Model(AXP21164).run(annotate_trace(trace, CONSTANT),
+                                    engine="fast")
+        (columns,) = [value for key, value in records._MEMO[trace].items()
+                      if key[0] == "axp21164"]
+        for column in columns:
+            assert isinstance(column, np.ndarray)
+            assert column.dtype == np.uint8
+            assert len(column) == len(trace)
+            assert not column.flags.writeable
