@@ -60,6 +60,7 @@ from typing import Optional
 from repro.errors import ConfigError, JournalError
 from repro.harness.experiments import EXPERIMENTS, run_experiments
 from repro.harness.journal import (
+    Journal,
     RunJournal,
     build_manifest,
     find_run,
@@ -285,16 +286,15 @@ def _report_timing(session: Session) -> None:
         print(report.render(), file=sys.stderr)
 
 
-def _install_interrupt_handlers(journal: RunJournal,
-                                resume_command: Optional[str] = None):
+def _install_interrupt_handlers(journal: Journal):
     """SIGINT/SIGTERM: journal a clean ``interrupted`` record, print
-    the resume command, and exit with the conventional 128+signum."""
+    the journal's resume command, and exit with the conventional
+    128+signum."""
     import threading
     if threading.current_thread() is not threading.main_thread():
         return {}
     owner = os.getpid()
-    resume = resume_command or \
-        f"repro experiment --resume {journal.run_id}"
+    resume = journal.resume_command
 
     def handler(signum, frame):
         if os.getpid() != owner:  # a forked worker inherited us
@@ -386,8 +386,7 @@ def cmd_experiment(args) -> int:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
     print(f"run journal: {journal.directory} "
-          f"(resume: repro experiment --resume {journal.run_id})",
-          file=sys.stderr)
+          f"(resume: {journal.resume_command})", file=sys.stderr)
     previous = _install_interrupt_handlers(journal)
     try:
         results = run_journaled(exhibits, session, journal, jobs=jobs,
@@ -403,7 +402,6 @@ def cmd_experiment(args) -> int:
         print(f"metrics: repro stats {journal.run_id}", file=sys.stderr)
     code = 1 if _report_failures(session) else 0
     journal.finished(code)
-    journal.close()
     return code
 
 
@@ -490,10 +488,9 @@ def cmd_sweep(args) -> int:
     except JournalError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
-    resume_command = f"repro sweep {bench} --resume {journal.run_id}"
     print(f"sweep journal: {journal.directory} "
-          f"(resume: {resume_command})", file=sys.stderr)
-    previous = _install_interrupt_handlers(journal, resume_command)
+          f"(resume: {journal.resume_command})", file=sys.stderr)
+    previous = _install_interrupt_handlers(journal)
     try:
         document = run_journaled_sweep(
             bench, configs, journal=journal, target=target, scale=scale,

@@ -268,7 +268,8 @@ def _journal_self_tests() -> list[FaultOutcome]:
         empty = _ShardResult(benchmark="b1", traces={}, annotated={},
                              ppc_runs={}, alpha_runs={}, failed={},
                              timings=[])
-        journal._write_checkpoint(empty)  # digest != the "0"*64 on record
+        # Its digest differs from the "0"*64 on record.
+        journal._write_checkpoint("b1", empty)
         if journal.load_checkpoints() == {}:
             record("checkpoint", DETECTED,
                    "digest-mismatching checkpoint dropped")

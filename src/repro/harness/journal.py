@@ -1,6 +1,10 @@
 """Write-ahead run journal: crash-safe, resumable experiment runs.
 
-Every journaled ``repro experiment`` run owns a *run directory*::
+:class:`Journal` is the one journal primitive; a subclass is a *unit
+kind*.  :class:`RunJournal` journals a ``repro experiment`` run, one
+unit per benchmark shard; :class:`~repro.harness.sweep.SweepJournal`
+journals a ``repro sweep``, one unit per grid chunk.  Every journaled
+``repro experiment`` run owns a *run directory*::
 
     <runs-dir>/<run-id>/
         manifest.json        what was asked for (suite, scale, jobs...)
@@ -38,6 +42,7 @@ journalled, simulating a mid-suite crash for the resume drill.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -336,23 +341,34 @@ def replay_journal(path) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# The journal itself.
+# The journal primitive, and the experiment run's unit kind.
 # ---------------------------------------------------------------------------
-class RunJournal(EngineObserver):
-    """Write-ahead journal for one run directory.
+class Journal:
+    """Write-ahead journal for one run directory, over one unit kind.
 
-    Doubles as the parallel engine's observer: shard lifecycle events
-    are journalled as they happen, and a finished shard's payload is
-    checkpointed to disk *before* its ``done`` record is appended
-    (write-ahead order: the journal never claims more than the disk
-    holds).
+    A unit is recorded ``planned`` when the run is created, ``started``
+    when it is handed out, and ``done`` only after its checkpoint is
+    durably on disk (write-ahead order: the journal never claims more
+    than the disk holds).  A subclass is a unit kind: it names its
+    units' record key, fingerprint keys, planned units, checkpoint file
+    name and payload codec, and its resume command; everything else --
+    manifest, one kept journal descriptor, disk-full degradation,
+    atomic checkpoints, replay, and the crash knob -- lives here.
     """
+
+    #: Record key naming one unit (``benchmark`` / ``chunk``).
+    UNIT = ""
+    #: ``done``-record key holding the checkpoint's sha256.
+    DIGEST_KEY = ""
+    #: Manifest keys the fingerprint covers.
+    IDENTITY: tuple = ()
+    #: What one directory is called in messages.
+    NOUN = "run"
 
     def __init__(self, directory, manifest: dict) -> None:
         self.directory = pathlib.Path(directory)
         self.manifest = manifest
         self._fd: Optional[int] = None
-        self._cache_handle: Optional[tuple] = None
         self._checkpoints_done = 0
         self._crash_after = self._crash_after_from_env()
         #: Set when the disk filled up under a journal write: further
@@ -366,10 +382,29 @@ class RunJournal(EngineObserver):
         except (KeyError, ValueError):
             return None
 
+    # -- what a unit kind supplies ------------------------------------------
+    def _planned_units(self):
+        """The unit ids ``create`` journals ``planned``."""
+        raise NotImplementedError
+
+    def _checkpoint_name(self, unit) -> str:
+        raise NotImplementedError
+
+    def _encode(self, payload) -> bytes:
+        raise NotImplementedError
+
+    def _decode(self, data: bytes, record: dict, cache):
+        """The payload of verified checkpoint bytes (None = unusable)."""
+        raise NotImplementedError
+
+    @property
+    def resume_command(self) -> str:
+        raise NotImplementedError
+
     # -- construction --------------------------------------------------------
     @classmethod
-    def create(cls, runs_dir, run_id: str, manifest: dict) -> "RunJournal":
-        """Start a fresh run directory (manifest + empty journal)."""
+    def create(cls, runs_dir, run_id: str, manifest: dict):
+        """Start a fresh run directory (manifest + opening records)."""
         directory = pathlib.Path(runs_dir) / run_id
         directory.mkdir(parents=True, exist_ok=True)
         (directory / _CHECKPOINTS).mkdir(exist_ok=True)
@@ -380,14 +415,13 @@ class RunJournal(EngineObserver):
         temporary.replace(directory / _MANIFEST)
         publish_latest(runs_dir, run_id)
         journal = cls(directory, manifest)
-        journal._open()
         journal.append({"type": "run_started", "run_id": run_id},
-                       *({"type": "planned", "benchmark": benchmark}
-                         for benchmark in manifest.get("benchmarks", ())))
+                       *({"type": "planned", cls.UNIT: unit}
+                         for unit in journal._planned_units()))
         return journal
 
     @classmethod
-    def open(cls, runs_dir, run_id: str) -> "RunJournal":
+    def open(cls, runs_dir, run_id: str):
         """Open an existing run directory for resumption."""
         directory = find_run(runs_dir, run_id)
         try:
@@ -397,15 +431,12 @@ class RunJournal(EngineObserver):
                 f"unreadable manifest in {directory}: {exc}") from exc
         journal = cls(directory, manifest)
         journal.verify_manifest()
-        journal._open()
         return journal
 
-    @staticmethod
-    def fingerprint(manifest: dict) -> str:
+    @classmethod
+    def fingerprint(cls, manifest: dict) -> str:
         """Stable digest of a manifest's identity-bearing fields."""
-        identity = {key: manifest.get(key)
-                    for key in ("version", "exhibits", "scale",
-                                "benchmarks", "verify")}
+        identity = {key: manifest.get(key) for key in cls.IDENTITY}
         return _sha256(json.dumps(identity, sort_keys=True).encode())
 
     def verify_manifest(self) -> None:
@@ -414,14 +445,14 @@ class RunJournal(EngineObserver):
         recorded = self.manifest.get("version")
         if recorded != __version__:
             raise JournalError(
-                f"run {self.run_id!r} was recorded by repro {recorded}, "
-                f"this is {__version__}: results would not be comparable "
-                f"(start a fresh run)")
+                f"{self.NOUN} {self.run_id!r} was recorded by repro "
+                f"{recorded}, this is {__version__}: results would not be "
+                f"comparable (start a fresh {self.NOUN})")
         expected = self.manifest.get("fingerprint")
         if expected and expected != self.fingerprint(self.manifest):
             raise JournalError(
-                f"manifest of run {self.run_id!r} does not match its "
-                f"fingerprint (edited by hand?); refusing to resume")
+                f"manifest of {self.NOUN} {self.run_id!r} does not match "
+                f"its fingerprint (edited by hand?); refusing to resume")
 
     # -- plumbing ------------------------------------------------------------
     @property
@@ -432,10 +463,6 @@ class RunJournal(EngineObserver):
     def journal_path(self) -> pathlib.Path:
         return self.directory / _JOURNAL
 
-    def _open(self) -> None:
-        self._fd = os.open(self.journal_path,
-                           os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-
     def close(self) -> None:
         if self._fd is not None:
             with contextlib.suppress(OSError):
@@ -445,10 +472,11 @@ class RunJournal(EngineObserver):
     def append(self, *records: dict) -> None:
         """Append fsync'd journal records, one line each.
 
-        One ``os.write`` of all the lines keeps the append atomic with
-        respect to signal handlers re-entering the journal (the
-        ``interrupted`` record is written from a handler), and one
-        ``fsync`` covers them all.
+        The journal file is opened once and the descriptor kept until
+        :meth:`close` (or :meth:`finished`).  One ``os.write`` of all
+        the lines keeps the append atomic with respect to signal
+        handlers re-entering the journal (the ``interrupted`` record is
+        written from a handler), and one ``fsync`` covers them all.
 
         A full disk (``ENOSPC``/``EDQUOT``) must never kill the run the
         journal only *describes*: the first such failure marks the
@@ -460,10 +488,12 @@ class RunJournal(EngineObserver):
         """
         if self._degraded:
             return
-        if self._fd is None:
-            self._open()
         lines = b"".join(_encode_record(record) for record in records)
         try:
+            if self._fd is None:
+                self._fd = os.open(self.journal_path,
+                                   os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+                                   0o644)
             os.write(self._fd, lines)
         except OSError as exc:
             if is_resource_exhaustion(exc):
@@ -479,51 +509,75 @@ class RunJournal(EngineObserver):
             return
         self._degraded = True
         print(
-            f"warning: run journal write failed ({cause}); journalling "
-            f"for run {self.run_id} stops here.  The run continues, but "
-            f"benchmarks finished from now on are not checkpointed: free "
-            f"disk space and, if this run is interrupted, resume with:\n"
-            f"  repro experiment --resume {self.run_id}",
+            f"warning: {self.NOUN} journal write failed ({cause}); "
+            f"journalling for {self.NOUN} {self.run_id} stops here.  The "
+            f"{self.NOUN} continues, but work finished from now on is not "
+            f"checkpointed: free disk space and, if this {self.NOUN} is "
+            f"interrupted, resume with:\n  {self.resume_command}",
             file=sys.stderr)
 
-    def _trace_cache(self):
-        """The TraceCache the manifest names (None when uncached) --
-        needed to digest zero-copy payloads whose traces are refs."""
-        if self._cache_handle is None:
-            cache = None
-            cache_dir = self.manifest.get("cache_dir")
-            if cache_dir:
-                from repro.harness.cache import TraceCache
-                with contextlib.suppress(Exception):
-                    cache = TraceCache(cache_dir)
-            self._cache_handle = (cache,)
-        return self._cache_handle[0]
+    # -- lifecycle records --------------------------------------------------
+    def interrupted(self, signum: int) -> None:
+        """Journal a clean interruption (called from a signal handler)."""
+        self.append({"type": "interrupted", "signal": int(signum)})
 
-    # -- engine observer hooks ----------------------------------------------
-    def shard_started(self, spec: _ShardSpec) -> None:
-        self.append({"type": "started", "benchmark": spec.benchmark,
-                     "units": len(spec.units)})
+    def finished(self, exit_code: int) -> None:
+        """Journal the run's end and release the journal descriptor."""
+        self.append({"type": "run_finished", "exit": int(exit_code)})
+        self.close()
 
-    def shard_finished(self, spec: _ShardSpec, result: _ShardResult) -> None:
+    # -- checkpoints --------------------------------------------------------
+    def _checkpoint_path(self, unit) -> pathlib.Path:
+        return self.directory / _CHECKPOINTS / self._checkpoint_name(unit)
+
+    def _write_checkpoint(self, unit, payload) -> str:
+        """Durably persist *unit*'s *payload*; returns its sha256.
+
+        A full disk (or exhausted fd table) raises
+        :class:`~repro.errors.ResourceExhaustedError` after removing
+        the partial temp file, so the caller can skip the checkpoint
+        without ever leaving a half-written one behind.
+        """
+        data = self._encode(payload)
+        path = self._checkpoint_path(unit)
+        temporary = path.with_suffix(".tmp")
         try:
-            digest = self._write_checkpoint(result)
+            fd = os.open(temporary,
+                         os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+            try:
+                os.write(fd, data)
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            temporary.replace(path)
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                temporary.unlink()
+            if is_resource_exhaustion(exc):
+                raise ResourceExhaustedError(
+                    f"cannot checkpoint {unit}: {exc}") from exc
+            raise
+        return _sha256(data)
+
+    def _checkpoint(self, unit, payload) -> Optional[str]:
+        """:meth:`_write_checkpoint`, or None once a full disk made it
+        journal ``checkpoint_failed`` instead.
+
+        No checkpoint is durably on disk then, so no ``done`` record
+        may claim one (write-ahead order): the in-memory result stands
+        and ``--resume`` re-runs the unit.
+        """
+        try:
+            return self._write_checkpoint(unit, payload)
         except ResourceExhaustedError as exc:
-            # No checkpoint durably on disk, so no "done" record may
-            # claim one (write-ahead order): note the skip and let the
-            # in-memory merge proceed; --resume re-runs this benchmark.
-            self.append({"type": "checkpoint_failed",
-                         "benchmark": spec.benchmark,
+            self.append({"type": "checkpoint_failed", self.UNIT: unit,
                          "cause": str(exc)})
-            return
-        for demotion in getattr(result, "demotions", None) or ():
-            self.append({"type": "demoted", **demotion.as_dict()})
-        self.append({
-            "type": "done",
-            "benchmark": spec.benchmark,
-            "checkpoint": digest,
-            "failed": len(result.failed),
-            "digests": shard_digests(result, cache=self._trace_cache()),
-        })
+            return None
+
+    def _done(self, record: dict) -> None:
+        """Append a checkpointed unit's ``done`` record; the crash knob
+        counts these."""
+        self.append(record)
         self._checkpoints_done += 1
         if (self._crash_after is not None
                 and self._checkpoints_done >= self._crash_after):
@@ -540,6 +594,105 @@ class RunJournal(EngineObserver):
             kill_sentinel_children()
             os._exit(23)
 
+    # -- resumption ---------------------------------------------------------
+    def replay(self) -> list[dict]:
+        """Valid journal records, tolerating a truncated final line."""
+        if not self.journal_path.exists():
+            return []
+        return replay_journal(self.journal_path)
+
+    def completed(self) -> dict:
+        """Unit -> its latest ``done`` record."""
+        return {record[self.UNIT]: record for record in self.replay()
+                if record.get("type") == "done"}
+
+    def load_checkpoints(self, cache=None) -> dict:
+        """Verified payloads of every completed unit.
+
+        Each checkpoint is re-hashed against the digest its ``done``
+        record committed; a missing, unreadable, mismatching or
+        undecodable checkpoint is dropped (that unit simply re-runs --
+        resume trades work for certainty, never the reverse).
+        """
+        loaded = {}
+        for unit, record in self.completed().items():
+            try:
+                data = self._checkpoint_path(unit).read_bytes()
+            except OSError:
+                continue
+            if _sha256(data) != record.get(self.DIGEST_KEY):
+                continue
+            payload = self._decode(data, record, cache)
+            if payload is not None:
+                loaded[unit] = payload
+        return loaded
+
+
+class RunJournal(Journal, EngineObserver):
+    """The experiment run's journal: one unit per benchmark shard.
+
+    Doubles as the parallel engine's observer: shard lifecycle events
+    are journalled as they happen, and a finished shard's payload is
+    pickled to ``checkpoints/<benchmark>.pkl`` before its ``done``
+    record (which also carries per-unit result digests) is appended.
+    """
+
+    UNIT = "benchmark"
+    DIGEST_KEY = "checkpoint"
+    IDENTITY = ("version", "exhibits", "scale", "benchmarks", "verify")
+
+    def _planned_units(self):
+        return self.manifest.get("benchmarks", ())
+
+    def _checkpoint_name(self, benchmark: str) -> str:
+        return benchmark.replace("/", "_") + ".pkl"
+
+    def _encode(self, result: _ShardResult) -> bytes:
+        return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+
+    def _decode(self, data: bytes, record: dict, cache):
+        try:
+            result = pickle.loads(data)
+        except Exception:
+            return None
+        if shard_digests(result, cache=cache) != record.get("digests"):
+            return None
+        return result
+
+    @property
+    def resume_command(self) -> str:
+        return f"repro experiment --resume {self.run_id}"
+
+    @functools.cached_property
+    def _trace_cache(self):
+        """The TraceCache the manifest names (None when uncached) --
+        needed to digest zero-copy payloads whose traces are refs."""
+        cache_dir = self.manifest.get("cache_dir")
+        if cache_dir:
+            from repro.harness.cache import TraceCache
+            with contextlib.suppress(Exception):
+                return TraceCache(cache_dir)
+        return None
+
+    # -- engine observer hooks ----------------------------------------------
+    def shard_started(self, spec: _ShardSpec) -> None:
+        self.append({"type": "started", "benchmark": spec.benchmark,
+                     "units": len(spec.units)})
+
+    def shard_finished(self, spec: _ShardSpec, result: _ShardResult) -> None:
+        digest = self._checkpoint(spec.benchmark, result)
+        if digest is None:
+            return
+        for demotion in getattr(result, "demotions", None) or ():
+            self.append({"type": "demoted", **demotion.as_dict()})
+        self._done({
+            "type": "done",
+            "benchmark": spec.benchmark,
+            "checkpoint": digest,
+            "failed": len(result.failed),
+            "digests": shard_digests(result, cache=self._trace_cache),
+        })
+
     def shard_retry(self, benchmark: str, attempt: int, delay: float,
                     cause: BaseException) -> None:
         self.append({"type": "retry", "benchmark": benchmark,
@@ -550,92 +703,17 @@ class RunJournal(EngineObserver):
         self.append({"type": "lost", "benchmark": benchmark,
                      "cause": f"{type(cause).__name__}: {cause}"})
 
-    # -- lifecycle records ----------------------------------------------------
-    def interrupted(self, signum: int) -> None:
-        """Journal a clean interruption (called from a signal handler)."""
-        self.append({"type": "interrupted", "signal": int(signum)})
-
-    def finished(self, exit_code: int) -> None:
-        self.append({"type": "run_finished", "exit": int(exit_code)})
-
-    # -- checkpoints ----------------------------------------------------------
-    def _checkpoint_path(self, benchmark: str) -> pathlib.Path:
-        safe = benchmark.replace("/", "_")
-        return self.directory / _CHECKPOINTS / f"{safe}.pkl"
-
-    def _write_checkpoint(self, result: _ShardResult) -> str:
-        """Durably persist one shard payload; returns its sha256.
-
-        A full disk (or exhausted fd table) raises
-        :class:`~repro.errors.ResourceExhaustedError` after removing
-        the partial temp file, so the caller can skip the checkpoint
-        without ever leaving a half-written ``.pkl`` behind.
-        """
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        path = self._checkpoint_path(result.benchmark)
-        temporary = path.with_suffix(".tmp")
-        try:
-            fd = os.open(temporary,
-                         os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-            try:
-                os.write(fd, payload)
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            temporary.replace(path)
-        except OSError as exc:
-            with contextlib.suppress(OSError):
-                temporary.unlink()
-            if is_resource_exhaustion(exc):
-                raise ResourceExhaustedError(
-                    f"cannot checkpoint {result.benchmark}: {exc}") from exc
-            raise
-        return _sha256(payload)
-
-    # -- resumption ------------------------------------------------------------
-    def replay(self) -> list[dict]:
-        """Valid journal records, tolerating a truncated final line."""
-        if not self.journal_path.exists():
-            return []
-        return replay_journal(self.journal_path)
-
-    def completed(self) -> dict[str, dict]:
-        """Benchmark -> its latest ``done`` record."""
-        done: dict[str, dict] = {}
-        for record in self.replay():
-            if record.get("type") == "done":
-                done[record["benchmark"]] = record
-        return done
-
+    # -- resumption ---------------------------------------------------------
     def load_checkpoints(self, cache=None) -> dict[str, _ShardResult]:
         """Verified merge payloads of every completed benchmark.
 
-        Each checkpoint is re-hashed against the digest its ``done``
-        record committed; a missing, unreadable, or mismatching
-        checkpoint is dropped (that benchmark simply re-runs -- resume
-        trades work for certainty, never the reverse).  When *cache* (a
-        :class:`~repro.harness.cache.TraceCache`) is given, every
-        checkpointed trace is cross-checked against the cache's copy
-        and a disagreeing cache bundle is quarantined, so a resumed run
-        cannot be poisoned by a cache that rotted while the run was
-        down.
+        When *cache* (a :class:`~repro.harness.cache.TraceCache`) is
+        given, every checkpointed trace is cross-checked against the
+        cache's copy and a disagreeing cache bundle is quarantined, so
+        a resumed run cannot be poisoned by a cache that rotted while
+        the run was down.
         """
-        loaded: dict[str, _ShardResult] = {}
-        for benchmark, record in self.completed().items():
-            path = self._checkpoint_path(benchmark)
-            try:
-                payload = path.read_bytes()
-            except OSError:
-                continue
-            if _sha256(payload) != record.get("checkpoint"):
-                continue
-            try:
-                result = pickle.loads(payload)
-            except Exception:
-                continue
-            if shard_digests(result, cache=cache) != record.get("digests"):
-                continue
-            loaded[benchmark] = result
+        loaded = super().load_checkpoints(cache)
         if cache is not None:
             self._cross_check_cache(loaded, cache)
         return loaded

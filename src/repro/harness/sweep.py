@@ -52,8 +52,8 @@ receives the trace once, through the pool initializer; results merge
 back in deterministic grid order), and every chunk is journalled
 write-ahead under ``.repro/sweeps/<run-id>/`` so an interrupted sweep
 resumes with ``repro sweep --resume`` without recomputing finished
-chunks (same manifest/journal/checkpoint pattern
-as :mod:`repro.harness.journal`, JSON checkpoints instead of pickles).
+chunks (:class:`SweepJournal`, the chunk kind of
+:class:`repro.harness.journal.Journal`).
 """
 
 from __future__ import annotations
@@ -68,14 +68,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigError, JournalError
-from repro.harness.journal import (
-    CRASH_AFTER_ENV,
-    _encode_record,
-    _sha256,
-    find_run,
-    publish_latest,
-    replay_journal,
-)
+from repro.harness.journal import Journal, _sha256
 from repro.lvp.config import LVPConfig
 from repro.lvp.unit import LVPStats
 from repro.trace.kernels import (
@@ -98,10 +91,6 @@ DEFAULT_SWEEP_RUNS_DIR = os.path.join(".repro", "sweeps")
 
 #: Default configurations per worker chunk.
 DEFAULT_CHUNK_SIZE = 16
-
-_MANIFEST = "manifest.json"
-_JOURNAL = "journal.jsonl"
-_CHECKPOINTS = "checkpoints"
 
 
 def sweep_runs_dir_from_env(default: Optional[str] = None) -> pathlib.Path:
@@ -483,97 +472,37 @@ def run_sweep(bench: str, configs: Sequence[LVPConfig], *,
 # ---------------------------------------------------------------------------
 # The sweep journal (write-ahead, resumable).
 # ---------------------------------------------------------------------------
-class SweepJournal(SweepObserver):
-    """Write-ahead journal for one sweep run directory.
+class SweepJournal(Journal, SweepObserver):
+    """The sweep's journal (:class:`~repro.harness.journal.Journal`):
+    one unit per grid chunk, checkpointed as canonical JSON cells to
+    ``checkpoints/chunk-<id>.json``."""
 
-    Same contract as :class:`~repro.harness.journal.RunJournal`, scoped
-    to sweep chunks: a chunk is recorded ``planned`` before any worker
-    sees it, ``started`` when handed out, and ``done`` only after its
-    cell payload is durably checkpointed (JSON, digest-verified on
-    resume).  ``REPRO_JOURNAL_CRASH_AFTER=<k>`` hard-exits the parent
-    after the k-th checkpoint, same chaos knob as experiment runs.
-    """
+    UNIT = "chunk"
+    DIGEST_KEY = "digest"
+    IDENTITY = ("version", "bench", "target", "scale", "config_names",
+                "chunks", "chunk_size")
+    NOUN = "sweep"
 
-    def __init__(self, directory, manifest: dict) -> None:
-        self.directory = pathlib.Path(directory)
-        self.manifest = manifest
-        self._checkpoints_done = 0
+    def _planned_units(self):
+        return range(self.manifest.get("chunks", 0))
+
+    def _checkpoint_name(self, chunk_id: int) -> str:
+        return f"chunk-{chunk_id}.json"
+
+    def _encode(self, cells: list[dict]) -> bytes:
+        return json.dumps(cells, sort_keys=True,
+                          separators=(",", ":")).encode()
+
+    def _decode(self, data: bytes, record: dict, cache):
         try:
-            self._crash_after: Optional[int] = max(
-                1, int(os.environ[CRASH_AFTER_ENV]))
-        except (KeyError, ValueError):
-            self._crash_after = None
-
-    @classmethod
-    def create(cls, runs_dir, run_id: str, manifest: dict) -> "SweepJournal":
-        directory = pathlib.Path(runs_dir) / run_id
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / _CHECKPOINTS).mkdir(exist_ok=True)
-        manifest = dict(manifest, run_id=run_id,
-                        fingerprint=cls.fingerprint(manifest))
-        temporary = directory / (_MANIFEST + ".tmp")
-        temporary.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-        temporary.replace(directory / _MANIFEST)
-        publish_latest(runs_dir, run_id)
-        journal = cls(directory, manifest)
-        journal.append({"type": "run_started", "run_id": run_id},
-                       *({"type": "planned", "chunk": chunk_id}
-                         for chunk_id in range(manifest.get("chunks", 0))))
-        return journal
-
-    @classmethod
-    def open(cls, runs_dir, run_id: str) -> "SweepJournal":
-        directory = find_run(runs_dir, run_id)
-        try:
-            manifest = json.loads((directory / _MANIFEST).read_text())
-        except (OSError, ValueError) as exc:
-            raise JournalError(
-                f"unreadable manifest in {directory}: {exc}") from exc
-        journal = cls(directory, manifest)
-        journal.verify_manifest()
-        return journal
-
-    @staticmethod
-    def fingerprint(manifest: dict) -> str:
-        identity = {key: manifest.get(key)
-                    for key in ("version", "bench", "target", "scale",
-                                "config_names", "chunks", "chunk_size")}
-        return _sha256(json.dumps(identity, sort_keys=True).encode())
-
-    def verify_manifest(self) -> None:
-        from repro import __version__
-        recorded = self.manifest.get("version")
-        if recorded != __version__:
-            raise JournalError(
-                f"sweep run {self.run_id!r} was recorded by repro "
-                f"{recorded}, this is {__version__}: start a fresh sweep")
-        expected = self.manifest.get("fingerprint")
-        if expected and expected != self.fingerprint(self.manifest):
-            raise JournalError(
-                f"manifest of sweep run {self.run_id!r} does not match "
-                "its fingerprint (edited by hand?); refusing to resume")
+            return json.loads(data)
+        except ValueError:
+            return None
 
     @property
-    def run_id(self) -> str:
-        return self.manifest.get("run_id", self.directory.name)
-
-    @property
-    def journal_path(self) -> pathlib.Path:
-        return self.directory / _JOURNAL
-
-    def append(self, *records: dict) -> None:
-        """Append *records*, one line each, with one write and fsync."""
-        lines = b"".join(_encode_record(record) for record in records)
-        fd = os.open(self.journal_path,
-                     os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, lines)
-            try:
-                os.fsync(fd)
-            except OSError:
-                pass
-        finally:
-            os.close(fd)
+    def resume_command(self) -> str:
+        return (f"repro sweep {self.manifest.get('bench')} "
+                f"--resume {self.run_id}")
 
     # -- observer hooks ------------------------------------------------------
     def chunk_started(self, spec: _SweepChunkSpec) -> None:
@@ -582,60 +511,10 @@ class SweepJournal(SweepObserver):
 
     def chunk_finished(self, spec: _SweepChunkSpec,
                        cells: list[dict]) -> None:
-        path = self.directory / _CHECKPOINTS / f"chunk-{spec.chunk_id}.json"
-        payload = json.dumps(cells, sort_keys=True,
-                             separators=(",", ":")).encode()
-        temporary = path.with_suffix(".tmp")
-        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-        try:
-            os.write(fd, payload)
-            try:
-                os.fsync(fd)
-            except OSError:
-                pass
-        finally:
-            os.close(fd)
-        temporary.replace(path)
-        self.append({"type": "done", "chunk": spec.chunk_id,
-                     "digest": _sha256(payload)})
-        self._checkpoints_done += 1
-        if (self._crash_after is not None
-                and self._checkpoints_done >= self._crash_after):
-            import contextlib
-            import multiprocessing
-            for child in multiprocessing.active_children():
-                with contextlib.suppress(Exception):
-                    child.terminate()
-            os._exit(23)
-
-    def finished(self, exit_code: int) -> None:
-        self.append({"type": "run_finished", "exit": int(exit_code)})
-
-    def interrupted(self, signum: int) -> None:
-        self.append({"type": "interrupted", "signal": int(signum)})
-
-    # -- resumption ----------------------------------------------------------
-    def load_checkpoints(self) -> dict[int, list[dict]]:
-        """Verified cell payloads of every completed chunk."""
-        done: dict[int, str] = {}
-        if self.journal_path.exists():
-            for record in replay_journal(self.journal_path):
-                if record.get("type") == "done":
-                    done[int(record["chunk"])] = record.get("digest", "")
-        loaded: dict[int, list[dict]] = {}
-        for chunk_id, digest in done.items():
-            path = self.directory / _CHECKPOINTS / f"chunk-{chunk_id}.json"
-            try:
-                payload = path.read_bytes()
-            except OSError:
-                continue
-            if _sha256(payload) != digest:
-                continue
-            try:
-                loaded[chunk_id] = json.loads(payload)
-            except ValueError:
-                continue
-        return loaded
+        digest = self._checkpoint(spec.chunk_id, cells)
+        if digest is not None:
+            self._done({"type": "done", "chunk": spec.chunk_id,
+                        "digest": digest})
 
 
 def build_sweep_manifest(bench: str, target: str, scale: str,

@@ -24,6 +24,7 @@ from repro.harness.parallel import (
     current_rss_mb,
     rss_limit_from_env,
 )
+from repro.harness.sweep import SweepJournal, _SweepChunkSpec
 
 
 def _enospc(*args, **kwargs):
@@ -145,78 +146,105 @@ class TestCacheResourceExhaustion:
         assert "trace cache store skipped" in capsys.readouterr().err
 
 
-class TestJournalDegradation:
-    MANIFEST = {"version": "t", "exhibits": [], "scale": "tiny",
-                "benchmarks": ["b1"], "verify": True}
+def _run_journal(tmp_path):
+    return RunJournal.create(tmp_path / "run", "run", {
+        "version": "t", "exhibits": [], "scale": "tiny",
+        "benchmarks": ["b1"], "verify": True})
 
+
+def _sweep_journal(tmp_path):
+    return SweepJournal.create(tmp_path / "sweep", "run", {
+        "version": "t", "bench": "compress", "chunks": 1})
+
+
+def _empty_result(benchmark="b1") -> _ShardResult:
+    return _ShardResult(benchmark=benchmark, traces={}, annotated={},
+                        ppc_runs={}, alpha_runs={}, failed={}, timings=[])
+
+
+def _finish_unit(journal) -> None:
+    """Hand *journal* one finished unit of its kind."""
+    if isinstance(journal, RunJournal):
+        journal.shard_finished(
+            _ShardSpec(benchmark="b1", scale="tiny", verify=True,
+                       cache_dir=None, units=(), unit_timeout=0.0),
+            _empty_result())
+    else:
+        journal.chunk_finished(_SweepChunkSpec(chunk_id=0, configs=()),
+                               [{"name": "x"}])
+
+
+def _enospc_on_temp(real_open):
+    def enospc_open(path, *args, **kwargs):
+        if str(path).endswith(".tmp"):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_open(path, *args, **kwargs)
+    return enospc_open
+
+
+#: Both journal kinds: every disk-full case below runs on each.
+JOURNALS = (_run_journal, _sweep_journal)
+
+
+class TestJournalDegradation:
     def test_append_survives_disk_full(self, tmp_path, monkeypatch,
                                        capsys):
-        journal = RunJournal.create(tmp_path, "run", self.MANIFEST)
-        monkeypatch.setattr(os, "write", _enospc)
-        journal.append({"type": "done", "benchmark": "b1"})  # no raise
-        err = capsys.readouterr().err
-        assert "resume" in err and journal.run_id in err
-        # Degraded: later appends are silent no-ops, hint prints once.
-        journal.append({"type": "done", "benchmark": "b2"})
-        assert capsys.readouterr().err == ""
-        monkeypatch.undo()
-        journal.close()
-        # Everything before the failure replays cleanly.
-        types = [r["type"] for r in journal.replay()]
-        assert types == ["run_started", "planned"]
+        for make in JOURNALS:
+            journal = make(tmp_path)
+            monkeypatch.setattr(os, "write", _enospc)
+            journal.append({"type": "done"})  # no raise
+            err = capsys.readouterr().err
+            assert journal.resume_command in err, make.__name__
+            # Degraded: later appends are silent no-ops, hint prints once.
+            journal.append({"type": "done"})
+            assert capsys.readouterr().err == ""
+            monkeypatch.undo()
+            journal.close()
+            # Everything before the failure replays cleanly.
+            types = [r["type"] for r in journal.replay()]
+            assert types == ["run_started", "planned"], make.__name__
 
     def test_append_reraises_real_errors(self, tmp_path, monkeypatch):
-        journal = RunJournal.create(tmp_path, "run", self.MANIFEST)
-
         def eio(*args, **kwargs):
             raise OSError(errno.EIO, "I/O error")
 
-        monkeypatch.setattr(os, "write", eio)
-        with pytest.raises(OSError):
-            journal.append({"type": "done", "benchmark": "b1"})
+        for make in JOURNALS:
+            journal = make(tmp_path)
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "write", eio)
+                with pytest.raises(OSError):
+                    journal.append({"type": "done"})
 
     def test_checkpoint_failure_skips_done_record(self, tmp_path,
                                                   monkeypatch, capsys):
-        journal = RunJournal.create(tmp_path, "run", self.MANIFEST)
-        result = _ShardResult(benchmark="b1", traces={}, annotated={},
-                              ppc_runs={}, alpha_runs={}, failed={},
-                              timings=[])
-        spec = _ShardSpec(benchmark="b1", scale="tiny", verify=True,
-                          cache_dir=None, units=(), unit_timeout=0.0)
-        monkeypatch.setattr(
-            journal, "_write_checkpoint",
-            lambda result: (_ for _ in ()).throw(
-                ResourceExhaustedError("disk full")))
-        journal.shard_finished(spec, result)
-        journal.close()
-        records = journal.replay()
-        types = [r["type"] for r in records]
-        assert "checkpoint_failed" in types
-        assert "done" not in types
-        # A failed checkpoint means that benchmark simply re-runs.
-        assert journal.completed() == {}
+        for make in JOURNALS:
+            journal = make(tmp_path)
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "open", _enospc_on_temp(os.open))
+                _finish_unit(journal)  # no raise
+            journal.close()
+            types = [r["type"] for r in journal.replay()]
+            assert "checkpoint_failed" in types, make.__name__
+            assert "done" not in types
+            # A failed checkpoint means that unit simply re-runs.
+            assert journal.completed() == {}
+            assert list((journal.directory / "checkpoints").iterdir()) == []
 
     def test_checkpoint_write_cleans_temp_on_enospc(self, tmp_path,
                                                     monkeypatch):
-        journal = RunJournal.create(tmp_path, "run", self.MANIFEST)
-        result = _ShardResult(benchmark="b1", traces={}, annotated={},
-                              ppc_runs={}, alpha_runs={}, failed={},
-                              timings=[])
-        real_open = os.open
-
-        def enospc_open(path, *args, **kwargs):
-            if str(path).endswith(".tmp"):
-                raise OSError(errno.ENOSPC, "No space left on device")
-            return real_open(path, *args, **kwargs)
-
-        monkeypatch.setattr(os, "open", enospc_open)
-        with pytest.raises(ResourceExhaustedError):
-            journal._write_checkpoint(result)
-        assert list((tmp_path / "run" / "checkpoints").iterdir()) == []
+        units = {_run_journal: ("b1", _empty_result()),
+                 _sweep_journal: (0, [{"name": "x"}])}
+        for make, (unit, payload) in units.items():
+            journal = make(tmp_path)
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "open", _enospc_on_temp(os.open))
+                with pytest.raises(ResourceExhaustedError):
+                    journal._write_checkpoint(unit, payload)
+            assert list((journal.directory / "checkpoints").iterdir()) == []
 
     def test_demotions_are_journalled(self, tmp_path):
         from repro.harness.guard import TierDemotion
-        journal = RunJournal.create(tmp_path, "run", self.MANIFEST)
+        journal = _run_journal(tmp_path)
         demotion = TierDemotion(
             benchmark="b1", stage="trace", target="ppc",
             unit="b1/trace/ppc", from_tier="compiled", to_tier="interp",

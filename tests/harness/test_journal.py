@@ -1,5 +1,10 @@
 """Unit tests for the write-ahead run journal, retry policy, cache
-lock bounding, and the --jobs/--unit-timeout validation layer."""
+lock bounding, and the --jobs/--unit-timeout validation layer.
+
+The journal primitive's cases (replay, truncation, tamper, manifest
+refusal, checkpoint digests) run over both unit kinds -- experiment
+runs and sweeps -- inside each test, so the suite's test ids stay one
+per case."""
 
 from __future__ import annotations
 
@@ -36,6 +41,8 @@ from repro.harness.parallel import (
 )
 from repro.harness.retry import RetryPolicy, call_with_retries
 from repro.harness.session import Session
+from repro.harness.sweep import SweepJournal, build_sweep_manifest
+from repro.lvp import sensitivity_grid
 
 try:
     import fcntl
@@ -64,14 +71,75 @@ def _manifest(**overrides) -> dict:
     return manifest
 
 
+class RunKind:
+    """An experiment run: units are benchmarks, payloads pickled."""
+
+    name = "run"
+    journal = RunJournal
+    unit = "b1"
+
+    @staticmethod
+    def manifest() -> dict:
+        return _manifest()
+
+    @staticmethod
+    def planned() -> list[dict]:
+        return [{"type": "planned", "benchmark": b} for b in ("b1", "b2")]
+
+    @staticmethod
+    def payload():
+        return _empty_shard()
+
+    @staticmethod
+    def done(digest: str, payload=None) -> dict:
+        return {"type": "done", "benchmark": "b1", "checkpoint": digest,
+                "digests": shard_digests(payload or _empty_shard())}
+
+
+class SweepKind:
+    """A sweep: units are grid chunks, payloads JSON cell lists."""
+
+    name = "sweep"
+    journal = SweepJournal
+    unit = 0
+
+    @staticmethod
+    def manifest() -> dict:
+        return build_sweep_manifest("compress", "ppc", "tiny",
+                                    sensitivity_grid()[:8],
+                                    chunk_size=4, jobs=1)
+
+    @staticmethod
+    def planned() -> list[dict]:
+        return [{"type": "planned", "chunk": c} for c in (0, 1)]
+
+    @staticmethod
+    def payload():
+        return [{"name": "x"}]
+
+    @staticmethod
+    def done(digest: str, payload=None) -> dict:
+        return {"type": "done", "chunk": 0, "digest": digest}
+
+
+KINDS = (RunKind, SweepKind)
+
+
+def _create(kind, tmp_path, run_id="r1"):
+    """A fresh journal of *kind* under its own runs directory."""
+    return kind.journal.create(tmp_path / kind.name, run_id,
+                               kind.manifest())
+
+
 class TestJournalLines:
     def test_write_replay_round_trip(self, tmp_path):
-        journal = RunJournal.create(tmp_path, "r1", _manifest())
-        journal.append({"type": "done", "benchmark": "b1",
-                        "checkpoint": "x", "digests": {}})
-        journal.close()
-        types = [r["type"] for r in replay_journal(journal.journal_path)]
-        assert types == ["run_started", "planned", "planned", "done"]
+        for kind in KINDS:
+            journal = _create(kind, tmp_path)
+            journal.append(kind.done("x"))
+            journal.close()
+            types = [r["type"] for r in replay_journal(journal.journal_path)]
+            assert types == ["run_started", "planned", "planned", "done"], \
+                kind.name
 
     def test_opening_records_one_write_one_fsync(self, tmp_path,
                                                   monkeypatch):
@@ -84,46 +152,55 @@ class TestJournalLines:
             fsyncs.append(fd), real_fsync(fd))[1])
         # The latest-run pointer is a separate file with its own write.
         monkeypatch.setattr(journal_mod, "publish_latest", lambda *args: None)
-        journal = RunJournal.create(tmp_path, "r1", _manifest())
-        journal.close()
-        records = [{"type": "run_started", "run_id": "r1"},
-                   {"type": "planned", "benchmark": "b1"},
-                   {"type": "planned", "benchmark": "b2"}]
-        expected = b"".join(journal_mod._encode_record(r) for r in records)
-        assert writes == [expected]
-        assert len(fsyncs) == 1
-        assert journal.journal_path.read_bytes() == expected
+        for kind in KINDS:
+            writes.clear()
+            fsyncs.clear()
+            journal = _create(kind, tmp_path)
+            journal.close()
+            records = [{"type": "run_started", "run_id": "r1"},
+                       *kind.planned()]
+            expected = b"".join(journal_mod._encode_record(r)
+                                for r in records)
+            assert writes == [expected], kind.name
+            assert len(fsyncs) == 1, kind.name
+            assert journal.journal_path.read_bytes() == expected
 
     def test_truncated_trailing_line_tolerated(self, tmp_path):
-        journal = RunJournal.create(tmp_path, "r1", _manifest())
-        journal.close()
-        path = journal.journal_path
-        before = [r["type"] for r in replay_journal(path)]
-        path.write_bytes(path.read_bytes() + b'{"rec":{"type":"done"')
-        assert [r["type"] for r in replay_journal(path)] == before
+        for kind in KINDS:
+            journal = _create(kind, tmp_path)
+            journal.close()
+            path = journal.journal_path
+            before = [r["type"] for r in replay_journal(path)]
+            path.write_bytes(path.read_bytes() + b'{"rec":{"type":"done"')
+            assert [r["type"] for r in replay_journal(path)] == before
+            assert [r["type"] for r in journal.replay()] == before
 
     def test_interior_damage_raises(self, tmp_path):
-        journal = RunJournal.create(tmp_path, "r1", _manifest())
-        journal.close()
-        path = journal.journal_path
-        lines = path.read_bytes().split(b"\n")
-        lines[0] = lines[0].replace(b"run_started", b"run_stirred")
-        path.write_bytes(b"\n".join(lines))
-        with pytest.raises(JournalError):
-            replay_journal(path)
+        for kind in KINDS:
+            journal = _create(kind, tmp_path)
+            journal.close()
+            path = journal.journal_path
+            lines = path.read_bytes().split(b"\n")
+            lines[0] = lines[0].replace(b"run_started", b"run_stirred")
+            path.write_bytes(b"\n".join(lines))
+            with pytest.raises(JournalError):
+                replay_journal(path)
+            with pytest.raises(JournalError):
+                journal.load_checkpoints()
 
     def test_crc_protects_payload(self, tmp_path):
-        journal = RunJournal.create(tmp_path, "r1", _manifest())
-        journal.close()
-        path = journal.journal_path
-        # Flip a byte inside the first record's payload but keep the
-        # line syntactically valid JSON: the CRC must catch it.
-        lines = path.read_bytes().split(b"\n")
-        tampered = lines[0].replace(b'"run_id":"r1"', b'"run_id":"rX"')
-        assert tampered != lines[0]
-        path.write_bytes(b"\n".join([tampered] + lines[1:]))
-        with pytest.raises(JournalError):
-            replay_journal(path)
+        for kind in KINDS:
+            journal = _create(kind, tmp_path)
+            journal.close()
+            path = journal.journal_path
+            # Flip a byte inside the first record's payload but keep the
+            # line syntactically valid JSON: the CRC must catch it.
+            lines = path.read_bytes().split(b"\n")
+            tampered = lines[0].replace(b'"run_id":"r1"', b'"run_id":"rX"')
+            assert tampered != lines[0]
+            path.write_bytes(b"\n".join([tampered] + lines[1:]))
+            with pytest.raises(JournalError):
+                replay_journal(path)
 
     def test_damaged_single_line_journal_replays_empty(self, tmp_path):
         # With only one (damaged) line, it IS the trailing line: the
@@ -135,44 +212,59 @@ class TestJournalLines:
 
 class TestCheckpoints:
     def test_finished_shard_checkpoints_and_resumes(self, tmp_path):
-        journal = RunJournal.create(tmp_path, "r1", _manifest())
-        shard = _empty_shard()
-        digest = journal._write_checkpoint(shard)
-        journal.append({"type": "done", "benchmark": "b1",
-                        "checkpoint": digest,
-                        "digests": shard_digests(shard)})
-        journal.close()
-        reopened = RunJournal.open(tmp_path, "r1")
-        loaded = reopened.load_checkpoints()
-        assert set(loaded) == {"b1"}
-        assert loaded["b1"].benchmark == "b1"
+        for kind in KINDS:
+            journal = _create(kind, tmp_path)
+            payload = kind.payload()
+            digest = journal._write_checkpoint(kind.unit, payload)
+            journal.append(kind.done(digest, payload))
+            journal.close()
+            reopened = kind.journal.open(tmp_path / kind.name, "r1")
+            loaded = reopened.load_checkpoints()
+            assert list(loaded) == [kind.unit], kind.name
+            assert loaded[kind.unit] == payload
 
     def test_tampered_checkpoint_dropped(self, tmp_path):
-        journal = RunJournal.create(tmp_path, "r1", _manifest())
-        shard = _empty_shard()
-        digest = journal._write_checkpoint(shard)
-        journal.append({"type": "done", "benchmark": "b1",
-                        "checkpoint": digest,
-                        "digests": shard_digests(shard)})
-        journal._checkpoint_path("b1").write_bytes(b"rotten")
-        assert journal.load_checkpoints() == {}
+        for kind in KINDS:
+            journal = _create(kind, tmp_path)
+            payload = kind.payload()
+            digest = journal._write_checkpoint(kind.unit, payload)
+            journal.append(kind.done(digest, payload))
+            journal._checkpoint_path(kind.unit).write_bytes(b"rotten")
+            assert journal.load_checkpoints() == {}, kind.name
 
     def test_missing_checkpoint_dropped(self, tmp_path):
-        journal = RunJournal.create(tmp_path, "r1", _manifest())
-        journal.append({"type": "done", "benchmark": "b1",
-                        "checkpoint": "0" * 64, "digests": {}})
-        assert journal.load_checkpoints() == {}
+        for kind in KINDS:
+            journal = _create(kind, tmp_path)
+            journal.append(kind.done("0" * 64))
+            assert journal.load_checkpoints() == {}, kind.name
+
+
+def _edit_manifest(journal, **changes) -> None:
+    path = journal.directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest.update(changes)
+    path.write_text(json.dumps(manifest))
 
 
 class TestManifest:
     def test_version_mismatch_refuses_resume(self, tmp_path):
-        RunJournal.create(tmp_path, "r1", _manifest()).close()
-        manifest_path = tmp_path / "r1" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["version"] = "0.0.0-other"
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(JournalError):
-            RunJournal.open(tmp_path, "r1")
+        for kind in KINDS:
+            journal = _create(kind, tmp_path)
+            journal.close()
+            manifest = dict(journal.manifest, version="0.0.0-other")
+            # A consistent fingerprint: the version check alone refuses.
+            _edit_manifest(journal, version="0.0.0-other",
+                           fingerprint=kind.journal.fingerprint(manifest))
+            with pytest.raises(JournalError, match="0.0.0-other"):
+                kind.journal.open(tmp_path / kind.name, "r1")
+
+    def test_fingerprint_mismatch_refuses_resume(self, tmp_path):
+        for kind in KINDS:
+            journal = _create(kind, tmp_path)
+            journal.close()
+            _edit_manifest(journal, scale="small")
+            with pytest.raises(JournalError, match="fingerprint"):
+                kind.journal.open(tmp_path / kind.name, "r1")
 
     def test_build_manifest_records_identity(self):
         session = Session(scale="tiny", benchmarks=("grep",))

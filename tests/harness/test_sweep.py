@@ -13,6 +13,7 @@ and diff against an uninterrupted control run, serially and under
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import multiprocessing
@@ -33,6 +34,7 @@ from repro.harness.sweep import (
     StageMemo,
     SweepJournal,
     SweepObserver,
+    _SweepChunkSpec,
     build_sweep_manifest,
     decode_events,
     evaluate_configs,
@@ -327,12 +329,56 @@ class TestSweepFailureAndResume:
         control = run_sweep("compress", grid, scale="tiny", chunk_size=2)
         assert _volatile_free(resumed) == _volatile_free(control)
 
+    def test_failed_checkpoint_chunk_is_recomputed_on_resume(
+            self, clean_env, tmp_path):
+        """A full disk under one chunk's checkpoint does not stop the
+        sweep; resuming recomputes just that chunk, and both documents
+        equal an uninterrupted run."""
+        import errno
+        grid = list(CHUNKED_GRID)
+        manifest = build_sweep_manifest("compress", "ppc", "tiny", grid,
+                                        chunk_size=2, jobs=1)
+        journal = SweepJournal.create(tmp_path, "full", manifest)
+        real_open = os.open
+
+        def enospc_chunk_1(path, *args, **kwargs):
+            if str(path).endswith("chunk-1.tmp"):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_open(path, *args, **kwargs)
+
+        with clean_env.context() as patch:
+            patch.setattr(os, "open", enospc_chunk_1)
+            first = run_journaled_sweep("compress", grid, journal=journal,
+                                        scale="tiny")
+        journal.finished(0)
+        failed = [record["chunk"] for record in journal.replay()
+                  if record["type"] == "checkpoint_failed"]
+        assert failed == [1]
+        assert sorted(journal.completed()) == [0, 2]
+        assert not (journal.directory / "checkpoints" / "chunk-1.tmp") \
+            .exists()
+
+        reopened = SweepJournal.open(tmp_path, "full")
+        recomputed = _Recorder()
+        reopened_finished = reopened.chunk_finished
+
+        def observe(spec, cells):
+            recomputed.chunk_finished(spec, cells)
+            reopened_finished(spec, cells)
+
+        reopened.chunk_finished = observe
+        resumed = run_journaled_sweep("compress", grid, journal=reopened,
+                                      scale="tiny", resume=True)
+        assert list(recomputed.payloads) == [1]
+        control = run_sweep("compress", grid, scale="tiny", chunk_size=2)
+        assert _volatile_free(first) == _volatile_free(control)
+        assert _volatile_free(resumed) == _volatile_free(control)
+
     def test_resume_ignores_checkpoints_of_another_chunk_order(
             self, clean_env, tmp_path, compress_trace):
         """Checkpoints written under a different chunk order (an older
         planner) must not land on the current plan's rows: a chunk whose
         cell names differ from its planned configurations is re-run."""
-        from repro.harness.sweep import _SweepChunkSpec
         grid = list(CHUNKED_GRID)
         manifest = build_sweep_manifest("compress", "ppc", "tiny", grid,
                                         chunk_size=2, jobs=1)
@@ -471,23 +517,21 @@ class TestSweepJournalUnit:
 
     def test_opening_records_one_write_one_fsync(self, tmp_path,
                                                   monkeypatch):
-        import os
-
-        from repro.harness import sweep as sweep_mod
+        from repro.harness import journal as journal_mod
         writes, fsyncs = [], []
         real_write, real_fsync = os.write, os.fsync
-        monkeypatch.setattr(sweep_mod.os, "write", lambda fd, data: (
+        monkeypatch.setattr(journal_mod.os, "write", lambda fd, data: (
             writes.append(data), real_write(fd, data))[1])
-        monkeypatch.setattr(sweep_mod.os, "fsync", lambda fd: (
+        monkeypatch.setattr(journal_mod.os, "fsync", lambda fd: (
             fsyncs.append(fd), real_fsync(fd))[1])
         # The latest-run pointer is a separate file with its own write.
-        monkeypatch.setattr(sweep_mod, "publish_latest", lambda *args: None)
+        monkeypatch.setattr(journal_mod, "publish_latest", lambda *args: None)
         grid = sensitivity_grid()[:8]
         journal = SweepJournal.create(tmp_path, "run", self._manifest(grid))
         records = [{"type": "run_started", "run_id": "run"},
                    {"type": "planned", "chunk": 0},
                    {"type": "planned", "chunk": 1}]
-        expected = b"".join(sweep_mod._encode_record(r) for r in records)
+        expected = b"".join(journal_mod._encode_record(r) for r in records)
         assert writes == [expected]
         assert len(fsyncs) == 1
         assert journal.journal_path.read_bytes() == expected
@@ -517,7 +561,6 @@ class TestSweepJournalUnit:
         grid = sensitivity_grid()[:8]
         journal = SweepJournal.create(tmp_path, "run", self._manifest(grid))
         spec_cells = [{"name": "x"}]
-        from repro.harness.sweep import _SweepChunkSpec
         spec = _SweepChunkSpec(chunk_id=0, configs=())
         journal.chunk_finished(spec, spec_cells)
         assert journal.load_checkpoints() == {0: spec_cells}
@@ -546,6 +589,90 @@ class TestSweepJournalUnit:
             SweepJournal.open(tmp_path, "latest")
         with pytest.raises(JournalError):
             SweepJournal.open(tmp_path, "nope")
+
+    def test_journaled_sweep_opens_its_journal_once(self, clean_env,
+                                                    tmp_path):
+        real_open, opened = os.open, []
+
+        def counting_open(path, *args, **kwargs):
+            if str(path).endswith("journal.jsonl"):
+                opened.append(path)
+            return real_open(path, *args, **kwargs)
+
+        grid = list(CHUNKED_GRID)
+        manifest = build_sweep_manifest("compress", "ppc", "tiny", grid,
+                                        chunk_size=4, jobs=1)
+        assert manifest["chunks"] == 2
+        clean_env.setattr(os, "open", counting_open)
+        journal = SweepJournal.create(tmp_path, "run", manifest)
+        run_journaled_sweep("compress", grid, journal=journal,
+                            scale="tiny")
+        journal.finished(0)
+        assert len(opened) == 1
+        kinds = [record["type"] for record in journal.replay()]
+        assert kinds.count("done") == 2 and kinds[-1] == "run_finished"
+
+    def test_finished_leaves_no_descriptor_open(self, tmp_path):
+        def journal_fds(journal) -> list:
+            fds = []
+            for name in os.listdir("/proc/self/fd"):
+                with contextlib.suppress(OSError):
+                    if os.readlink(f"/proc/self/fd/{name}") == \
+                            str(journal.journal_path):
+                        fds.append(name)
+            return fds
+
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd on this platform")
+        grid = sensitivity_grid()[:8]
+        journal = SweepJournal.create(tmp_path, "run", self._manifest(grid))
+        journal.chunk_finished(_SweepChunkSpec(chunk_id=0, configs=()),
+                               [{"name": "x"}])
+        assert len(journal_fds(journal)) == 1
+        journal.finished(0)
+        assert journal_fds(journal) == []
+        assert [r["type"] for r in journal.replay()][-1] == "run_finished"
+
+    def test_resume_hint_names_the_sweep(self, tmp_path, monkeypatch,
+                                         capfd):
+        """The disk-full warning and the SIGINT/SIGTERM handler both
+        print the journal's own resume command: ``repro sweep BENCH``,
+        not ``repro experiment``."""
+        import errno
+        import signal
+
+        from repro import cli
+        grid = sensitivity_grid()[:8]
+        journal = SweepJournal.create(tmp_path, "run", self._manifest(grid))
+        hint = "repro sweep compress --resume run"
+        assert journal.resume_command == hint
+
+        def enospc(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", enospc)
+            journal.append({"type": "started", "chunk": 0})
+        assert f"\n  {hint}" in capfd.readouterr().err
+
+        class Exited(Exception):
+            pass
+
+        def fake_exit(code):
+            raise Exited(code)
+
+        previous = cli._install_interrupt_handlers(journal)
+        try:
+            handler = signal.getsignal(signal.SIGINT)
+            monkeypatch.setattr(cli.os, "_exit", fake_exit)
+            with pytest.raises(Exited) as exited:
+                handler(signal.SIGINT, None)
+        finally:
+            cli._restore_handlers(previous)
+        assert exited.value.args == (128 + signal.SIGINT,)
+        err = capfd.readouterr().err
+        assert f"resume with:\n  {hint}\n" in err
+        assert "repro experiment" not in err
 
 
 # ---------------------------------------------------------------------------
