@@ -77,7 +77,7 @@ from repro.obs import (
 )
 from repro.harness.parallel import (
     jobs_from_env,
-    kill_sentinel_children,
+    kill_model_children,
     unit_timeout_from_env,
 )
 from repro.harness.session import Session
@@ -162,8 +162,9 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
         "--jobs", type=_jobs_arg, default=None,
         metavar="N",
         help="worker processes for the parallel engine (default: "
-             "$REPRO_JOBS or 1 = serial; output is bit-identical "
-             "either way)")
+             "$REPRO_JOBS or 1 = one process that forks model children "
+             "on the other CPUs when journaled; output is "
+             "bit-identical either way)")
 
 
 def _cap_jobs(jobs: int) -> int:
@@ -300,7 +301,7 @@ def _install_interrupt_handlers(journal: Journal):
         if os.getpid() != owner:  # a forked worker inherited us
             os._exit(128 + signum)
         with contextlib.suppress(Exception):
-            kill_sentinel_children()
+            kill_model_children()
         with contextlib.suppress(Exception):
             journal.interrupted(signum)
         name = signal.Signals(signum).name

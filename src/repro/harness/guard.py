@@ -22,13 +22,6 @@ a "Tier notes" block under the exhibit.  The demotion is sticky for
 the session, so a bad compiled block cannot keep corrupting its
 benchmark's later units.
 
-**Deferred model checks.**  On the in-process engine path the engine
-lends the guard a :class:`~repro.harness.sentinels.DeferredChecks`
-queue (:attr:`TierGuard.deferred`): a sampled model unit then returns
-its fast result at once and is checked in a forked child, and a failed
-check re-runs the benchmark's model stage through the inline path
-below.  Everywhere else the check runs inline.
-
 Sampling is keyed by ``crc32(seed:label)`` on the unit's stable label,
 never by call order, so serial and parallel runs sample (and demote)
 identically and the byte-identical-stdout contract holds.
@@ -279,10 +272,6 @@ class TierGuard:
         self.session = session
         #: (benchmark, stage, target) -> TierDemotion
         self._demoted: dict = {}
-        #: A :class:`~repro.harness.sentinels.DeferredChecks` queue lent
-        #: by the in-process engine: sampled model units are then
-        #: checked in a forked child instead of inline (None = inline).
-        self.deferred = None
 
     # -- public stage runners ------------------------------------------------
     def run_trace(self, name: str, target: str, program):
@@ -327,12 +316,6 @@ class TierGuard:
     def demotions(self) -> list:
         return list(self._demoted.values())
 
-    def forget(self, stage: str) -> None:
-        """Drop the sticky demotions of *stage* (it is being re-run)."""
-        self._demoted = {key: demotion
-                         for key, demotion in self._demoted.items()
-                         if key[1] != stage}
-
     # -- internals -----------------------------------------------------------
     def _pinned(self, name: str, stage: str, run: Callable, pinned):
         """Run outside the guard (tier pinned by env or ineligible)."""
@@ -340,8 +323,6 @@ class TierGuard:
 
     def _guarded(self, name: str, stage: str, target: str, label: str,
                  run: Callable):
-        if self.deferred is not None:
-            self.deferred.poll()
         if os.environ.get(_PIN_ENVS[stage]):
             # An explicitly pinned tier is what the user asked to
             # measure: no sentinel, no ladder.  (This is also how the
@@ -389,13 +370,6 @@ class TierGuard:
             result = inject_tier_fault(stage, result)
         if forced or sentinel_samples(label):
             self._count(name, stage, "sentinel_checks")
-            if stage == "model" and self.deferred is not None:
-                # Checked in a forked child while the run goes on; a
-                # failed check re-runs the shard's model stage through
-                # the inline path below (repro.harness.sentinels).
-                self.deferred.submit(name, run, oracle_tier, result,
-                                     self.session.unit_timeout)
-                return result
             oracle = run(oracle_tier)
             try:
                 differences = _DIFFERS[stage](result, oracle)

@@ -64,7 +64,7 @@ from repro.harness.parallel import (
     _CachedTraceRef,
     _ShardResult,
     _ShardSpec,
-    kill_sentinel_children,
+    kill_model_children,
 )
 from repro.obs.metrics import write_metrics
 
@@ -583,7 +583,7 @@ class Journal:
                 and self._checkpoints_done >= self._crash_after):
             # Chaos drill: die the hardest way possible (no atexit, no
             # flush) right after the journal claims this checkpoint.
-            # Pool workers and sentinel children are reaped first -- a
+            # Pool workers and model children are reaped first -- a
             # real crash would leave them to die on their broken pipes,
             # but the drill must not leave orphans holding the caller's
             # pipes open.
@@ -591,7 +591,7 @@ class Journal:
             for child in multiprocessing.active_children():
                 with contextlib.suppress(Exception):
                     child.terminate()
-            kill_sentinel_children()
+            kill_model_children()
             os._exit(23)
 
     # -- resumption ---------------------------------------------------------

@@ -61,6 +61,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import copy
+import functools
 import os
 import pickle
 import signal
@@ -87,7 +88,7 @@ from repro.lvp.config import CONSTANT, LIMIT, PERFECT, SIMPLE, config_by_name
 CRASH_ENV = "REPRO_PARALLEL_CRASH"
 
 #: Default worker-count environment variable honoured by the CLI and
-#: the benchmark harness (``1`` = the serial path).
+#: the benchmark harness (``1`` = the in-process path).
 JOBS_ENV = "REPRO_JOBS"
 
 #: Default per-unit watchdog environment variable (seconds; unset or
@@ -460,8 +461,8 @@ def _lighten_payload(session, scale: str) -> tuple[dict, dict]:
     ``.trace`` is being replaced are copied and the copy re-pointed at
     the same ref, so one trace's arrays are not smuggled home through
     the annotation's back-reference.  The session itself is left
-    untouched: a deferred sentinel forked later still reads real
-    traces from it.  With no cache configured this is the identity.
+    untouched, so its owner may go on reading real traces from it.
+    With no cache configured this is the identity.
     """
     traces = dict(session._traces)
     annotated = dict(session._annotated)
@@ -485,18 +486,38 @@ def _lighten_payload(session, scale: str) -> tuple[dict, dict]:
     return traces, annotated
 
 
+@dataclass
+class _GroupResult:
+    """What one model group added to its shard's session: the payload
+    a model child ships home (:mod:`repro.harness.children`)."""
+
+    ppc_runs: dict
+    alpha_runs: dict
+    failed: dict
+    demotions: list
+    metrics: Optional[dict]
+    timings: list[UnitTiming]
+    profiles: Optional[dict]
+
+
+def _model_groups(units: Sequence[WorkUnit]) -> list[tuple[WorkUnit, ...]]:
+    """The model units of *units*, one group per target in workplan
+    order.  The guard's sticky demotions are keyed (benchmark, stage,
+    target), so a group holds every unit a demotion can affect."""
+    groups: dict[str, list[WorkUnit]] = {}
+    for unit in units:
+        if unit.stage == "model":
+            groups.setdefault(unit.target, []).append(unit)
+    return [tuple(group) for group in groups.values()]
+
+
 class _Shard:
-    """One benchmark's units run against a private worker session.
+    """One benchmark's units run against a private worker session."""
 
-    *checks* (a :class:`~repro.harness.sentinels.DeferredChecks`, or
-    None for the inline guard) is lent to the session's guard, which
-    then checks sampled model units in a forked child.
-    """
-
-    def __init__(self, spec: _ShardSpec, checks=None) -> None:
+    def __init__(self, spec: _ShardSpec) -> None:
         crash = os.environ.get(CRASH_ENV)
         if crash and crash == spec.benchmark:
-            kill_sentinel_children()  # leave no orphan on the caller's pipes
+            kill_model_children()  # leave no orphan on the caller's pipes
             os._exit(13)  # simulate a killed/segfaulted worker
         from repro.harness.session import Session
         self.spec = spec
@@ -504,44 +525,22 @@ class _Shard:
             scale=spec.scale, benchmarks=(spec.benchmark,),
             verify=spec.verify, cache_dir=spec.cache_dir,
             metrics=spec.metrics, unit_timeout=spec.unit_timeout)
-        self.session.guard.deferred = checks
+        self.rss_limit = rss_limit_from_env()
         self.timings: list[UnitTiming] = []
         self.profiles: Optional[dict] = {} if spec.profile else None
 
     def run(self, units: Sequence[WorkUnit]) -> None:
         """Execute *units* in order, timing (and profiling) each."""
-        session = self.session
-        rss_limit = rss_limit_from_env()
         pid = os.getpid()
         for unit in units:
             start = time.perf_counter()
-            ok = True
             profiler = None
             if self.profiles is not None:
                 import cProfile
                 profiler = cProfile.Profile()
                 profiler.enable()
             try:
-                _check_rss(rss_limit, unit)
-                with _unit_watchdog(self.spec.unit_timeout, unit):
-                    _execute_unit(session, unit)
-            except BenchmarkFailure:
-                # Recorded on the worker session; dependent units of the
-                # same benchmark re-raise instantly via negative
-                # memoization.
-                ok = False
-            except (UnitTimeoutError, MemoryBudgetError) as exc:
-                # The alarm fired between stage try-blocks (or the RSS
-                # budget tripped before the unit started), so the
-                # session did not get to record it: pin the failure on
-                # the unit's own stage so the benchmark is footnoted all
-                # the same.
-                ok = False
-                key = ("watchdog", (unit.benchmark, unit.stage, unit.target,
-                                    unit.lvp, unit.machine))
-                if key not in session._failed:
-                    session._fail(unit.benchmark, unit.stage, unit.target,
-                                  key, exc)
+                ok = self._attempt(unit)
             finally:
                 if profiler is not None:
                     profiler.disable()
@@ -549,15 +548,93 @@ class _Shard:
             self.timings.append(UnitTiming(unit, time.perf_counter() - start,
                                            pid, ok))
 
-    def rerun_model_stage(self) -> None:
-        """A deferred check failed: drop the model stage and run it
-        again through the inline guard.  Traces and annotations were
-        checked before it, so this reproduces the inline run exactly --
-        same demotions, counters, and failures."""
-        self.session.guard.deferred = None
-        self.session.forget_model_stage()
-        self.timings = [t for t in self.timings if t.unit.stage != "model"]
-        self.run([unit for unit in self.spec.units if unit.stage == "model"])
+    def _attempt(self, unit: WorkUnit) -> bool:
+        """Execute one unit under the watchdog; False if it failed."""
+        session = self.session
+        try:
+            _check_rss(self.rss_limit, unit)
+            with _unit_watchdog(self.spec.unit_timeout, unit):
+                _execute_unit(session, unit)
+        except BenchmarkFailure:
+            # Recorded on the worker session; dependent units of the
+            # same benchmark re-raise instantly via negative
+            # memoization.
+            return False
+        except (UnitTimeoutError, MemoryBudgetError) as exc:
+            # The alarm fired between stage try-blocks (or the RSS
+            # budget tripped before the unit started), so the session
+            # did not get to record it: pin the failure on the unit's
+            # own stage so the benchmark is footnoted all the same.
+            key = ("watchdog", (unit.benchmark, unit.stage, unit.target,
+                                unit.lvp, unit.machine))
+            if key not in session._failed:
+                session._fail(unit.benchmark, unit.stage, unit.target,
+                              key, exc)
+            return False
+        return True
+
+    def resolve(self, group: Sequence[WorkUnit]) -> None:
+        """Compute every trace and annotation the model units of
+        *group* read (base runs read Simple's), so that a child running
+        the group only models."""
+        for target, lvp in dict.fromkeys(
+                (unit.target, unit.lvp or SIMPLE.name) for unit in group):
+            self._attempt(WorkUnit(self.spec.benchmark, "annotate",
+                                   target, lvp))
+
+    def run_group(self, group: Sequence[WorkUnit]) -> _GroupResult:
+        """Run one model group and return what it added to the session
+        (a model child's side: its session is a copy of the parent's,
+        and a fresh registry keeps the parent's counters from being
+        shipped home twice)."""
+        from repro.obs.metrics import MetricsRegistry
+        session = self.session
+        ppc, alpha = set(session._ppc_runs), set(session._alpha_runs)
+        failed = set(session._failed)
+        demoted = len(session.demotions)
+        if session.metrics is not None:
+            session.metrics = MetricsRegistry()
+        self.timings = []
+        if self.profiles is not None:
+            self.profiles = {}
+        self.run(group)
+        return _GroupResult(
+            ppc_runs={key: run for key, run in session._ppc_runs.items()
+                      if key not in ppc},
+            alpha_runs={key: run for key, run in session._alpha_runs.items()
+                        if key not in alpha},
+            failed={key: _portable_failure(failure)
+                    for key, failure in session._failed.items()
+                    if key not in failed},
+            demotions=session.demotions[demoted:],
+            metrics=None if session.metrics is None
+            else session.metrics.fragment(),
+            timings=self.timings,
+            profiles=self.profiles,
+        )
+
+    def merge_group(self, group: _GroupResult) -> None:
+        """Fold a model child's :meth:`run_group` result into the
+        session, as if the group had run here."""
+        session = self.session
+        session._ppc_runs.update(group.ppc_runs)
+        session._alpha_runs.update(group.alpha_runs)
+        for key, failure in group.failed.items():
+            session._failed[key] = failure
+            session.failures.append(failure)
+        session.demotions.extend(group.demotions)
+        if group.metrics is not None and session.metrics is not None:
+            session.metrics.merge_fragment(group.metrics)
+        self.timings.extend(group.timings)
+        if group.profiles:
+            self.profiles.update(group.profiles)
+
+    def group_deadline(self, group: Sequence[WorkUnit]) -> float:
+        """Seconds a model child may take for *group* (0 = unbounded):
+        each unit may time out once on its fast tier and once more on
+        the re-armed oracle, plus a second of slack."""
+        timeout = self.spec.unit_timeout
+        return 2.0 * timeout * len(group) + 1.0 if timeout > 0 else 0.0
 
     def payload(self) -> _ShardResult:
         """The shard's merge payload (what is checkpointed and merged)."""
@@ -672,10 +749,10 @@ class ParallelEngine:
     in-process: that is the default journaled ``repro experiment`` path
     (:func:`~repro.harness.journal.run_journaled`), while
     :meth:`Session.warm` and the unjournaled CLI skip the engine at
-    ``jobs=1`` and stay lazy.  In-process, sampled model units are
-    checked in a forked child while the next units run
-    (:mod:`repro.harness.sentinels`); a shard is checkpointed only
-    once its checks have settled.
+    ``jobs=1`` and stay lazy.  In-process, each (benchmark, target)'s
+    model units run in a forked child while the parent goes on, up to
+    the number of usable CPUs (:mod:`repro.harness.children`); a shard
+    is checkpointed only once all its model groups are in.
 
     ``max_attempts`` bounds how many times one benchmark may take a
     worker down (pool breakage) before it is recorded as a
@@ -688,10 +765,6 @@ class ParallelEngine:
     benchmarks are merged without being re-run.  ``observer`` receives
     parent-side progress callbacks (see :class:`EngineObserver`).
     """
-
-    #: Check sampled model units in a forked child on the in-process
-    #: path (False runs every check inline, as pool workers do).
-    defer_model_checks = hasattr(os, "fork")
 
     def __init__(self, session, jobs: int = 1,
                  units: Optional[Sequence[WorkUnit]] = None,
@@ -750,22 +823,30 @@ class ParallelEngine:
         return report
 
     def _run_in_process(self, shards: list[_ShardSpec]) -> dict:
-        """Run shards one after another in this process.
+        """Run shards in this process, their model groups in forked
+        children (:mod:`repro.harness.children`).
 
-        Sampled model units are checked by forked children while later
-        shards run.  Shards finish (payload, ``shard_finished``) in
-        order, each once its checks have settled, so the parent holds
-        only the sessions of shards still waiting on a check.
+        The parent runs a shard's trace and annotate units, forks one
+        child per model group and goes on with the next shard.  Shards
+        finish (group results merged in workplan order, then payload and
+        ``shard_finished``) in order, each once all its groups are in; a
+        group whose child failed runs inline first.
         """
-        from repro.harness.sentinels import DeferredChecks
-        checks = DeferredChecks(getattr(self.session, "metrics", None))
-        lent = checks if self.defer_model_checks else None
+        from repro.harness.children import ModelChildren, usable_cpus
+        cpus = usable_cpus() if hasattr(os, "fork") else 1
+        children = ModelChildren(cpus, getattr(self.session, "metrics", None))
         results: dict[str, _ShardResult] = {}
         waiting: collections.deque = collections.deque()
 
-        def finish(shard: _Shard) -> None:
-            if checks.failed(shard.spec.benchmark):
-                shard.rerun_model_stage()
+        def finish(shard: _Shard, forked: list) -> None:
+            for _, child in forked:
+                children.settle(child)
+            for group, child in forked:
+                if child.result is None:
+                    children.wait(cpus - 1)
+                    shard.run(group)
+                else:
+                    shard.merge_group(child.result)
             result = shard.payload()
             results[shard.spec.benchmark] = result
             self.observer.shard_finished(shard.spec, result)
@@ -773,18 +854,28 @@ class ParallelEngine:
         try:
             for spec in shards:
                 self.observer.shard_started(spec)
-                shard = _Shard(spec, lent)
-                shard.run(spec.units)
-                waiting.append(shard)
-                checks.poll()
-                while waiting and checks.settled(waiting[0].spec.benchmark):
-                    finish(waiting.popleft())
+                children.wait(cpus - 1)
+                shard = _Shard(spec)
+                groups = _model_groups(spec.units) if cpus > 1 else []
+                shard.run([unit for unit in spec.units
+                           if not groups or unit.stage != "model"])
+                for group in groups:
+                    shard.resolve(group)
+                forked = [
+                    (group, children.fork(
+                        spec.benchmark, functools.partial(shard.run_group,
+                                                          group),
+                        shard.group_deadline(group)))
+                    for group in groups]
+                waiting.append((shard, forked))
+                children.poll()
+                while waiting and all(child.done
+                                      for _, child in waiting[0][1]):
+                    finish(*waiting.popleft())
             while waiting:
-                shard = waiting.popleft()
-                checks.wait(shard.spec.benchmark)
-                finish(shard)
+                finish(*waiting.popleft())
         finally:
-            checks.close()
+            children.close()
         return results
 
     def _run_pool(self, shards: list[_ShardSpec]):
@@ -930,13 +1021,13 @@ class ParallelEngine:
                     session.failures.append(failure)
 
 
-def kill_sentinel_children() -> None:
-    """Kill and reap any deferred-sentinel child still running (for
-    signal handlers and crash drills; nothing to do unless the
-    in-process engine has loaded :mod:`repro.harness.sentinels`)."""
-    sentinels = sys.modules.get("repro.harness.sentinels")
-    if sentinels is not None:
-        sentinels.kill_children()
+def kill_model_children() -> None:
+    """Kill and reap any model child still running (for signal handlers
+    and crash drills; nothing to do unless the in-process engine has
+    loaded :mod:`repro.harness.children`)."""
+    children = sys.modules.get("repro.harness.children")
+    if children is not None:
+        children.kill_children()
 
 
 def warm_session(session, jobs: int,

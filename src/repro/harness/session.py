@@ -223,27 +223,6 @@ class Session:
             return
         self.metrics.add_run_many("cache/", self.cache.counters.as_dict())
 
-    def forget_model_stage(self) -> None:
-        """Drop every model-stage result, failure, demotion and counter.
-
-        Traces and annotations stay, so re-running the model units
-        afterwards reproduces a run that never had a model stage
-        before: the in-process engine's recovery from a failed deferred
-        sentinel (:mod:`repro.harness.sentinels`).
-        """
-        self._ppc_runs.clear()
-        self._alpha_runs.clear()
-        self._failed = {key: failure for key, failure in self._failed.items()
-                        if failure.stage != "model"}
-        self.failures = [failure for failure in self.failures
-                         if failure.stage != "model"]
-        self.demotions = [demotion for demotion in self.demotions
-                          if demotion.stage != "model"]
-        self.guard.forget("model")
-        if self.metrics is not None:
-            for name in self.benchmark_names:
-                self.metrics.discard(name, ("model/", "tier/model/"))
-
     # ------------------------------------------------------------------
     def _fail(self, name: str, stage: str, target: str, key,
               cause: BaseException) -> BenchmarkFailure:

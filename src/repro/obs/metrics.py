@@ -133,13 +133,6 @@ class MetricsRegistry:
         parent's registry)."""
         self._run[name] = max(self._run.get(name, value), value)
 
-    def discard(self, benchmark: str, prefixes: tuple) -> None:
-        """Drop one benchmark's counters whose names start with any of
-        *prefixes* (a stage about to be recomputed from scratch)."""
-        scope = self._benchmarks.get(benchmark, {})
-        for name in [n for n in scope if n.startswith(prefixes)]:
-            del scope[name]
-
     def benchmark_counters(self) -> dict[str, dict[str, int]]:
         """Deep copy of the per-benchmark counter scopes."""
         return {name: dict(scope)

@@ -18,9 +18,10 @@ PHASE_ORDER = ("trace", "annotate", "model", "report")
 #: Marker appended to each benchmark's slowest phase cell.
 SLOWEST_MARK = " *"
 
-#: Run-scope counters of deferred sentinel children, rendered as their
-#: own row (their time is outside every span of the parent).
-SENTINEL_PREFIX = "sentinel/"
+#: Run-scope counters of the model children, rendered as their own row
+#: (they run beside the parent, so their CPU seconds are not part of
+#: its wall time).
+CHILDREN_PREFIX = "children/"
 
 
 def _ordered_phases(phases: Mapping[str, Mapping[str, float]]) -> list[str]:
@@ -127,16 +128,16 @@ def render_stats(document: Mapping, full: bool = False) -> str:
         sections.append(f"report phase (exhibit rendering): "
                         f"{float(report_seconds):.3f}s")
     run = document.get("run", {})
-    children = run.get(SENTINEL_PREFIX + "children")
+    children = run.get(CHILDREN_PREFIX + "processes")
     if children:
         sections.append(
-            f"sentinel children (model checks off the critical path): "
+            f"model children (timing models beside the parent): "
             f"{int(children)} process(es), "
-            f"{float(run.get(SENTINEL_PREFIX + 'cpu_s', 0.0)):.3f}s CPU, "
+            f"{float(run.get(CHILDREN_PREFIX + 'cpu_s', 0.0)):.3f}s CPU, "
             f"peak RSS "
-            f"{float(run.get(SENTINEL_PREFIX + 'peak_rss_mb', 0.0)):.1f} MB")
+            f"{float(run.get(CHILDREN_PREFIX + 'peak_rss_mb', 0.0)):.1f} MB")
     run = {name: value for name, value in run.items()
-           if not name.startswith(SENTINEL_PREFIX)}
+           if not name.startswith(CHILDREN_PREFIX)}
     if run:
         lines = ["Run-scope counters (per-process, not deterministic):"]
         for name in sorted(run):
