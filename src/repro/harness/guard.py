@@ -10,7 +10,9 @@ configurable fraction of work units (``REPRO_SENTINEL_RATE``, default
 5%) on the oracle tier and compares the results field-for-field.  A
 mismatch raises :class:`~repro.errors.TierDivergenceError` -- which the
 guard immediately catches itself, because the right response to a
-wrong fast tier is not a failed benchmark but a *demotion*.
+wrong fast tier is not a failed benchmark but a *demotion*.  What the
+re-runs cost is the run-scope counter ``sentinel/<stage>/oracle_s``
+(their summed wall seconds).
 
 **Degradation ladder.**  On divergence, any fault, or a watchdog
 timeout inside a fast tier, the guard demotes the unit's (benchmark,
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import time
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -370,7 +373,11 @@ class TierGuard:
             result = inject_tier_fault(stage, result)
         if forced or sentinel_samples(label):
             self._count(name, stage, "sentinel_checks")
-            oracle = run(oracle_tier)
+            start = time.perf_counter()
+            try:
+                oracle = run(oracle_tier)
+            finally:
+                self._time_oracle(stage, time.perf_counter() - start)
             try:
                 differences = _DIFFERS[stage](result, oracle)
                 if differences:
@@ -400,6 +407,13 @@ class TierGuard:
         self._demoted[key] = demotion
         self.session.demotions.append(demotion)
         self._count(name, stage, "demotions")
+
+    def _time_oracle(self, stage: str, seconds: float) -> None:
+        metrics = getattr(self.session, "metrics", None)
+        if metrics is not None:
+            # Run scope: wall time, so not deterministic.  A model
+            # child ships its share home in its metrics fragment.
+            metrics.inc_run(f"sentinel/{stage}/oracle_s", seconds)
 
     def _count(self, name: str, stage: str, counter: str) -> None:
         metrics = getattr(self.session, "metrics", None)

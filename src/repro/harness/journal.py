@@ -64,6 +64,7 @@ from repro.harness.parallel import (
     _CachedTraceRef,
     _ShardResult,
     _ShardSpec,
+    _lighten_payload,
     kill_model_children,
 )
 from repro.obs.metrics import write_metrics
@@ -648,7 +649,11 @@ class RunJournal(Journal, EngineObserver):
         return benchmark.replace("/", "_") + ".pkl"
 
     def _encode(self, result: _ShardResult) -> bytes:
-        return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        # A checkpoint names cached traces by stub; the done record's
+        # digests cover the in-memory traces the stubs stand for.
+        light = _lighten_payload(result, self._trace_cache,
+                                 self.manifest.get("scale", "small"))
+        return pickle.dumps(light, protocol=pickle.HIGHEST_PROTOCOL)
 
     def _decode(self, data: bytes, record: dict, cache):
         try:

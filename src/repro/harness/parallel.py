@@ -44,6 +44,8 @@ across every process that maps it.  A ref that no longer resolves
 (evicted, corrupted, disk yanked) simply drops that memo entry and the
 session regenerates it lazily; payloads from older checkpoints carry
 plain :class:`~repro.trace.records.Trace` objects and merge unchanged.
+In process there is no pipe: a shard's payload keeps its traces, and
+only its checkpoint carries stubs, so each cached bundle is loaded once.
 
 **Graceful degradation.**  A benchmark that fails inside a worker is
 recorded as a :class:`~repro.errors.BenchmarkFailure` on the worker's
@@ -69,7 +71,7 @@ import sys
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from repro.errors import (
@@ -453,37 +455,42 @@ def _profile_text(profiler) -> str:
     return buffer.getvalue()
 
 
-def _lighten_payload(session, scale: str) -> tuple[dict, dict]:
-    """Swap cache-backed traces for :class:`_CachedTraceRef` stubs.
+def _lighten_payload(result: _ShardResult, cache,
+                     scale: str) -> _ShardResult:
+    """*result* as it should be pickled: cache-backed traces swapped for
+    :class:`_CachedTraceRef` stubs.
 
-    Only traces whose v2 bundle is actually on disk are substituted
-    (the cache may have refused or evicted a store); annotations whose
-    ``.trace`` is being replaced are copied and the copy re-pointed at
-    the same ref, so one trace's arrays are not smuggled home through
-    the annotation's back-reference.  The session itself is left
-    untouched, so its owner may go on reading real traces from it.
-    With no cache configured this is the identity.
+    Only traces whose v2 bundle is actually on disk in *cache* are
+    substituted (the cache may have refused or evicted a store);
+    annotations whose ``.trace`` is being replaced are copied and the
+    copy re-pointed at the same ref, so one trace's arrays are not
+    smuggled through the annotation's back-reference.  *result* itself
+    is left untouched, so its owner may go on reading real traces from
+    it.  With no cache (or nothing to swap) this returns *result*.
     """
-    traces = dict(session._traces)
-    annotated = dict(session._annotated)
-    if session.cache is None:
-        return traces, annotated
+    if cache is None:
+        return result
+    traces = dict(result.traces)
     refs: dict = {}
     for key, trace in traces.items():
+        if isinstance(trace, _CachedTraceRef):
+            continue
         name, target = key
         try:
-            if not session.cache.path_for(name, target, scale).exists():
+            if not cache.path_for(name, target, scale).exists():
                 continue
         except OSError:
             continue
         refs[key] = traces[key] = _CachedTraceRef(name, target, scale)
-    if refs:
-        for akey, annotation in annotated.items():
-            ref = refs.get((akey[0], akey[1]))
-            if ref is not None:
-                annotated[akey] = light = copy.copy(annotation)
-                light.trace = ref
-    return traces, annotated
+    if not refs:
+        return result
+    annotated = dict(result.annotated)
+    for akey, annotation in annotated.items():
+        ref = refs.get((akey[0], akey[1]))
+        if ref is not None:
+            annotated[akey] = light = copy.copy(annotation)
+            light.trace = ref
+    return replace(result, traces=traces, annotated=annotated)
 
 
 @dataclass
@@ -637,7 +644,9 @@ class _Shard:
         return 2.0 * timeout * len(group) + 1.0 if timeout > 0 else 0.0
 
     def payload(self) -> _ShardResult:
-        """The shard's merge payload (what is checkpointed and merged)."""
+        """The shard's merge payload (what is checkpointed and merged),
+        holding the session's own traces: :func:`_lighten_payload` makes
+        the copy that crosses a process boundary."""
         session = self.session
         failed = {key: _portable_failure(failure)
                   for key, failure in session._failed.items()}
@@ -645,11 +654,10 @@ class _Shard:
         if session.metrics is not None:
             session.collect_run_counters()
             fragment = session.metrics.fragment()
-        traces, annotated = _lighten_payload(session, self.spec.scale)
         return _ShardResult(
             benchmark=self.spec.benchmark,
-            traces=traces,
-            annotated=annotated,
+            traces=dict(session._traces),
+            annotated=dict(session._annotated),
             ppc_runs=session._ppc_runs,
             alpha_runs=session._alpha_runs,
             failed=failed,
@@ -664,7 +672,7 @@ def _run_shard(spec: _ShardSpec) -> _ShardResult:
     """Worker entry point: run every unit of one benchmark."""
     shard = _Shard(spec)
     shard.run(spec.units)
-    return shard.payload()
+    return _lighten_payload(shard.payload(), shard.session.cache, spec.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,10 @@ SLOWEST_MARK = " *"
 #: its wall time).
 CHILDREN_PREFIX = "children/"
 
+#: Run-scope ``sentinel/<stage>/oracle_s`` counters: the wall seconds of
+#: the tier guard's oracle re-runs, rendered beside the children's row.
+SENTINEL_PREFIX = "sentinel/"
+
 
 def _ordered_phases(phases: Mapping[str, Mapping[str, float]]) -> list[str]:
     """Observed phase names: canonical ones first, extras sorted."""
@@ -136,8 +140,16 @@ def render_stats(document: Mapping, full: bool = False) -> str:
             f"{float(run.get(CHILDREN_PREFIX + 'cpu_s', 0.0)):.3f}s CPU, "
             f"peak RSS "
             f"{float(run.get(CHILDREN_PREFIX + 'peak_rss_mb', 0.0)):.1f} MB")
+    oracle = {name.split("/")[1]: float(value)
+              for name, value in run.items()
+              if name.startswith(SENTINEL_PREFIX)}
+    if oracle:
+        sections.append(
+            "sentinel oracle re-runs (wall, children included): "
+            + ", ".join(f"{stage} {seconds:.3f}s"
+                        for stage, seconds in sorted(oracle.items())))
     run = {name: value for name, value in run.items()
-           if not name.startswith(CHILDREN_PREFIX)}
+           if not name.startswith((CHILDREN_PREFIX, SENTINEL_PREFIX))}
     if run:
         lines = ["Run-scope counters (per-process, not deterministic):"]
         for name in sorted(run):

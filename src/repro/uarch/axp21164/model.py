@@ -68,6 +68,17 @@ _K_OF_OUTCOME = np.array((_K_LOAD, _K_INCORRECT, _K_ZERO_CYCLE,
                           _K_ZERO_CYCLE), dtype=np.uint8)
 #: Issue-slot category (int, fp, load, store, branch) of each kind.
 _SLOT_OF_KIND = (0, 1, 3, 4, 4, 2, 2, 2, 2)
+#: Issue-slot category of each op class, indexed by class (the
+#: reference loop's table).
+_SLOT_OF_CLASS = fu_of_class_array({
+    int(OpClass.SIMPLE_INT): 0,
+    int(OpClass.COMPLEX_INT): 0,
+    int(OpClass.FP_SIMPLE): 1,
+    int(OpClass.FP_COMPLEX): 1,
+    int(OpClass.LOAD): 2,
+    int(OpClass.STORE): 3,
+    int(OpClass.BRANCH): 4,
+})
 _KIND_OF_CLASS = np.array(fu_of_class_array({
     int(OpClass.SIMPLE_INT): _K_INT,
     int(OpClass.COMPLEX_INT): _K_INT,
@@ -148,22 +159,42 @@ class AXP21164Model:
 
     def _run_reference(self, annotated: AnnotatedTrace,
                        use_lvp: bool = True) -> AXP21164Result:
-        """The original scheduling loop (the oracle for ``fast``)."""
+        """The original scheduling loop (the oracle for ``fast``).
+
+        It drives the component objects (caches, branch predictor) one
+        instruction at a time.  What does not depend on the instruction
+        is read once before the loop: enum values as ints, the latency
+        and slot tables as int-indexed lists, and the configuration's
+        fields.
+        """
         config = self.config
         trace = annotated.trace
-        opcodes = trace.opcode.tolist()
-        opclasses = trace.opclass.tolist()
-        dsts = trace.dst.tolist()
-        src1s = trace.src1.tolist()
-        src2s = trace.src2.tolist()
-        addrs = trace.addr.tolist()
-        takens = trace.taken.tolist()
         pcs = trace.pc.tolist()
-        outcome_list = annotated.outcomes.tolist()
-        count = len(opcodes)
+        count = len(pcs)
+        # Without LVP no load carries an outcome.
+        outcome_list = (annotated.outcomes.tolist() if use_lvp
+                        else [NOT_A_LOAD] * count)
+        # A branch's actual target is the next instruction's pc.
+        columns = zip(trace.opcode.tolist(), trace.opclass.tolist(),
+                      trace.dst.tolist(), trace.src1.tolist(),
+                      trace.src2.tolist(), trace.addr.tolist(),
+                      trace.taken.tolist(), pcs, pcs[1:] + [0],
+                      outcome_list)
 
-        latency = AXP21164_LATENCY
+        result_latency = latency_arrays(AXP21164_LATENCY)[1]
         opcode_enum = [Opcode(o) for o in range(1, len(Opcode) + 1)]
+        halt = int(Opcode.HALT)
+        load_class = int(OpClass.LOAD)
+        store_class = int(OpClass.STORE)
+        branch_class = int(OpClass.BRANCH)
+        no_prediction = int(LoadOutcome.NO_PREDICTION)
+        constant = int(LoadOutcome.CONSTANT)
+        correct = int(LoadOutcome.CORRECT)
+        incorrect = int(LoadOutcome.INCORRECT)
+        # Issues per cycle of each slot category.
+        slot_limit = (config.int_per_cycle, config.fp_per_cycle,
+                      config.loads_per_cycle, config.stores_per_cycle,
+                      config.branches_per_cycle)
 
         hierarchy = MemoryHierarchy(
             Cache(config.l1_size, config.l1_assoc, config.l1_line),
@@ -175,140 +206,120 @@ class AXP21164Model:
                         config.l1_line)
                   if config.icache_size else None)
         predictor = BranchPredictor()
+        load_penalty = hierarchy.load_penalty
+        store_access = hierarchy.store_access
+        l1_probe = hierarchy.l1.probe
+        predict_and_update = predictor.predict_and_update
+        icache_access = icache.access if icache is not None else None
 
         reg_ready: dict[int, int] = {}
         store_ready: dict[int, int] = {}
 
         cycle = 0  # current issue cycle
         slots_total = 0
-        slots_int = 0
-        slots_fp = 0
-        slots_load = 0
-        slots_store = 0
-        slots_branch = 0
+        slots = [0, 0, 0, 0, 0]  # issues this cycle per slot category
         stall_until = 0  # blocking miss / squash / branch redirect
         last_issue = 0
         last_result = 0
 
-        outcome_counts = {o: 0 for o in LoadOutcome}
+        outcome_tally = [0] * len(LoadOutcome)
         num_loads = 0
         constant_past_miss = 0
         value_mispredicts = 0
 
-        INT_CLASSES = (int(OpClass.SIMPLE_INT), int(OpClass.COMPLEX_INT))
-        FP_CLASSES = (int(OpClass.FP_SIMPLE), int(OpClass.FP_COMPLEX))
+        issue_width = config.issue_width
+        l2_latency = config.l2_latency
+        maf = config.maf
+        mispredict_penalty = config.mispredict_penalty
+        value_mispredict_penalty = config.value_mispredict_penalty
 
-        for i in range(count):
-            opclass = opclasses[i]
-            opcode = opcode_enum[opcodes[i] - 1]
-            lat = latency[opcode]
+        for opcode, opclass, dst, src1, src2, addr, taken, pc, next_pc, \
+                outcome in columns:
+            lat_result = result_latency[opcode]
 
             # operand readiness (dependents of predicted loads see the
             # forwarded value "at zero cycles", handled at the producer)
             ready = 0
-            for src in (src1s[i], src2s[i]):
+            for src in (src1, src2):
                 if src > 0:
                     ready = max(ready, reg_ready.get(src, 0))
-            if opclass == int(OpClass.LOAD):
-                dep = store_ready.get(addrs[i] & ~7, 0)
+            if opclass == load_class:
+                dep = store_ready.get(addr & ~7, 0)
                 ready = max(ready, dep)
 
             candidate = max(cycle, ready, stall_until, last_issue)
-            if icache is not None and not icache.access(pcs[i]):
+            if icache_access is not None and not icache_access(pc):
                 # Instruction-cache miss: the in-order front end stalls.
-                candidate += config.l2_latency
+                candidate += l2_latency
             # in-order slotting
+            slot = _SLOT_OF_CLASS[opclass]
             while True:
                 if candidate > cycle:
                     cycle = candidate
-                    slots_total = slots_int = slots_fp = 0
-                    slots_load = slots_store = slots_branch = 0
-                full = slots_total >= config.issue_width
-                if not full:
-                    if opclass in INT_CLASSES:
-                        full = slots_int >= config.int_per_cycle
-                    elif opclass in FP_CLASSES:
-                        full = slots_fp >= config.fp_per_cycle
-                    elif opclass == int(OpClass.LOAD):
-                        full = slots_load >= config.loads_per_cycle
-                    elif opclass == int(OpClass.STORE):
-                        full = slots_store >= config.stores_per_cycle
-                    else:
-                        full = slots_branch >= config.branches_per_cycle
-                if not full:
+                    slots_total = 0
+                    slots = [0, 0, 0, 0, 0]
+                if (slots_total < issue_width
+                        and slots[slot] < slot_limit[slot]):
                     break
                 candidate += 1
             issue = candidate
             slots_total += 1
-            if opclass in INT_CLASSES:
-                slots_int += 1
-            elif opclass in FP_CLASSES:
-                slots_fp += 1
-            elif opclass == int(OpClass.LOAD):
-                slots_load += 1
-            elif opclass == int(OpClass.STORE):
-                slots_store += 1
-            else:
-                slots_branch += 1
+            slots[slot] += 1
             last_issue = issue
 
             # ---- execute ----------------------------------------------------
-            result_time = issue + lat.result
-            if opclass == int(OpClass.LOAD):
+            result_time = issue + lat_result
+            if opclass == load_class:
                 num_loads += 1
-                outcome = outcome_list[i]
-                if use_lvp and outcome == int(LoadOutcome.CONSTANT):
+                if outcome == constant:
                     # CVU-verified: skip the memory system; proceed even
                     # if the line is absent.  (Bandwidth benefit.)
-                    if not hierarchy.l1.probe(addrs[i]):
+                    if not l1_probe(addr):
                         constant_past_miss += 1
                     result_time = issue  # zero-cycle load
-                    outcome_counts[LoadOutcome.CONSTANT] += 1
+                    outcome_tally[constant] += 1
                 else:
-                    penalty = hierarchy.load_penalty(addrs[i])
+                    penalty = load_penalty(addr)
                     if penalty:
                         # Miss: prediction abandoned with no penalty.
                         # Without a MAF (the paper's modification) the
                         # whole pipeline stalls; with one, only
                         # dependents wait for the returning line.
-                        result_time = issue + lat.result + penalty
-                        if not config.maf:
+                        result_time = issue + lat_result + penalty
+                        if not maf:
                             stall_until = max(stall_until, result_time)
-                        if use_lvp and outcome != NOT_A_LOAD:
-                            outcome_counts[LoadOutcome.NO_PREDICTION] += 1
-                    elif use_lvp and outcome == int(LoadOutcome.CORRECT):
+                        if outcome != NOT_A_LOAD:
+                            outcome_tally[no_prediction] += 1
+                    elif outcome == correct:
                         result_time = issue  # zero-cycle load
-                        outcome_counts[LoadOutcome.CORRECT] += 1
-                    elif use_lvp and outcome == int(LoadOutcome.INCORRECT):
+                        outcome_tally[correct] += 1
+                    elif outcome == incorrect:
                         # Squash everything in flight; redispatch after
                         # the compare stage with a one-cycle penalty.
                         value_mispredicts += 1
-                        restart = (issue + lat.result
-                                   + config.value_mispredict_penalty)
+                        restart = (issue + lat_result
+                                   + value_mispredict_penalty)
                         stall_until = max(stall_until, restart)
-                        result_time = issue + lat.result
-                        outcome_counts[LoadOutcome.INCORRECT] += 1
-                    elif use_lvp and outcome != NOT_A_LOAD:
-                        outcome_counts[LoadOutcome(outcome)] += 1
-            elif opclass == int(OpClass.STORE):
-                hierarchy.store_access(addrs[i])
-                store_ready[addrs[i] & ~7] = issue + lat.result
-            elif opclass == int(OpClass.BRANCH) and opcode != Opcode.HALT:
-                target = pcs[i + 1] if i + 1 < count else 0
-                correct = predictor.predict_and_update(
-                    opcode, pcs[i], bool(takens[i]), target)
-                if not correct:
+                        result_time = issue + lat_result
+                        outcome_tally[incorrect] += 1
+                    elif outcome != NOT_A_LOAD:
+                        outcome_tally[outcome] += 1
+            elif opclass == store_class:
+                store_access(addr)
+                store_ready[addr & ~7] = issue + lat_result
+                if len(store_ready) > 4096:
+                    store_ready.clear()
+            elif opclass == branch_class and opcode != halt:
+                if not predict_and_update(opcode_enum[opcode - 1], pc,
+                                          bool(taken), next_pc):
                     stall_until = max(
                         stall_until,
-                        issue + 1 + config.mispredict_penalty,
+                        issue + 1 + mispredict_penalty,
                     )
 
-            dst = dsts[i]
             if dst > 0:
                 reg_ready[dst] = result_time
             last_result = max(last_result, result_time)
-            if len(store_ready) > 4096:
-                store_ready.clear()
 
         # drain the pipe (writeback stages)
         cycles = max(last_issue, last_result) + 4
@@ -320,7 +331,7 @@ class AXP21164Model:
             l1_stats=hierarchy.l1.stats,
             branch_stats=predictor.stats,
             loads=num_loads,
-            load_outcomes=outcome_counts,
+            load_outcomes={o: outcome_tally[o] for o in LoadOutcome},
             constant_past_miss=constant_past_miss,
             value_mispredicts=value_mispredicts,
         )

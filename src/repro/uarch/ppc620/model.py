@@ -32,6 +32,7 @@ with respect to its own machine definition.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from collections import deque
 from copy import copy
 from dataclasses import dataclass, field
@@ -180,21 +181,23 @@ class _Pool:
 
     def __init__(self, size: int) -> None:
         self.size = size
+        #: Release times of the occupied slots, in ascending order.
         self.releases: list[int] = []
 
     def earliest_slot(self, candidate: int) -> int:
         """Earliest cycle >= candidate at which a slot is free."""
         releases = self.releases
-        if len(releases) < self.size:
+        excess = len(releases) - self.size
+        if excess < 0:
             return candidate
         # Slot frees when the oldest-releasing occupant leaves.
-        bound = sorted(releases)[len(releases) - self.size]
-        return max(candidate, bound)
+        return max(candidate, releases[excess])
 
     def allocate(self, release: int, now: int) -> None:
         """Occupy a slot until *release*, dropping entries freed by *now*."""
-        self.releases = [r for r in self.releases if r > now]
-        self.releases.append(release)
+        releases = self.releases
+        del releases[:bisect_right(releases, now)]
+        insort(releases, release)
 
 
 class _Units:
@@ -207,9 +210,10 @@ class _Units:
 
     def issue_at(self, candidate: int, occupancy: int) -> int:
         """Issue on the earliest-free instance; returns the issue cycle."""
-        best = min(range(len(self.free)), key=lambda i: self.free[i])
-        cycle = max(candidate, self.free[best])
-        self.free[best] = cycle + occupancy
+        free = self.free
+        best = free.index(min(free))  # the first of equally free ones
+        cycle = max(candidate, free[best])
+        free[best] = cycle + occupancy
         return cycle
 
 
@@ -235,24 +239,39 @@ class PPC620Model:
 
     def _run_reference(self, annotated: AnnotatedTrace,
                        use_lvp: bool = True) -> PPC620Result:
-        """The original scheduling loop (the oracle for ``fast``)."""
+        """The original scheduling loop (the oracle for ``fast``).
+
+        It drives the component objects (caches, bank tracker, branch
+        predictor, reservation-station pools, functional units) one
+        instruction at a time.  What does not depend on the instruction
+        is read once before the loop: enum values as ints, the latency
+        and functional-unit tables as int-indexed lists, and the
+        configuration's fields.
+        """
         config = self.config
         trace = annotated.trace
-        outcomes = annotated.outcomes
-
-        opcodes = trace.opcode.tolist()
-        opclasses = trace.opclass.tolist()
-        dsts = trace.dst.tolist()
-        src1s = trace.src1.tolist()
-        src2s = trace.src2.tolist()
-        addrs = trace.addr.tolist()
-        takens = trace.taken.tolist()
         pcs = trace.pc.tolist()
-        outcome_list = outcomes.tolist()
-        count = len(opcodes)
+        count = len(pcs)
+        # Without LVP no load carries an outcome.
+        outcome_list = (annotated.outcomes.tolist() if use_lvp
+                        else [NOT_A_LOAD] * count)
+        # A branch's actual target is the next instruction's pc.
+        columns = zip(trace.opcode.tolist(), trace.opclass.tolist(),
+                      trace.dst.tolist(), trace.src1.tolist(),
+                      trace.src2.tolist(), trace.addr.tolist(),
+                      trace.taken.tolist(), pcs, pcs[1:] + [0],
+                      outcome_list)
 
-        latency = PPC620_LATENCY
+        issue_latency, result_latency = latency_arrays(PPC620_LATENCY)
+        fu_of_class = fu_of_class_array(_FU_OF_CLASS)
         opcode_enum = [Opcode(o) for o in range(1, len(Opcode) + 1)]
+        halt = int(Opcode.HALT)
+        load_class = int(OpClass.LOAD)
+        store_class = int(OpClass.STORE)
+        branch_class = int(OpClass.BRANCH)
+        constant = int(LoadOutcome.CONSTANT)
+        correct = int(LoadOutcome.CORRECT)
+        incorrect = int(LoadOutcome.INCORRECT)
 
         hierarchy = MemoryHierarchy(
             Cache(config.l1_size, config.l1_assoc, config.l1_line),
@@ -267,21 +286,19 @@ class PPC620Model:
                         config.l1_line)
                   if config.icache_size else None)
         predictor = BranchPredictor()
+        load_penalty = hierarchy.load_penalty
+        store_access = hierarchy.store_access
+        bank_access = banks.access
+        predict_and_update = predictor.predict_and_update
+        icache_access = icache.access if icache is not None else None
 
-        pools = {
-            FU_SCFX: _Pool(config.rs_scfx),
-            FU_MCFX: _Pool(config.rs_mcfx),
-            FU_FPU: _Pool(config.rs_fpu),
-            FU_LSU: _Pool(config.rs_lsu),
-            FU_BRU: _Pool(config.rs_bru),
-        }
-        units = {
-            FU_SCFX: _Units(config.num_scfx),
-            FU_MCFX: _Units(config.num_mcfx),
-            FU_FPU: _Units(config.num_fpu),
-            FU_LSU: _Units(config.num_lsu),
-            FU_BRU: _Units(config.num_bru),
-        }
+        # Indexed by functional-unit id.
+        pools = [_Pool(config.rs_scfx), _Pool(config.rs_mcfx),
+                 _Pool(config.rs_fpu), _Pool(config.rs_lsu),
+                 _Pool(config.rs_bru)]
+        units = [_Units(config.num_scfx), _Units(config.num_mcfx),
+                 _Units(config.num_fpu), _Units(config.num_lsu),
+                 _Units(config.num_bru)]
 
         # Per-architectural-register producer state:
         #   avail_spec: earliest a dependent may consume (possibly a
@@ -312,33 +329,40 @@ class PPC620Model:
         gpr_ring: deque = deque()
         fpr_ring: deque = deque()
         # Instruction-buffer: dispatch times of last `ibuf` instructions.
-        ibuf_ring: deque = deque()
+        ibuf_ring: deque = deque(maxlen=config.instruction_buffer)
 
         verify_hist = {bucket: 0 for bucket in VERIFY_BUCKETS}
         store_commits: list[tuple[int, int]] = []
         fu_wait_sum = [0, 0, 0, 0, 0]
         fu_wait_count = [0, 0, 0, 0, 0]
-        outcome_counts = {o: 0 for o in LoadOutcome}
+        outcome_tally = [0] * len(LoadOutcome)
         num_loads = 0
 
+        fetch_width = config.fetch_width
+        instruction_buffer = config.instruction_buffer
+        dispatch_width = config.dispatch_width
+        mem_per_cycle = config.mem_per_cycle
+        completion_buffer = config.completion_buffer
+        gpr_rename = config.gpr_rename
+        fpr_rename = config.fpr_rename
+        complete_width = config.complete_width
+        l2_latency = config.l2_latency
         mispredict_penalty = config.mispredict_penalty
+        rs_retention = config.rs_retention
 
-        for i in range(count):
-            opcode_value = opcodes[i]
-            opcode = opcode_enum[opcode_value - 1]
-            opclass = opclasses[i]
-            fu = _FU_OF_CLASS[opclass]
-            lat = latency[opcode]
+        for opcode, opclass, dst, src1, src2, addr, taken, pc, next_pc, \
+                outcome in columns:
+            fu = fu_of_class[opclass]
 
             # ---- fetch -------------------------------------------------
             candidate = max(fetch_cycle, fetch_blocked_until)
-            if candidate == fetch_cycle and fetch_count >= config.fetch_width:
+            if candidate == fetch_cycle and fetch_count >= fetch_width:
                 candidate += 1
-            if len(ibuf_ring) >= config.instruction_buffer:
+            if len(ibuf_ring) >= instruction_buffer:
                 candidate = max(candidate, ibuf_ring[0])
-            if icache is not None and not icache.access(pcs[i]):
+            if icache_access is not None and not icache_access(pc):
                 # Instruction-cache miss: fetch stalls for the L2 trip.
-                candidate += config.l2_latency
+                candidate += l2_latency
             if candidate != fetch_cycle:
                 fetch_cycle = candidate
                 fetch_count = 0
@@ -355,27 +379,26 @@ class PPC620Model:
                 else:
                     width_used = dispatch_count
                     mem_used = mem_dispatch_count
-                if width_used >= config.dispatch_width or (
-                        is_mem and mem_used >= config.mem_per_cycle):
+                if width_used >= dispatch_width or (
+                        is_mem and mem_used >= mem_per_cycle):
                     candidate += 1
                     continue
                 break
             # Completion buffer slot (freed at completion).
-            if len(dispatch_window) >= config.completion_buffer:
+            if len(dispatch_window) >= completion_buffer:
                 candidate = max(candidate, dispatch_window[0])
-                while (len(dispatch_window) >= config.completion_buffer
+                while (len(dispatch_window) >= completion_buffer
                         and dispatch_window[0] <= candidate):
                     dispatch_window.popleft()
             # Rename buffer for the destination register.
-            dst = dsts[i]
             ring = None
             if dst > 0:
                 if dst < 32:
                     ring = gpr_ring
-                    limit = config.gpr_rename
+                    limit = gpr_rename
                 elif dst < 64:
                     ring = fpr_ring
-                    limit = config.fpr_rename
+                    limit = fpr_rename
             if ring is not None and len(ring) >= limit:
                 candidate = max(candidate, ring[0])
                 while len(ring) >= limit and ring[0] <= candidate:
@@ -392,15 +415,13 @@ class PPC620Model:
             if is_mem:
                 mem_dispatch_count += 1
             ibuf_ring.append(dispatch_time)
-            if len(ibuf_ring) > config.instruction_buffer:
-                ibuf_ring.popleft()
 
             # ---- operands ------------------------------------------------
             ready_spec = dispatch_time
             ready_real = dispatch_time
             spec_until = 0
             has_misp_source = False
-            for src in (src1s[i], src2s[i]):
+            for src in (src1, src2):
                 if src <= 0:
                     continue
                 ready_spec = max(ready_spec, reg_spec.get(src, 0))
@@ -426,67 +447,60 @@ class PPC620Model:
                     operand_time = ready_real
 
             # ---- issue / execute ------------------------------------------
+            occupancy = issue_latency[opcode]
+            result = result_latency[opcode]
             issue_candidate = max(dispatch_time + 1, operand_time)
-            issue_time = units[fu].issue_at(issue_candidate, lat.issue)
+            issue_time = units[fu].issue_at(issue_candidate, occupancy)
 
             verify_time = 0
-            outcome = outcome_list[i] if opclass == int(OpClass.LOAD) \
-                else NOT_A_LOAD
-            if opclass == int(OpClass.LOAD):
+            predicted = mispredicted = False
+            if opclass == load_class:
                 num_loads += 1
-                addr = addrs[i]
                 word = addr & ~7
                 # store-to-load dependence (forwarding at no extra cost)
                 dep = store_ready.get(word, 0)
                 if dep > issue_time:
-                    issue_time = units[fu].issue_at(dep, lat.issue)
-                if use_lvp and outcome == int(LoadOutcome.CONSTANT):
+                    issue_time = units[fu].issue_at(dep, occupancy)
+                if outcome == constant:
                     # CVU-verified: no cache access at all.
-                    exec_done = issue_time + lat.result
+                    exec_done = issue_time + result
                     verify_time = exec_done
                 else:
                     access_cycle = issue_time + 1
-                    banks.access(access_cycle, addr, can_defer=False)
-                    penalty = hierarchy.load_penalty(addr)
-                    exec_done = issue_time + lat.result + penalty
+                    bank_access(access_cycle, addr, can_defer=False)
+                    penalty = load_penalty(addr)
+                    exec_done = issue_time + result + penalty
                     # Only loads whose value was actually forwarded
                     # need the extra value-comparison stage.
-                    if use_lvp and outcome in (int(LoadOutcome.CORRECT),
-                                               int(LoadOutcome.INCORRECT)):
+                    if outcome == correct or outcome == incorrect:
                         verify_time = exec_done + 1
-                if use_lvp and outcome != NOT_A_LOAD:
-                    outcome_counts[LoadOutcome(outcome)] += 1
-            elif opclass == int(OpClass.STORE):
+                if outcome != NOT_A_LOAD:
+                    outcome_tally[outcome] += 1
+                predicted = outcome == correct or outcome == constant
+                mispredicted = outcome == incorrect
+            elif opclass == store_class:
                 # Stores enter the store queue at execute and access the
                 # cache banks when they commit; a committing store that
                 # collides with a load's bank must retry (Section 6.5).
-                addr = addrs[i]
-                hierarchy.store_access(addr)
-                exec_done = issue_time + lat.result
+                store_access(addr)
+                exec_done = issue_time + result
                 store_ready[addr & ~7] = exec_done
+                # Keep the store-dependence map bounded.
+                if len(store_ready) > 4096:
+                    store_ready.clear()
             else:
-                exec_done = issue_time + lat.result
+                exec_done = issue_time + result
 
             # ---- branches --------------------------------------------------
-            if opclass == int(OpClass.BRANCH) and opcode != Opcode.HALT:
-                target = pcs[i + 1] if i + 1 < count else 0
-                correct = predictor.predict_and_update(
-                    opcode, pcs[i], bool(takens[i]), target)
-                if not correct:
+            if opclass == branch_class and opcode != halt:
+                if not predict_and_update(opcode_enum[opcode - 1], pc,
+                                          bool(taken), next_pc):
                     fetch_blocked_until = max(
                         fetch_blocked_until,
                         exec_done + mispredict_penalty,
                     )
 
             # ---- producer bookkeeping ---------------------------------------
-            is_load = opclass == int(OpClass.LOAD)
-            predicted = (
-                use_lvp and is_load and outcome in (
-                    int(LoadOutcome.CORRECT), int(LoadOutcome.CONSTANT))
-            )
-            mispredicted = (
-                use_lvp and is_load and outcome == int(LoadOutcome.INCORRECT)
-            )
             if predicted:
                 avail_spec = dispatch_time  # forwarded at dispatch
                 avail_real = dispatch_time
@@ -496,8 +510,8 @@ class PPC620Model:
                     verify_hist["<4"] += 1
                 elif bucket > 7:
                     verify_hist[">7"] += 1
-                else:
-                    verify_hist[str(bucket)] += 1
+                else:  # "4" .. "7"
+                    verify_hist[VERIFY_BUCKETS[bucket - 3]] += 1
             elif mispredicted:
                 avail_spec = exec_done  # consumers wait for the real value
                 avail_real = exec_done
@@ -517,7 +531,7 @@ class PPC620Model:
             # Normal: the RS frees the cycle after issue.  Speculative
             # consumers hold theirs until their sources verify; loads
             # hold until their own verification (paper Section 4.1).
-            if config.rs_retention:
+            if rs_retention:
                 rs_release = max(issue_time + 1, spec_until, verify_time)
             else:
                 rs_release = issue_time + 1
@@ -527,7 +541,7 @@ class PPC620Model:
             finish = max(exec_done, my_verify, verify_time)
             candidate = max(finish + 1, last_completion)
             if candidate == complete_cycle:
-                if complete_count >= config.complete_width:
+                if complete_count >= complete_width:
                     candidate += 1
             if candidate > complete_cycle:
                 complete_cycle = candidate
@@ -535,21 +549,17 @@ class PPC620Model:
             completion = complete_cycle
             complete_count += 1
             last_completion = completion
-            if opclass == int(OpClass.STORE):
-                store_commits.append((completion, addrs[i]))
+            if opclass == store_class:
+                store_commits.append((completion, addr))
             dispatch_window.append(completion)
             if ring is not None:
                 ring.append(completion)
-
-            # Keep the store-dependence map bounded.
-            if len(store_ready) > 4096:
-                store_ready.clear()
 
         # Stores commit against the full load bank-usage ledger: a
         # committing store that finds its bank busy (with a load from
         # either side of it in program order) retries next cycle.
         for commit_cycle, addr in store_commits:
-            banks.access(commit_cycle, addr, can_defer=True)
+            bank_access(commit_cycle, addr, can_defer=True)
 
         cycles = last_completion
         return PPC620Result(
@@ -567,7 +577,7 @@ class PPC620Model:
                 for f in range(5)
             },
             loads=num_loads,
-            load_outcomes=outcome_counts,
+            load_outcomes={o: outcome_tally[o] for o in LoadOutcome},
         )
 
     def _run_fast(self, annotated: AnnotatedTrace,

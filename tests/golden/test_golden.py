@@ -60,6 +60,23 @@ def test_fig6_speedups_match_golden(tiny_session, update_golden):
     _check("fig6", tiny_session, update_golden)
 
 
+def test_fig6_reference_models_match_golden(tiny_session, monkeypatch):
+    """The oracle timing loops alone reproduce the committed Figure 6.
+
+    The other fig6 check runs the fast loops, with sentinels comparing
+    a sample to the oracles; this one pins every model run to the
+    ``reference`` loops, so an oracle cannot drift unseen even if a
+    fast loop drifted the same way.  It never re-records.
+    """
+    from repro.harness import Session
+    monkeypatch.setenv("REPRO_MODEL_ENGINE", "reference")
+    session = Session(scale="tiny", benchmarks=tiny_session.benchmark_names)
+    data = _rounded(run_experiment("fig6", session).data)
+    golden = json.loads((GOLDEN_DIR / "fig6_tiny.json").read_text())
+    assert data == golden, \
+        "the reference timing models drifted from fig6_tiny.json"
+
+
 def test_tab3_lct_hit_rates_match_golden(tiny_session, update_golden):
     _check("tab3", tiny_session, update_golden)
 

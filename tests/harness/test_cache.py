@@ -226,3 +226,54 @@ class TestStoredFormat:
             assert getattr(private, key).flags.writeable, key
         assert np.array_equal(private.value, grep_trace.value)
 
+
+
+class TestLoadsPerRun:
+    """A journaled in-process run loads each cached bundle once: the
+    shard's session reads it, and the journal digest and the merge use
+    that same in-memory trace.  Only the checkpoint names it by stub."""
+
+    BENCHES = ("grep", "compress")
+
+    def _run(self, monkeypatch, tmp_path, run_id, cpus):
+        import pickle
+
+        from repro.cli import main
+        from repro.harness.parallel import _CachedTraceRef
+
+        loads = []
+        original = TraceCache.load
+
+        def counting_load(cache, name, target, scale):
+            trace = original(cache, name, target, scale)
+            if trace is not None:  # a miss reads no bundle
+                loads.append((name, target))
+            return trace
+
+        for knob in ("REPRO_SENTINEL_RATE", "REPRO_TIER_FAULT",
+                     "REPRO_JOBS", "REPRO_MODEL_ENGINE"):
+            monkeypatch.delenv(knob, raising=False)
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
+        monkeypatch.setattr(TraceCache, "load", counting_load)
+        monkeypatch.setattr("os.sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        runs = tmp_path / "runs"
+        assert main(["experiment", "tab3", "--scale", "tiny",
+                     "--benchmarks", ",".join(self.BENCHES),
+                     "--runs-dir", str(runs), "--run-id", run_id]) == 0
+        for bench in self.BENCHES:
+            checkpoint = runs / run_id / "checkpoints" / f"{bench}.pkl"
+            payload = pickle.loads(checkpoint.read_bytes())
+            assert all(isinstance(trace, _CachedTraceRef)
+                       for trace in payload.traces.values())
+        return sorted(loads)
+
+    @pytest.mark.parametrize("cpus", (1, 2))
+    def test_cold_then_warm(self, monkeypatch, tmp_path, capsys, cpus):
+        # Cold: every trace is simulated and stored, none read back.
+        assert self._run(monkeypatch, tmp_path, "cold", cpus) == []
+        # Warm: one load per trace, by the session that needs it.
+        assert self._run(monkeypatch, tmp_path, "warm", cpus) == sorted(
+            (name, target) for name in self.BENCHES
+            for target in ("ppc", "alpha"))
+        capsys.readouterr()

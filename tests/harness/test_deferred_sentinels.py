@@ -154,9 +154,9 @@ def test_lighten_payload_leaves_the_worker_session_untouched(
     seen = []
     original = parallel._lighten_payload
 
-    def spy(session, scale):
-        seen.append(session)
-        return original(session, scale)
+    def spy(payload, cache, scale):
+        seen.append(payload)
+        return original(payload, cache, scale)
 
     monkeypatch.setattr(parallel, "_lighten_payload", spy)
     units = tuple(unit for unit in default_workplan(("grep",))
@@ -164,9 +164,9 @@ def test_lighten_payload_leaves_the_worker_session_untouched(
     result = parallel._run_shard(_ShardSpec(
         benchmark="grep", scale="tiny", verify=True,
         cache_dir=str(tmp_path / "cache"), units=units))
-    (session,) = seen
-    assert session._annotated
-    for key, annotation in session._annotated.items():
+    (payload,) = seen
+    assert payload.annotated
+    for key, annotation in payload.annotated.items():
         assert isinstance(annotation.trace, Trace)
         light = result.annotated[key]
         assert light is not annotation

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -220,3 +222,93 @@ class TestSourceCounters:
         snapshot = cache.counters.as_dict()
         assert snapshot["misses"] == 1
         assert snapshot["quarantined"] == 1
+
+
+class TestSentinelCost:
+    """``sentinel/<stage>/oracle_s``: the wall seconds of the tier
+    guard's oracle re-runs, summed in the run scope."""
+
+    class _Session:
+        def __init__(self):
+            self.metrics = MetricsRegistry()
+            self.demotions = []
+
+    def _guard(self, monkeypatch):
+        from repro.harness.guard import TierGuard
+        for knob in ("REPRO_MODEL_ENGINE", "REPRO_TIER_FAULT",
+                     "REPRO_SENTINEL_SEED"):
+            monkeypatch.delenv(knob, raising=False)
+        session = self._Session()
+        return TierGuard(session), session.metrics
+
+    def test_oracle_wall_seconds_accumulate(self, monkeypatch):
+        guard, metrics = self._guard(monkeypatch)
+        monkeypatch.setenv("REPRO_SENTINEL_RATE", "1")
+
+        def runner(engine):
+            if engine == "reference":
+                time.sleep(0.02)
+            return SimpleNamespace(cycles=7)
+
+        for unit in ("u1", "u2"):
+            assert guard.run_model("b", "ppc", f"b/model/ppc/{unit}",
+                                   runner).cycles == 7
+        run = metrics.run_counters()
+        assert run["sentinel/model/oracle_s"] >= 0.04
+        assert metrics.benchmark_counters()["b"][
+            "tier/model/sentinel_checks"] == 2
+
+    def test_failed_oracle_still_counts(self, monkeypatch):
+        guard, metrics = self._guard(monkeypatch)
+        monkeypatch.setenv("REPRO_SENTINEL_RATE", "1")
+
+        def runner(engine):
+            if engine == "reference":
+                time.sleep(0.02)
+                raise ValueError("oracle fault")
+            return 1
+
+        with pytest.raises(ValueError):
+            guard.run_model("b", "ppc", "b/model/ppc/u", runner)
+        assert metrics.run_counters()["sentinel/model/oracle_s"] >= 0.02
+
+    def test_stats_renders_it_beside_the_children(self):
+        registry = _registry_with_content()
+        registry.inc_run("children/processes", 2)
+        registry.inc_run("children/cpu_s", 1.5)
+        registry.inc_run("sentinel/model/oracle_s", 1.25)
+        registry.inc_run("sentinel/trace/oracle_s", 0.125)
+        document = registry.to_document(run_id="r1")
+        assert validate_metrics(document) == []
+        text = render_stats(document)
+        children = text.index("model children")
+        line = ("sentinel oracle re-runs (wall, children included): "
+                "model 1.250s, trace 0.125s")
+        assert text.index(line) > children
+        # Shown once, not again among the generic run-scope counters.
+        assert "sentinel/model/oracle_s" not in text
+
+    def test_model_children_send_it_home(self, monkeypatch, tmp_path,
+                                         capsys):
+        from repro.cli import main
+        for knob in ("REPRO_MODEL_ENGINE", "REPRO_TIER_FAULT",
+                     "REPRO_SENTINEL_RATE", "REPRO_SENTINEL_SEED",
+                     "REPRO_JOBS", "REPRO_TRACE_CACHE"):
+            monkeypatch.delenv(knob, raising=False)
+        monkeypatch.setattr("os.sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        runs = str(tmp_path / "runs")
+        # gperf/model/ppc/620/Constant is its one sampled model unit.
+        assert main(["experiment", "fig6", "--scale", "tiny",
+                     "--benchmarks", "gperf", "--runs-dir", runs,
+                     "--run-id", "r"]) == 0
+        document = load_metrics(tmp_path / "runs" / "r")
+        run = document["run"]
+        assert run["children/processes"] == 2
+        assert run["sentinel/model/oracle_s"] > 0
+        assert document["benchmarks"]["gperf"][
+            "tier/model/sentinel_checks"] == 1
+        assert main(["stats", "r", "--runs-dir", runs, "--validate"]) == 0
+        capsys.readouterr()
+        assert main(["stats", "r", "--runs-dir", runs]) == 0
+        assert "sentinel oracle re-runs" in capsys.readouterr().out
