@@ -75,11 +75,8 @@ from repro.obs import (
     render_stats,
     validate_metrics,
 )
-from repro.harness.parallel import (
-    jobs_from_env,
-    kill_model_children,
-    unit_timeout_from_env,
-)
+from repro.harness.children import kill_children, usable_cpus
+from repro.harness.parallel import jobs_from_env, unit_timeout_from_env
 from repro.harness.session import Session
 from repro.isa.disasm import disassemble
 from repro.lvp.config import (
@@ -157,28 +154,29 @@ def _timeout_arg(value: str) -> float:
     return seconds
 
 
-def _add_jobs(parser: argparse.ArgumentParser) -> None:
+def _add_jobs(parser: argparse.ArgumentParser, one: str) -> None:
+    """``--jobs``; *one* says what the default of one job does."""
     parser.add_argument(
         "--jobs", type=_jobs_arg, default=None,
         metavar="N",
-        help="worker processes for the parallel engine (default: "
-             "$REPRO_JOBS or 1 = one process that forks model children "
-             "on the other CPUs when journaled; output is "
-             "bit-identical either way)")
+        help=f"at most N processes computing at once, through forked "
+             f"children (default: $REPRO_JOBS or 1 = {one}; output is "
+             f"bit-identical either way)")
 
 
 def _cap_jobs(jobs: int) -> int:
-    """Cap a worker count at the CPU count, with a warning.
+    """Cap a job count at the CPUs this process may run on (its
+    affinity mask, as the children count them), with a warning.
 
-    Never capped below 2: collapsing an explicit parallel request to
-    ``jobs=1`` would silently switch to the serial code path, which is
-    a semantic change, not a tuning one (one oversubscribed worker on
-    a single-CPU box is harmless).
+    Never capped below 2: an explicit parallel request still forks on
+    a one-CPU host, where ``jobs=1`` would run without children (one
+    oversubscribed child is harmless).
     """
-    cap = max(2, os.cpu_count() or 1)
+    cpus = usable_cpus()
+    cap = max(2, cpus)
     if jobs > cap:
         print(f"warning: --jobs {jobs} exceeds the "
-              f"{os.cpu_count()} available CPU(s); capping at {cap}",
+              f"{cpus} usable CPU(s); capping at {cap}",
               file=sys.stderr)
         return cap
     return jobs
@@ -301,7 +299,7 @@ def _install_interrupt_handlers(journal: Journal):
         if os.getpid() != owner:  # a forked worker inherited us
             os._exit(128 + signum)
         with contextlib.suppress(Exception):
-            kill_model_children()
+            kill_children()
         with contextlib.suppress(Exception):
             journal.interrupted(signum)
         name = signal.Signals(signum).name
@@ -660,7 +658,10 @@ def build_parser() -> argparse.ArgumentParser:
                                    choices=("tiny", "small", "reference"))
     experiment_parser.add_argument("--benchmarks", default=None,
                                    help="comma-separated subset")
-    _add_jobs(experiment_parser)
+    _add_jobs(experiment_parser,
+              "one computing process per usable CPU when journaled, "
+              "each benchmark's timing models in forked children; "
+              "serial with --no-journal")
     experiment_parser.add_argument(
         "--unit-timeout", type=_timeout_arg, default=None, metavar="SECONDS",
         help="per-unit watchdog: a work unit exceeding this many "
@@ -697,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser = commands.add_parser(
         "sweep", help="one-pass design-space sweep over one trace")
     _add_common(sweep_parser)
-    _add_jobs(sweep_parser)
+    _add_jobs(sweep_parser, "serial, in one process")
     sweep_parser.add_argument(
         "--grid", default=None, metavar="SPEC",
         help="grid spec 'dim=v1,v2;dim=...' using lvpt/depth/selection/"
@@ -766,7 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
                               choices=("tiny", "small", "reference"))
     check_parser.add_argument("--benchmarks", default=None,
                               help="comma-separated subset")
-    _add_jobs(check_parser)
+    _add_jobs(check_parser, "serial, in one process")
     check_parser.set_defaults(func=cmd_check)
 
     doctor_parser = commands.add_parser(
@@ -814,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
                                choices=("tiny", "small", "reference"))
     report_parser.add_argument("--benchmarks", default=None,
                                help="comma-separated subset")
-    _add_jobs(report_parser)
+    _add_jobs(report_parser, "serial, in one process")
     report_parser.set_defaults(func=cmd_report)
 
     disasm_parser = commands.add_parser(

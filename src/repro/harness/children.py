@@ -1,33 +1,37 @@
-"""Model stages in forked children: the timing models on every CPU.
+"""Forked children: the repository's one way to run work in parallel.
 
-The timing models are most of an exhibit run, and the model units of
-one (benchmark, target) -- a *group* -- are leaves: they read that
-benchmark's trace and annotations, and only exhibit rendering reads
-their results.  On the in-process engine path (:meth:`~repro.harness
-.parallel.ParallelEngine.run` at ``jobs=1``, the default journaled
-``repro experiment``) the parent runs a benchmark's trace and annotate
-units itself, forks one child per group, and goes on with the next
-benchmark while the children model.
+Two kinds of leaf run in children.  On the experiment engine
+(:meth:`~repro.harness.parallel.ParallelEngine.run`) the model units
+of one (benchmark, target) -- a *group* -- read that benchmark's trace
+and annotations, and only exhibit rendering reads their results: the
+parent runs a benchmark's trace and annotate units itself, forks one
+child per group, and goes on with the next benchmark while the
+children model.  A parallel sweep (:func:`~repro.harness.sweep
+.run_sweep`) forks one child per chunk of its grid, each inheriting
+the parent's trace and decode.
 
-* **At most n processes compute at once**, n being the CPUs this
-  process may run on (:func:`usable_cpus`).  The parent counts as one
-  while it computes; when it has nothing to do but wait, it blocks in
-  ``select``.  With one CPU, or no ``os.fork``, every group runs
-  inline and nothing forks.
+* **At most n processes compute at once**: the CPUs this process may
+  run on (:func:`usable_cpus`) by default, or the ``--jobs`` count.
+  The parent counts as one while it computes; when it has nothing to
+  do but wait, it blocks in ``select``.  With one CPU, or no
+  ``os.fork``, everything runs inline and nothing forks.
 * **A child** resets SIGINT, SIGTERM and SIGALRM, closes every
   inherited descriptor but its pipe, disables the cyclic collector,
-  runs its group -- through the inline tier guard, sentinel re-runs
-  included, under the per-unit watchdog -- writes one pickle of what
-  the group produced and leaves through ``os._exit``.  It never writes
-  the journal or the trace cache.
+  runs its work -- for a model group through the inline tier guard,
+  sentinel re-runs included, under the per-unit watchdog -- writes one
+  pickle of what it produced and leaves through ``os._exit``.  It
+  never writes the journal or the trace cache.
 * **Failure.**  A child that cannot be forked, exits non-zero, dies,
   writes an unreadable payload or (with ``--unit-timeout``) outlives
-  its deadline fails its group, and the parent runs that group inline.
-  The child never touched the parent's memory, so nothing is undone.
+  its deadline fails its work, and the parent runs that work inline
+  (:meth:`Children.rerun_inline`).  The child never touched the
+  parent's memory, so nothing is undone.
 
 Each reaped child adds to the run scope of ``metrics.json``:
 ``children/processes``, ``children/cpu_s`` (from its ``wait4``
-rusage) and ``children/peak_rss_mb`` (the largest child's peak).
+rusage) and ``children/peak_rss_mb`` (the largest child's peak); each
+inline re-run of a failed child's work adds to
+``children/rerun_inline``.
 """
 
 from __future__ import annotations
@@ -57,7 +61,8 @@ def usable_cpus() -> int:
 
 
 def kill_children() -> None:
-    """Kill and reap every model child still running."""
+    """Kill and reap every child still running (for signal handlers
+    and the journal's crash drill)."""
     for pid in list(_LIVE):
         _LIVE.pop(pid, None)
         with contextlib.suppress(OSError):
@@ -68,9 +73,9 @@ def kill_children() -> None:
 
 @dataclass
 class Child:
-    """One forked group: its pipe, and once settled, its result."""
+    """One forked leaf: its pipe, and once settled, its result."""
 
-    owner: str                      #: the benchmark the group belongs to
+    owner: str                      #: its benchmark (or ``sweep``)
     pid: int = 0
     fd: int = -1
     deadline: Optional[float] = None
@@ -78,7 +83,7 @@ class Child:
     eof: bool = False
     done: bool = False
     #: The unpickled return value of the child's work (None = failed:
-    #: the caller runs the group inline).
+    #: the caller runs the work inline).
     result: object = None
 
 
@@ -114,12 +119,12 @@ def _child(work: Callable, write_fd: int) -> None:
         os._exit(status)
 
 
-class ModelChildren:
-    """The forked children of one engine run, at most *cpus* at once
-    counting the parent.
+class Children:
+    """The forked children of one engine run or sweep: at most *cpus*
+    processes compute at once, the parent counted while it computes.
 
     *metrics* (a :class:`~repro.obs.MetricsRegistry` or None) receives
-    the run-scope cost of every reaped child.
+    the run-scope cost of every reaped child and of every inline re-run.
     """
 
     def __init__(self, cpus: int, metrics=None) -> None:
@@ -170,6 +175,13 @@ class ModelChildren:
         """Block until *child* has settled."""
         while not child.done:
             self._step(block=True)
+
+    def rerun_inline(self) -> None:
+        """Count one failed child's work as re-run in the parent, and
+        block until the parent may compute it."""
+        if self.metrics is not None:
+            self.metrics.inc_run("children/rerun_inline")
+        self.wait(self.cpus - 1)
 
     def close(self) -> None:
         """Kill and reap every child still running."""
@@ -235,6 +247,6 @@ class ModelChildren:
         if status == 0 and child.eof:
             try:
                 child.result = pickle.loads(bytes(child.data))
-            except Exception:  # a damaged payload: run the group inline
+            except Exception:  # a damaged payload: run the work inline
                 child.result = None
         child.data = bytearray()

@@ -12,11 +12,11 @@ journals a ``repro sweep``, one unit per grid chunk.  Every journaled
         checkpoints/<b>.pkl  one completed benchmark's merge payload
 
 The **manifest** pins everything needed to re-create the run:
-library version, exhibit ids, input scale, benchmark list, worker
+library version, exhibit ids, input scale, benchmark list, job
 count, watchdog timeout, and a fingerprint over all of it.  The
 **journal** is written ahead of the work it describes: a benchmark's
-shard is recorded ``planned`` before any worker sees it, ``started``
-when it is handed out, and ``done`` (with a checkpoint digest and
+shard is recorded ``planned`` before any work starts, ``started``
+when it starts, and ``done`` (with a checkpoint digest and
 per-unit result digests) or ``failed`` only after its checkpoint is
 durably on disk.  Each journal line carries a CRC-32 of its payload.
 A record -- or the opening batch of ``run_started`` plus every
@@ -65,7 +65,6 @@ from repro.harness.parallel import (
     _ShardResult,
     _ShardSpec,
     _lighten_payload,
-    kill_model_children,
 )
 from repro.obs.metrics import write_metrics
 
@@ -584,15 +583,11 @@ class Journal:
                 and self._checkpoints_done >= self._crash_after):
             # Chaos drill: die the hardest way possible (no atexit, no
             # flush) right after the journal claims this checkpoint.
-            # Pool workers and model children are reaped first -- a
-            # real crash would leave them to die on their broken pipes,
-            # but the drill must not leave orphans holding the caller's
-            # pipes open.
-            import multiprocessing
-            for child in multiprocessing.active_children():
-                with contextlib.suppress(Exception):
-                    child.terminate()
-            kill_model_children()
+            # Children are reaped first -- a real crash would leave
+            # them to die on their broken pipes, but the drill must not
+            # leave orphans holding the caller's pipes open.
+            from repro.harness.children import kill_children
+            kill_children()
             os._exit(23)
 
     # -- resumption ---------------------------------------------------------
@@ -697,16 +692,6 @@ class RunJournal(Journal, EngineObserver):
             "failed": len(result.failed),
             "digests": shard_digests(result, cache=self._trace_cache),
         })
-
-    def shard_retry(self, benchmark: str, attempt: int, delay: float,
-                    cause: BaseException) -> None:
-        self.append({"type": "retry", "benchmark": benchmark,
-                     "attempt": attempt, "delay": round(delay, 4),
-                     "cause": f"{type(cause).__name__}: {cause}"})
-
-    def shard_lost(self, benchmark: str, cause: BaseException) -> None:
-        self.append({"type": "lost", "benchmark": benchmark,
-                     "cause": f"{type(cause).__name__}: {cause}"})
 
     # -- resumption ---------------------------------------------------------
     def load_checkpoints(self, cache=None) -> dict[str, _ShardResult]:

@@ -4,19 +4,27 @@ One :class:`~repro.harness.session.Session` running 17 benchmarks x 2
 codegen targets x several LVP configurations strictly serially is the
 dominant wall-clock cost of ``experiment all``.  The work units --
 (benchmark, stage, target, lvp-config) runs -- are embarrassingly
-parallel, so this module shards them across worker processes and merges
-the results back into the parent session.
+parallel, so this module shards them by benchmark, runs their model
+stages in forked children and merges the results back into the parent
+session.
 
 Design rules (see ``docs/parallel.md`` for the full contract):
 
-**Sharding.**  The unit of *scheduling* is one benchmark: a worker
+**Sharding.**  The unit of *scheduling* is one benchmark: a shard
 receives every :class:`WorkUnit` for its benchmark and executes them in
-dependency order against a private worker :class:`Session`.  Grouping
-by benchmark means a trace is generated once per worker and reused by
-that benchmark's annotate/model units instead of being re-simulated or
-shipped between processes per stage.  Per-*unit* wall times are still
+dependency order against a private :class:`Session`.  Grouping by
+benchmark means a trace is generated once per shard and reused by that
+benchmark's annotate/model units.  Per-*unit* wall times are still
 measured individually, so the timing summary reports at (benchmark,
 stage, target, config) granularity.
+
+**One process mechanism.**  The parent runs each shard's trace and
+annotate units itself and forks one child per (benchmark, target)
+model group through :mod:`repro.harness.children`, up to the usable
+CPUs (``jobs=1``, the default) or *jobs* computing processes.  A child
+that cannot fork, dies, exits non-zero, writes a bad payload or
+overruns its deadline has its group re-run in the parent, so a failed
+child changes wall time, never output.
 
 **Determinism.**  Results are merged into the parent session ordered
 by benchmark name -- never by completion order -- and each unit's
@@ -25,37 +33,18 @@ produces bit-identical traces, annotation statistics, cycle counts,
 and speedups to a serial run.  The differential suite in
 ``tests/harness/test_parallel.py`` asserts this end to end.
 
-**Cache sharing.**  When the parent session has an on-disk
-:class:`~repro.harness.cache.TraceCache`, every worker opens the same
-directory; the cache's fcntl locking and CRC-verified bundles (PR 1)
-make concurrent store/load safe, and a trace generated by one worker
-is a cache hit for the next run.  The cache is an accelerator only:
-workers return their results in the merge payload, so correctness
-never depends on the cache being present or intact.
+**Checkpoints carry stubs.**  A shard's payload keeps the session's
+own traces, so each cached bundle is loaded once.  What is pickled into
+a checkpoint names each trace whose bundle is in the shared
+:class:`~repro.harness.cache.TraceCache` by a tiny
+:class:`_CachedTraceRef`; a resumed run memory-maps the bundle back.
+A ref that no longer resolves (evicted, corrupted) drops that memo
+entry and the session regenerates it lazily.
 
-**Zero-copy handoff.**  Shipping every trace's column arrays through
-the pickle pipe is the dominant merge cost, and redundant whenever the
-shared cache already holds the same bytes as a v2 bundle.  A worker
-therefore substitutes a tiny :class:`_CachedTraceRef` for each trace
-whose bundle exists on disk (and strips the matching ``.trace``
-back-references from its annotations); the parent resolves each ref by
-memory-mapping the bundle read-only -- zero copies, pages shared
-across every process that maps it.  A ref that no longer resolves
-(evicted, corrupted, disk yanked) simply drops that memo entry and the
-session regenerates it lazily; payloads from older checkpoints carry
-plain :class:`~repro.trace.records.Trace` objects and merge unchanged.
-In process there is no pipe: a shard's payload keeps its traces, and
-only its checkpoint carries stubs, so each cached bundle is loaded once.
-
-**Graceful degradation.**  A benchmark that fails inside a worker is
-recorded as a :class:`~repro.errors.BenchmarkFailure` on the worker's
+**Graceful degradation.**  A benchmark that fails in a shard is
+recorded as a :class:`~repro.errors.BenchmarkFailure` on the shard's
 session and merged into the parent's negative-memoization table, so
-exhibits footnote it exactly as in serial mode.  A worker process that
-*dies* (killed, segfaulted...) breaks the process pool; the engine
-rebuilds the pool, retries the lost benchmarks, and records a
-``worker``-stage failure (cause :class:`~repro.errors.WorkerCrashError`)
-for any benchmark that keeps killing its worker.  A crashed worker is
-footnoted, never fatal.
+exhibits footnote it exactly as in a lazy serial session.
 """
 
 from __future__ import annotations
@@ -67,7 +56,6 @@ import functools
 import os
 import pickle
 import signal
-import sys
 import threading
 import time
 import warnings
@@ -80,17 +68,16 @@ from repro.errors import (
     UnitTimeoutError,
     WorkerCrashError,
 )
-from repro.harness.retry import RetryPolicy
 from repro.lvp.config import CONSTANT, LIMIT, PERFECT, SIMPLE, config_by_name
 
-#: Chaos knob: name a benchmark here and the worker process assigned
-#: its shard exits hard (``os._exit``) instead of computing, simulating
-#: a crashed/killed worker.  Used by the differential test suite to
-#: prove the pool-rebuild and footnoting path; never set in production.
+#: Chaos knob: name a benchmark here and each of its model children
+#: exits hard (``os._exit``) instead of computing, simulating a killed
+#: child.  Used by the differential suite and CI to prove that a dead
+#: child's group is re-run in the parent; never set in production.
 CRASH_ENV = "REPRO_PARALLEL_CRASH"
 
-#: Default worker-count environment variable honoured by the CLI and
-#: the benchmark harness (``1`` = the in-process path).
+#: Default job-count environment variable honoured by the CLI and the
+#: benchmark harness (``1`` = one computing process per usable CPU).
 JOBS_ENV = "REPRO_JOBS"
 
 #: Default per-unit watchdog environment variable (seconds; unset or
@@ -110,7 +97,7 @@ _ANNOTATE_CONFIGS = (SIMPLE, CONSTANT, LIMIT, PERFECT)
 
 
 def jobs_from_env(default: int = 1, strict: bool = False) -> int:
-    """The worker count requested via ``REPRO_JOBS`` (>= 1).
+    """The job count requested via ``REPRO_JOBS`` (>= 1).
 
     Lenient by default (malformed or non-positive values fall back to
     *default*) for library callers; the CLI passes ``strict=True`` to
@@ -265,7 +252,7 @@ def _alpha_need(config):
 
 #: The (stage, target, lvp, machine) combinations each exhibit reads
 #: directly.  Stage *dependencies* (a model unit's trace and
-#: annotation) are intentionally absent: workers resolve them through
+#: annotation) are intentionally absent: shards resolve them through
 #: their session's memoization, so listing them would only double-book
 #: the schedule.
 _EXHIBIT_NEEDS: dict[str, frozenset] = {
@@ -522,10 +509,6 @@ class _Shard:
     """One benchmark's units run against a private worker session."""
 
     def __init__(self, spec: _ShardSpec) -> None:
-        crash = os.environ.get(CRASH_ENV)
-        if crash and crash == spec.benchmark:
-            kill_model_children()  # leave no orphan on the caller's pipes
-            os._exit(13)  # simulate a killed/segfaulted worker
         from repro.harness.session import Session
         self.spec = spec
         self.session = Session(
@@ -595,6 +578,8 @@ class _Shard:
         and a fresh registry keeps the parent's counters from being
         shipped home twice)."""
         from repro.obs.metrics import MetricsRegistry
+        if os.environ.get(CRASH_ENV) == self.spec.benchmark:
+            os._exit(13)  # simulate a killed child
         session = self.session
         ppc, alpha = set(session._ppc_runs), set(session._alpha_runs)
         failed = set(session._failed)
@@ -668,13 +653,6 @@ class _Shard:
         )
 
 
-def _run_shard(spec: _ShardSpec) -> _ShardResult:
-    """Worker entry point: run every unit of one benchmark."""
-    shard = _Shard(spec)
-    shard.run(spec.units)
-    return _lighten_payload(shard.payload(), shard.session.cache, spec.scale)
-
-
 # ---------------------------------------------------------------------------
 # Parent side.
 # ---------------------------------------------------------------------------
@@ -687,31 +665,20 @@ class EngineObserver:
     """
 
     def shard_started(self, spec: "_ShardSpec") -> None:
-        """*spec* was handed to a worker (or the in-process runner)."""
+        """*spec* is about to run."""
 
     def shard_finished(self, spec: "_ShardSpec",
                        result: "_ShardResult") -> None:
         """*spec* completed; *result* is its full merge payload."""
 
-    def shard_retry(self, benchmark: str, attempt: int,
-                    delay: float, cause: BaseException) -> None:
-        """*benchmark*'s worker died; it will be retried after *delay*."""
-
-    def shard_lost(self, benchmark: str, cause: BaseException) -> None:
-        """*benchmark* exhausted its attempts and is being footnoted."""
-
 
 @dataclass
 class EngineReport:
-    """What one parallel warm run did, and how long each unit took."""
+    """What one engine run did, and how long each unit took."""
 
     jobs: int
     wall_seconds: float
     timings: list[UnitTiming] = field(default_factory=list)
-    #: Benchmarks whose workers kept dying (footnoted, not fatal).
-    crashed: tuple[str, ...] = ()
-    #: Benchmarks retried after a pool breakage took their worker down.
-    retried: tuple[str, ...] = ()
     #: unit label -> pstats text (populated when profiling was on).
     profiles: dict = field(default_factory=dict)
 
@@ -734,49 +701,35 @@ class EngineReport:
         for timing in sorted(self.timings, key=lambda t: -t.seconds):
             table.add_row([timing.unit.label, f"{timing.seconds:.3f}",
                            timing.pid, "ok" if timing.ok else "FAILED"])
-        lines = [table.render()]
-        lines.append(
+        return "\n".join([table.render(), (
             f"{len(self.timings)} units in {self.wall_seconds:.2f}s wall "
             f"({self.busy_seconds:.2f}s busy, {self.parallelism:.2f}x "
-            f"parallelism, {self.jobs} jobs)")
-        if self.retried:
-            lines.append("retried after worker loss: "
-                         + ", ".join(self.retried))
-        if self.crashed:
-            lines.append("lost to crashed workers (footnoted): "
-                         + ", ".join(self.crashed))
-        return "\n".join(lines)
+            f"parallelism, {self.jobs} jobs)")])
 
 
 class ParallelEngine:
-    """Shard a session's work units across worker processes.
+    """Run a session's work units, model groups in forked children.
 
-    ``run()`` executes the workplan with ``jobs`` workers and merges
-    every result (and failure) back into the parent *session*, ordered
-    by benchmark name.  ``jobs=1`` executes the same shard/merge path
-    in-process: that is the default journaled ``repro experiment`` path
-    (:func:`~repro.harness.journal.run_journaled`), while
-    :meth:`Session.warm` and the unjournaled CLI skip the engine at
-    ``jobs=1`` and stay lazy.  In-process, each (benchmark, target)'s
-    model units run in a forked child while the parent goes on, up to
-    the number of usable CPUs (:mod:`repro.harness.children`); a shard
-    is checkpointed only once all its model groups are in.
+    ``run()`` executes the workplan and merges every result (and
+    failure) back into the parent *session*, ordered by benchmark name.
+    Each (benchmark, target)'s model units run in a forked child while
+    the parent goes on (:mod:`repro.harness.children`); a shard is
+    checkpointed only once all its model groups are in.  At most
+    ``jobs`` processes compute at once, or one per usable CPU at
+    ``jobs=1``, the default journaled ``repro experiment`` path
+    (:func:`~repro.harness.journal.run_journaled`).  :meth:`Session.warm`
+    and the unjournaled CLI skip the engine at ``jobs=1`` and stay lazy.
 
-    ``max_attempts`` bounds how many times one benchmark may take a
-    worker down (pool breakage) before it is recorded as a
-    ``worker``-stage failure instead of retried; retry waves back off
-    exponentially (seeded jitter) so a transiently overloaded machine
-    is not hammered.  ``unit_timeout`` (seconds; default
-    ``REPRO_UNIT_TIMEOUT``) arms the per-unit watchdog inside each
-    worker.  ``preloaded`` maps benchmark names to already-computed
-    shard payloads (checkpoints from a resumed run journal): those
-    benchmarks are merged without being re-run.  ``observer`` receives
-    parent-side progress callbacks (see :class:`EngineObserver`).
+    ``unit_timeout`` (seconds; default ``REPRO_UNIT_TIMEOUT``) arms the
+    per-unit watchdog.  ``preloaded`` maps benchmark names to
+    already-computed shard payloads (checkpoints from a resumed run
+    journal): those benchmarks are merged without being re-run.
+    ``observer`` receives parent-side progress callbacks (see
+    :class:`EngineObserver`).
     """
 
     def __init__(self, session, jobs: int = 1,
                  units: Optional[Sequence[WorkUnit]] = None,
-                 max_attempts: int = 2,
                  unit_timeout: Optional[float] = None,
                  observer: Optional[EngineObserver] = None,
                  preloaded: Optional[dict] = None,
@@ -785,7 +738,6 @@ class ParallelEngine:
         self.jobs = max(1, int(jobs))
         self.units = tuple(units) if units is not None \
             else default_workplan(session.benchmark_names)
-        self.max_attempts = max(1, int(max_attempts))
         self.unit_timeout = unit_timeout if unit_timeout is not None \
             else unit_timeout_from_env()
         self.observer = observer or EngineObserver()
@@ -816,19 +768,20 @@ class ParallelEngine:
     def run(self) -> EngineReport:
         """Execute the workplan; merge results into the parent session."""
         start = time.perf_counter()
-        shards = self._shards()
-        if self.jobs <= 1 or len(shards) <= 1:
-            results = self._run_in_process(shards)
-            lost: dict[str, BaseException] = {}
-            retried: tuple[str, ...] = ()
-        else:
-            results, lost, retried = self._run_pool(shards)
+        results = self._run_in_process(self._shards())
         results.update(self.preloaded)
-        report = EngineReport(jobs=self.jobs, wall_seconds=0.0,
-                              crashed=tuple(sorted(lost)), retried=retried)
-        self._merge(results, lost, report)
+        report = EngineReport(jobs=self.jobs, wall_seconds=0.0)
+        self._merge(results, report)
         report.wall_seconds = time.perf_counter() - start
         return report
+
+    def _cpus(self) -> int:
+        """How many processes may compute at once: *jobs* when more
+        than one was asked for, else every usable CPU."""
+        from repro.harness.children import usable_cpus
+        if not hasattr(os, "fork"):
+            return 1
+        return self.jobs if self.jobs > 1 else usable_cpus()
 
     def _run_in_process(self, shards: list[_ShardSpec]) -> dict:
         """Run shards in this process, their model groups in forked
@@ -840,9 +793,9 @@ class ParallelEngine:
         ``shard_finished``) in order, each once all its groups are in; a
         group whose child failed runs inline first.
         """
-        from repro.harness.children import ModelChildren, usable_cpus
-        cpus = usable_cpus() if hasattr(os, "fork") else 1
-        children = ModelChildren(cpus, getattr(self.session, "metrics", None))
+        from repro.harness.children import Children
+        cpus = self._cpus()
+        children = Children(cpus, getattr(self.session, "metrics", None))
         results: dict[str, _ShardResult] = {}
         waiting: collections.deque = collections.deque()
 
@@ -851,7 +804,7 @@ class ParallelEngine:
                 children.settle(child)
             for group, child in forked:
                 if child.result is None:
-                    children.wait(cpus - 1)
+                    children.rerun_inline()
                     shard.run(group)
                 else:
                     shard.merge_group(child.result)
@@ -886,75 +839,10 @@ class ParallelEngine:
             children.close()
         return results
 
-    def _run_pool(self, shards: list[_ShardSpec]):
-        """Run shards under a process pool, rebuilding it on breakage."""
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-        results: dict[str, _ShardResult] = {}
-        lost: dict[str, BaseException] = {}
-        attempts: dict[str, int] = {spec.benchmark: 0 for spec in shards}
-        ever_retried: set[str] = set()
-        backoff = RetryPolicy(attempts=self.max_attempts + 1).delays()
-        pending = list(shards)
-        isolate = False
-        wave = 0
-        while pending:
-            retry: list[_ShardSpec] = []
-
-            def _collect(futures) -> None:
-                for future in as_completed(futures):
-                    spec = futures[future]
-                    try:
-                        result = future.result()
-                    except Exception as exc:
-                        # A worker died: this future's shard either
-                        # killed it or was collateral damage of the
-                        # pool breaking.  Retry up to max_attempts.
-                        attempts[spec.benchmark] += 1
-                        if attempts[spec.benchmark] >= self.max_attempts:
-                            lost[spec.benchmark] = exc
-                            self.observer.shard_lost(spec.benchmark, exc)
-                        else:
-                            ever_retried.add(spec.benchmark)
-                            retry.append(spec)
-                            self.observer.shard_retry(
-                                spec.benchmark, attempts[spec.benchmark],
-                                backoff[min(wave, len(backoff) - 1)], exc)
-                    else:
-                        results[spec.benchmark] = result
-                        self.observer.shard_finished(spec, result)
-
-            if not isolate:
-                workers = min(self.jobs, len(pending))
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = {}
-                    for spec in pending:
-                        self.observer.shard_started(spec)
-                        futures[pool.submit(_run_shard, spec)] = spec
-                    _collect(futures)
-            else:
-                # A previous wave broke the pool, so a deterministic
-                # crasher may be among the survivors: give each shard
-                # its own single-worker pool so one crash cannot take
-                # innocent benchmarks (or their attempt budget) down
-                # with it.
-                for spec in pending:
-                    self.observer.shard_started(spec)
-                    with ProcessPoolExecutor(max_workers=1) as pool:
-                        _collect({pool.submit(_run_shard, spec): spec})
-            isolate = bool(retry)
-            if retry:
-                # Transient breakage (an OOM kill, a flaky node) often
-                # clears if given a moment: back off before the next
-                # wave, deterministically jittered.
-                time.sleep(backoff[min(wave, len(backoff) - 1)])
-                wave += 1
-            pending = sorted(retry, key=lambda spec: spec.benchmark)
-        return results, lost, tuple(sorted(ever_retried))
-
     # -- merging -------------------------------------------------------------
     def _resolve_ref(self, ref: _CachedTraceRef):
-        """Memory-map one worker's trace ref through the parent cache
-        (None when the bundle is gone or unreadable)."""
+        """Memory-map one checkpoint's trace ref through the parent
+        cache (None when the bundle is gone or unreadable)."""
         cache = self.session.cache
         if cache is None:
             return None
@@ -988,9 +876,8 @@ class ParallelEngine:
             session._annotated[key] = annotation
 
     def _merge(self, results: dict[str, _ShardResult],
-               lost: dict[str, BaseException],
                report: EngineReport) -> None:
-        """Fold worker payloads into the parent session, by name."""
+        """Fold shard payloads into the parent session, by name."""
         session = self.session
         for name in sorted(results):
             shard = results[name]
@@ -1013,39 +900,17 @@ class ParallelEngine:
             demotions = getattr(shard, "demotions", None)
             if demotions:
                 session.demotions.extend(demotions)
-        for name in sorted(lost):
-            exc = lost[name]
-            cause = WorkerCrashError(
-                f"worker process died while computing {name!r} "
-                f"({type(exc).__name__}: {exc})")
-            # Pin the failure on the trace stage of both targets: every
-            # downstream stage starts from trace(), so all exhibits
-            # degrade to a footnote exactly as for an in-band failure.
-            for target in ("ppc", "alpha"):
-                key = ("trace", (name, target))
-                if key not in session._failed:
-                    failure = BenchmarkFailure(name, "worker", target, cause)
-                    session._failed[key] = failure
-                    session.failures.append(failure)
-
-
-def kill_model_children() -> None:
-    """Kill and reap any model child still running (for signal handlers
-    and crash drills; nothing to do unless the in-process engine has
-    loaded :mod:`repro.harness.children`)."""
-    children = sys.modules.get("repro.harness.children")
-    if children is not None:
-        children.kill_children()
 
 
 def warm_session(session, jobs: int,
                  units: Optional[Sequence[WorkUnit]] = None,
                  unit_timeout: Optional[float] = None,
                  ) -> Optional[EngineReport]:
-    """Precompute *session*'s workplan with *jobs* workers.
+    """Precompute *session*'s workplan, at most *jobs* processes
+    computing at once.
 
     ``jobs <= 1`` is a no-op returning None: the session stays lazy and
-    serial, today's default path.
+    serial.
     """
     if jobs <= 1:
         return None

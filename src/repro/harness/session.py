@@ -192,11 +192,14 @@ class Session:
 
     # ------------------------------------------------------------------
     def warm(self, jobs: int = 1, units=None, unit_timeout=None):
-        """Precompute this session's runs with *jobs* worker processes.
+        """Precompute this session's runs, at most *jobs* processes
+        computing at once.
 
-        Shards the workplan (default: every trace/annotate/model run a
-        full exhibit pass needs) across a process pool and merges the
-        results -- and any :class:`BenchmarkFailure` -- back into this
+        Runs the workplan (default: every trace/annotate/model run a
+        full exhibit pass needs) through the
+        :class:`~repro.harness.parallel.ParallelEngine` -- each
+        benchmark's model units in forked children -- and merges the
+        results, and any :class:`BenchmarkFailure`, back into this
         session's memos, ordered by benchmark name.  Subsequent exhibit
         runs are pure memo lookups and produce bit-identical output to
         a serial run (see ``docs/parallel.md``).  ``unit_timeout``

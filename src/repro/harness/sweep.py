@@ -47,17 +47,19 @@ rendering on top of it.
 
 ``run_sweep`` produces and decodes the trace once per call and
 evaluates every chunk of the grid against that decode and one shared
-:class:`StageMemo`.  Chunks shard across worker processes (each worker
-receives the trace once, through the pool initializer; results merge
-back in deterministic grid order), and every chunk is journalled
-write-ahead under ``.repro/sweeps/<run-id>/`` so an interrupted sweep
-resumes with ``repro sweep --resume`` without recomputing finished
-chunks (:class:`SweepJournal`, the chunk kind of
+:class:`StageMemo`.  In parallel, each chunk runs in a forked child
+(:mod:`repro.harness.children`) that inherits the trace and its
+decode; results merge back in deterministic grid order.  Every chunk
+is journalled write-ahead under ``.repro/sweeps/<run-id>/`` so an
+interrupted sweep resumes with ``repro sweep --resume`` without
+recomputing finished chunks (:class:`SweepJournal`, the chunk kind of
 :class:`repro.harness.journal.Journal`).
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import json
 import os
 import pathlib
@@ -236,9 +238,7 @@ class StageMemo:
         the stage-A key), so when chunks run in plan order a key one
         chunk does not use is never used by a later one: retaining each
         chunk's keys before it runs bounds the memo to one chunk's
-        passes without recomputing any.  Out of order (a pool worker's
-        share of the chunks) a dropped pass may be recomputed, never
-        wrong.
+        passes without recomputing any.
         """
         akeys = {predictor_key(config) for config in configs}
         bkeys = {lct_key(config) for config in configs}
@@ -302,11 +302,11 @@ def evaluate_configs(trace: Trace, configs: Sequence[LVPConfig],
 
 
 # ---------------------------------------------------------------------------
-# Sharding across worker processes.
+# Chunking.
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class _SweepChunkSpec:
-    """Everything a worker needs to evaluate one chunk of the grid."""
+    """One chunk of the grid."""
 
     chunk_id: int
     configs: tuple[LVPConfig, ...]
@@ -320,37 +320,13 @@ def _evaluate_chunk(trace: Trace, memo: StageMemo,
             for cell in evaluate_configs(trace, spec.configs, memo=memo)]
 
 
-#: Per-worker sweep state, set once by the pool initializer: the trace
-#: and, from the first chunk on, its decode's stage memo.
-_WORKER: dict = {}
-
-
-def _init_sweep_worker(trace: Trace, branches: bool) -> None:
-    """Pool initializer: receive the parent's trace once per worker."""
-    _WORKER.clear()
-    _WORKER.update(trace=trace, branches=branches)
-
-
-def _run_sweep_chunk(spec: _SweepChunkSpec) -> list[dict]:
-    """Worker entry point: one chunk against the worker's one decode.
-
-    The trace is decoded on the first chunk; later chunks reuse the
-    decode and the stage memo.
-    """
-    if "memo" not in _WORKER:
-        trace = _WORKER["trace"]
-        _WORKER["memo"] = StageMemo(
-            decode_events(trace, branches=_WORKER["branches"]))
-    return _evaluate_chunk(_WORKER["trace"], _WORKER["memo"], spec)
-
-
 def plan_chunks(configs: Sequence[LVPConfig],
                 chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[tuple[int, ...]]:
-    """Partition grid indices into worker chunks.
+    """Partition grid indices into chunks.
 
     Configurations are grouped by their canonical stage-B key before
     splitting, so a chunk's members share stage passes instead of
-    scattering one predictor family across every worker (and
+    scattering one predictor family across every chunk (and
     :meth:`StageMemo.retain` holds at most one chunk's passes).
     Returns tuples of indices into *configs*; deterministic for a given
     grid (a resumed sweep checks each checkpoint's cell names against
@@ -363,11 +339,45 @@ def plan_chunks(configs: Sequence[LVPConfig],
             for start in range(0, len(order), size)]
 
 
+def _run_chunk_children(trace: Trace, memo: StageMemo,
+                        todo: list[_SweepChunkSpec], jobs: int,
+                        observer: "SweepObserver",
+                        finish: Callable) -> None:
+    """Evaluate *todo* one forked child per chunk, at most *jobs* at
+    once.  Chunk k forks once chunk k - jobs has finished, and chunks
+    finish in order, so the journal's record order does not depend on
+    timing.  A chunk whose child failed is evaluated here."""
+    from repro.harness.children import Children
+    children = Children(jobs)
+    waiting: collections.deque = collections.deque()
+
+    def settle(spec: _SweepChunkSpec, child) -> None:
+        children.settle(child)
+        cells = child.result
+        if cells is None:
+            children.rerun_inline()
+            cells = _evaluate_chunk(trace, memo, spec)
+        finish(spec, cells)
+
+    try:
+        for spec in todo:
+            if len(waiting) >= jobs:
+                settle(*waiting.popleft())
+            observer.chunk_started(spec)
+            waiting.append((spec, children.fork(
+                "sweep", functools.partial(_evaluate_chunk, trace, memo,
+                                           spec), 0.0)))
+        while waiting:
+            settle(*waiting.popleft())
+    finally:
+        children.close()
+
+
 class SweepObserver:
     """Parent-side progress hooks (the sweep journal implements these)."""
 
     def chunk_started(self, spec: _SweepChunkSpec) -> None:
-        """*spec* was handed to a worker (or the in-process runner)."""
+        """*spec* is about to run (forked, or in this process)."""
 
     def chunk_finished(self, spec: _SweepChunkSpec,
                        cells: list[dict]) -> None:
@@ -386,15 +396,17 @@ def run_sweep(bench: str, configs: Sequence[LVPConfig], *,
     The trace is produced once per call (simulated, sentinel-checked
     and verified by one :class:`~repro.harness.session.Session`, or
     read from the trace cache) and decoded once; every chunk evaluates
-    against that decode and one shared :class:`StageMemo`.  ``jobs >
-    1`` shards chunks across a process pool: the parent hands each
-    worker the trace once, through the pool initializer, and each
-    worker decodes it once.  Results merge in grid order, so the document is
-    bit-identical to a serial run.  ``preloaded`` maps chunk ids to
-    already-computed cell payloads (from a resumed sweep journal):
-    those chunks are not re-run, and if none is left the trace is
-    never produced.  A payload whose cell names differ from its
-    chunk's planned configurations is ignored and the chunk re-run.
+    against that decode and one shared :class:`StageMemo`.  With ``jobs
+    > 1`` each chunk runs in a forked child that inherits the trace and
+    the decode, at most *jobs* at once; chunks are journalled
+    ``started`` as they fork and finish in chunk order, and a chunk
+    whose child failed is evaluated in the parent.  Results merge in
+    grid order, so the document is bit-identical to a serial run.
+    ``preloaded`` maps chunk ids to already-computed cell payloads
+    (from a resumed sweep journal): those chunks are not re-run, and
+    if none is left the trace is never produced.  A payload whose cell
+    names differ from its chunk's planned configurations is ignored
+    and the chunk re-run.
     """
     observer = observer or SweepObserver()
     chunks = plan_chunks(configs, chunk_size)
@@ -431,25 +443,13 @@ def run_sweep(bench: str, configs: Sequence[LVPConfig], *,
         trace = session.trace(bench, target)
         branches = any(config.index_mode == "gshare"
                        for spec in todo for config in spec.configs)
-        if jobs <= 1 or len(todo) == 1:
-            memo = StageMemo(decode_events(trace, branches=branches))
+        memo = StageMemo(decode_events(trace, branches=branches))
+        if jobs <= 1 or len(todo) == 1 or not hasattr(os, "fork"):
             for spec in todo:
                 observer.chunk_started(spec)
                 _finish(spec, _evaluate_chunk(trace, memo, spec))
         else:
-            # Each worker receives the trace once, through the pool
-            # initializer.
-            from concurrent.futures import ProcessPoolExecutor, as_completed
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(todo)),
-                    initializer=_init_sweep_worker,
-                    initargs=(trace, branches)) as pool:
-                futures = {}
-                for spec in todo:
-                    observer.chunk_started(spec)
-                    futures[pool.submit(_run_sweep_chunk, spec)] = spec
-                for future in as_completed(futures):
-                    _finish(futures[future], future.result())
+            _run_chunk_children(trace, memo, todo, jobs, observer, _finish)
 
     # Merge back into grid order (never completion order).
     by_index: dict[int, dict] = {}

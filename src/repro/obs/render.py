@@ -20,7 +20,7 @@ SLOWEST_MARK = " *"
 
 #: Run-scope counters of the model children, rendered as their own row
 #: (they run beside the parent, so their CPU seconds are not part of
-#: its wall time).
+#: its wall time), with the groups of failed children re-run inline.
 CHILDREN_PREFIX = "children/"
 
 #: Run-scope ``sentinel/<stage>/oracle_s`` counters: the wall seconds of
@@ -133,13 +133,15 @@ def render_stats(document: Mapping, full: bool = False) -> str:
                         f"{float(report_seconds):.3f}s")
     run = document.get("run", {})
     children = run.get(CHILDREN_PREFIX + "processes")
-    if children:
+    rerun = run.get(CHILDREN_PREFIX + "rerun_inline")
+    if children or rerun:
         sections.append(
             f"model children (timing models beside the parent): "
-            f"{int(children)} process(es), "
+            f"{int(children or 0)} process(es), "
             f"{float(run.get(CHILDREN_PREFIX + 'cpu_s', 0.0)):.3f}s CPU, "
             f"peak RSS "
-            f"{float(run.get(CHILDREN_PREFIX + 'peak_rss_mb', 0.0)):.1f} MB")
+            f"{float(run.get(CHILDREN_PREFIX + 'peak_rss_mb', 0.0)):.1f} MB"
+            + (f", {int(rerun)} group(s) re-run inline" if rerun else ""))
     oracle = {name.split("/")[1]: float(value)
               for name, value in run.items()
               if name.startswith(SENTINEL_PREFIX)}

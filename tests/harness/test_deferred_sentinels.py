@@ -149,22 +149,15 @@ def _without_children(outcome: dict) -> dict:
             if key != "children"}
 
 
-def test_lighten_payload_leaves_the_worker_session_untouched(
-        monkeypatch, tmp_path):
-    seen = []
-    original = parallel._lighten_payload
-
-    def spy(payload, cache, scale):
-        seen.append(payload)
-        return original(payload, cache, scale)
-
-    monkeypatch.setattr(parallel, "_lighten_payload", spy)
+def test_lighten_payload_leaves_the_worker_session_untouched(tmp_path):
     units = tuple(unit for unit in default_workplan(("grep",))
                   if unit.stage != "model")
-    result = parallel._run_shard(_ShardSpec(
+    shard = parallel._Shard(_ShardSpec(
         benchmark="grep", scale="tiny", verify=True,
         cache_dir=str(tmp_path / "cache"), units=units))
-    (payload,) = seen
+    shard.run(units)
+    payload = shard.payload()
+    result = parallel._lighten_payload(payload, shard.session.cache, "tiny")
     assert payload.annotated
     for key, annotation in payload.annotated.items():
         assert isinstance(annotation.trace, Trace)
@@ -423,12 +416,12 @@ for cls in (PPC620Model, AXP21164Model):
             time.sleep(sleeps.get(annotated.trace.name, 0.0))
         return _original(self, annotated, use_lvp=use_lvp, engine=engine)
     cls.run = run
-def fork(self, owner, work, timeout, _original=children.ModelChildren.fork):
+def fork(self, owner, work, timeout, _original=children.Children.fork):
     child = _original(self, owner, work, timeout)
     with open(pidfile, "a") as handle:
         handle.write(f"{owner} {child.pid}\\n")
     return child
-children.ModelChildren.fork = fork
+children.Children.fork = fork
 os.sched_getaffinity = lambda pid: {0, 1}
 sys.exit(cli.main(sys.argv[3:]))
 """

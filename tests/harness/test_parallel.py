@@ -5,9 +5,10 @@ changes wall-clock time and nothing else.  These tests run the same
 tiny-scale three-benchmark session serially and through the engine and
 assert equality at every stage -- raw trace columns, annotation
 statistics, cycle counts, speedups, and the rendered exhibit text --
-then repeat the comparison under REPRO_SABOTAGE and under injected
-worker crashes to prove failure isolation and footnoting survive
-parallel mode.
+then repeat the comparison under REPRO_SABOTAGE (failure isolation and
+footnoting survive parallel mode) and with model children that die
+(their groups re-run in the parent, so the output does not change).
+They also hold ``jobs`` to its cap on the computing processes.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from repro.errors import BenchmarkFailure, WorkerCrashError
+from repro.errors import BenchmarkFailure
+from repro.harness import children
 from repro.harness import (
     EXPERIMENTS,
     ParallelEngine,
@@ -29,6 +32,7 @@ from repro.harness import (
     run_experiment,
     run_experiments,
 )
+from repro.harness import parallel
 from repro.harness.parallel import CRASH_ENV, jobs_from_env
 from repro.lvp.config import CONSTANT, LIMIT, PERFECT, SIMPLE
 from repro.trace.records import TRACE_COLUMNS
@@ -124,7 +128,6 @@ class TestDifferential:
         assert report is not None
         assert report.jobs == 4
         assert len(report.timings) == len(default_workplan(BENCHES))
-        assert report.crashed == ()
         assert all(t.ok for t in report.timings)
         assert report.busy_seconds > 0
         rendered = report.render()
@@ -178,53 +181,99 @@ class TestSabotagedDifferential:
 class TestWorkerCrash:
     @pytest.fixture(scope="class")
     def crashed(self):
-        """A parallel session whose 'compress' worker dies hard."""
+        """A session warmed at two jobs whose 'compress' model children
+        die hard, with its exhibit texts."""
         mp = pytest.MonkeyPatch()
         _clean_env(mp)
         mp.setenv(CRASH_ENV, "compress")
         try:
-            session = Session(scale="tiny", benchmarks=BENCHES)
+            session = Session(scale="tiny", benchmarks=BENCHES, metrics=True)
             report = session.warm(jobs=2)
-            return session, report
+            texts = {exp_id: run_experiment(exp_id, session).text
+                     for exp_id in EXPERIMENTS}
+            return session, report, texts
         finally:
             mp.undo()
 
     def test_crash_recorded_never_fatal(self, crashed):
-        session, report = crashed
-        assert report.crashed == ("compress",)
-        victims = {f.benchmark for f in session.failures}
-        assert victims == {"compress"}
-        for failure in session.failures:
-            assert failure.stage == "worker"
-            assert isinstance(failure.cause, WorkerCrashError)
+        session, report, _ = crashed
+        assert session.failures == []
+        run = session.metrics.run_counters()
+        # compress's two groups (ppc, alpha) died and re-ran inline.
+        assert run["children/rerun_inline"] == 2
+        assert run["children/processes"] == 2 * len(BENCHES)
+        assert len(report.timings) == len(default_workplan(BENCHES))
+        assert all(t.ok for t in report.timings)
 
-    def test_innocent_benchmarks_survive_pool_breakage(self, crashed):
-        session, _ = crashed
-        for name in ("grep", "quick"):
-            assert session.trace(name, "ppc").num_instructions > 0
+    def test_innocent_benchmarks_survive_child_death(self, crashed):
+        session, _, _ = crashed
+        for name in BENCHES:
+            assert (name, "ppc") in session._traces
             assert session.ppc_result(name, PPC620, SIMPLE).cycles > 0
 
-    def test_crashed_benchmark_footnoted_in_exhibits(self, crashed):
-        session, report = crashed
-        result = run_experiment("fig6", session)
-        assert "Footnotes:" in result.text
-        assert "worker stage failed" in result.text
-        assert "compress" in report.render()
+    def test_crashed_benchmark_exhibits_equal_clean_session(self, sessions,
+                                                            crashed):
+        _, serial_text, _, _, _ = sessions
+        _, _, texts = crashed
+        for exp_id in EXPERIMENTS:
+            assert texts[exp_id] == serial_text[exp_id], exp_id
+        assert "Footnotes:" not in texts["fig6"]
 
-    def test_serial_engine_ignores_crash_knob_consistently(self):
-        # jobs=1 runs shards in-process: the crash knob must not be
-        # honoured there (it would kill the parent), so the in-process
-        # path only ever simulates crashes via real subprocess pools.
-        mp = pytest.MonkeyPatch()
-        _clean_env(mp)
-        try:
-            session = Session(scale="tiny", benchmarks=("grep",))
-            units = (WorkUnit("grep", "trace", "ppc"),)
-            report = ParallelEngine(session, jobs=1, units=units).run()
-            assert len(report.timings) == 1
-            assert session.trace("grep", "ppc").num_instructions > 0
-        finally:
-            mp.undo()
+    def test_serial_engine_ignores_crash_knob_consistently(
+            self, monkeypatch, sessions):
+        # Only model children honour the knob: at one usable CPU
+        # nothing forks, so the knob must change nothing.
+        serial, *_ = sessions
+        _clean_env(monkeypatch)
+        monkeypatch.setenv(CRASH_ENV, "compress")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        session = Session(scale="tiny", benchmarks=("compress",),
+                          metrics=True)
+        report = ParallelEngine(session, jobs=1).run()
+        assert session.failures == []
+        assert not any(name.startswith("children/")
+                       for name in session.metrics.run_counters())
+        assert len(report.timings) == len(default_workplan(("compress",)))
+        assert all(t.ok for t in report.timings)
+        for lvp in PPC_MODEL_LVPS:
+            assert session.ppc_result("compress", PPC620, lvp).cycles == \
+                serial.ppc_result("compress", PPC620, lvp).cycles
+
+
+class TestJobsCap:
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_at_most_jobs_processes_compute(self, monkeypatch, jobs):
+        """At ``jobs=N`` no more than N - 1 children are running when
+        the parent forks another: N computing processes, the parent
+        counted.  Eight usable CPUs, so only ``jobs`` can be the cap;
+        each child sleeps first, so a missing cap would show."""
+        _clean_env(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(8)), raising=False)
+        running_at_fork = []
+        real_fork = os.fork
+
+        def fork():
+            running_at_fork.append(len(children._LIVE))
+            return real_fork()
+
+        run_group = parallel._Shard.run_group
+
+        def slow_run_group(self, group):
+            time.sleep(1.0)
+            return run_group(self, group)
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(parallel._Shard, "run_group", slow_run_group)
+        session = Session(scale="tiny", benchmarks=BENCHES, metrics=True)
+        session.warm(jobs)
+        assert len(running_at_fork) == 2 * len(BENCHES)
+        assert max(running_at_fork) == jobs - 1
+        assert session.metrics.run_counters()["children/processes"] == \
+            2 * len(BENCHES)
+        assert "children/rerun_inline" not in \
+            session.metrics.run_counters()
 
 
 class TestCLIByteEquivalence:

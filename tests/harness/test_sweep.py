@@ -18,6 +18,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 
@@ -411,6 +412,63 @@ class TestSweepFailureAndResume:
         assert (tmp_path / "compress-ppc-tiny.rtc").exists()
         first = _volatile_free(documents[0])
         assert all(_volatile_free(doc) == first for doc in documents[1:])
+
+
+class TestChunkChildren:
+    """``jobs > 1``: one forked child per chunk, inheriting the parent's
+    trace and decode; chunks finish in order, and a chunk whose child
+    died is evaluated in the parent."""
+
+    def test_killed_chunk_child_is_rerun_inline(self, clean_env):
+        import repro.harness.sweep as sweep_module
+        grid = list(CHUNKED_GRID)
+        serial = run_sweep("compress", grid, scale="tiny", chunk_size=2)
+        # Mid-chunk: chunk 1's child dies on its second cell.
+        victim = grid[plan_chunks(grid, 2)[1][1]].name
+        parent = os.getpid()
+        inline = []
+        original = sweep_module._Replay.cell
+
+        def cell(self, config):
+            if config.name == victim:
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                inline.append(config.name)
+            return original(self, config)
+
+        clean_env.setattr(sweep_module._Replay, "cell", cell)
+        parallel = run_sweep("compress", grid, scale="tiny", chunk_size=2,
+                             jobs=2)
+        assert inline == [victim]
+        assert _volatile_free(parallel) == _volatile_free(serial)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_at_most_jobs_children_and_ordered_journal(self, clean_env,
+                                                       tmp_path):
+        from repro.harness import children
+        running_at_fork = []
+        real_fork = os.fork
+
+        def fork():
+            running_at_fork.append(len(children._LIVE))
+            return real_fork()
+
+        clean_env.setattr(os, "fork", fork)
+        grid = list(CHUNKED_GRID)
+        journal = SweepJournal.create(tmp_path, "run", build_sweep_manifest(
+            "compress", "ppc", "tiny", grid, chunk_size=2, jobs=2))
+        run_journaled_sweep("compress", grid, journal=journal, scale="tiny",
+                            jobs=2)
+        # Three chunks, never more than two children (the idle parent
+        # not counted).
+        assert len(running_at_fork) == 3
+        assert max(running_at_fork) <= 1
+        records = replay_journal(journal.journal_path)
+        assert [(r["type"], r["chunk"]) for r in records
+                if r["type"] in ("started", "done")] == [
+            ("started", 0), ("started", 1), ("done", 0),
+            ("started", 2), ("done", 1), ("done", 2)]
 
 
 def _expected_replays(trace, grid) -> int:

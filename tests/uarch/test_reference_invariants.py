@@ -10,13 +10,15 @@ These tests do, on every tiny workload, with the reference loops alone:
 * Both machines, with and without LVP: no run finishes faster than its
   narrowest in-order stage allows -- cycles are at least instructions
   divided by the 620's completion width or the 21164's issue width.
+* 620, 620+ and 21164: Perfect LVP is never slower than no LVP -- an
+  oracle that supplies every load value early cannot add cycles.
 
 An invariant that fails here is a bug in a model, not a bound to relax.
 """
 
 import pytest
 
-from repro.lvp.config import CONSTANT, SIMPLE
+from repro.lvp.config import CONSTANT, PERFECT, SIMPLE
 from repro.lvp.unit import LoadOutcome
 from repro.sim import run_program
 from repro.trace.annotate import annotate_trace
@@ -53,17 +55,32 @@ def annotated():
     return get
 
 
-def _reference(model, annotated, use_lvp):
-    return model.run(annotated, use_lvp=use_lvp, engine="reference")
+@pytest.fixture(scope="module")
+def reference(annotated):
+    """One memoized reference-loop run per (machine, benchmark, LVP
+    configuration, use_lvp)."""
+    memo = {}
+
+    def run(machine, name, config, use_lvp):
+        key = (machine.name, name, config.name, use_lvp)
+        if key not in memo:
+            if machine is AXP21164:
+                model, target = AXP21164Model(machine), "alpha"
+            else:
+                model, target = PPC620Model(machine), "ppc"
+            memo[key] = model.run(annotated(name, target, config),
+                                  use_lvp=use_lvp, engine="reference")
+        return memo[key]
+
+    return run
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
-def test_ppc620_invariants(annotated, name):
+def test_ppc620_invariants(reference, name):
     for machine in (PPC620, PPC620_PLUS):
         for config, use_lvp in RUNS:
             label = f"{name}/{machine.name}/{config.name}/lvp={use_lvp}"
-            result = _reference(PPC620Model(machine),
-                                annotated(name, "ppc", config), use_lvp)
+            result = reference(machine, name, config, use_lvp)
             assert result.cycles * machine.complete_width \
                 >= result.instructions, label
             if use_lvp:
@@ -73,19 +90,26 @@ def test_ppc620_invariants(annotated, name):
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
-def test_axp21164_cycles_bound(annotated, name):
+def test_axp21164_cycles_bound(reference, name):
     for config, use_lvp in RUNS[:2]:
         label = f"{name}/21164/{config.name}/lvp={use_lvp}"
-        result = _reference(AXP21164Model(AXP21164),
-                            annotated(name, "alpha", config), use_lvp)
+        result = reference(AXP21164, name, config, use_lvp)
         assert result.cycles * AXP21164.issue_width \
             >= result.instructions, label
 
 
-def test_constants_reach_the_invariant(annotated):
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_perfect_lvp_never_slower_than_none(reference, name):
+    # The base run is annotated with Simple, as the session does.
+    for machine in (PPC620, PPC620_PLUS, AXP21164):
+        base = reference(machine, name, SIMPLE, False)
+        perfect = reference(machine, name, PERFECT, True)
+        assert perfect.cycles <= base.cycles, f"{name}/{machine.name}"
+
+
+def test_constants_reach_the_invariant(reference):
     """The L1 check is not vacuous: the Constant configuration's CVU
     verifies loads on the suite (xlisp among them)."""
-    result = _reference(PPC620Model(PPC620),
-                        annotated("xlisp", "ppc", CONSTANT), True)
+    result = reference(PPC620, "xlisp", CONSTANT, True)
     assert result.load_outcomes[LoadOutcome.CONSTANT] > 0
     assert result.l1_stats.accesses < result.loads
