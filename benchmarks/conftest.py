@@ -7,6 +7,14 @@ smoke pass or ``reference`` for long runs (default: ``small``), and
 ``REPRO_JOBS=N`` to precompute the session with the parallel engine
 (the exhibits then render from warmed memos with bit-identical output).
 
+The engine precomputes what the exhibits read, not traces or
+annotations: its parent keeps no trace (``docs/parallel.md``, "What
+the parent keeps").  The ablation and extension benches read
+``session.trace()`` and annotate again, so under ``REPRO_JOBS`` the
+session gets a trace cache (``REPRO_TRACE_CACHE``, else a temporary
+directory): the engine stores each trace it simulates, and those
+benches load it instead of simulating it again.
+
 Rendered exhibit text is also written to ``benchmarks/reports/`` so a
 benchmark run leaves the reproduced tables/figures behind as artifacts.
 """
@@ -24,13 +32,17 @@ REPORT_DIR = pathlib.Path(__file__).parent / "reports"
 
 
 @pytest.fixture(scope="session")
-def session() -> Session:
+def session(tmp_path_factory) -> Session:
     """The shared full-suite session (parallel-warmed under REPRO_JOBS)."""
     from repro.harness.parallel import jobs_from_env
 
     scale = os.environ.get("REPRO_SCALE", "small")
-    shared = Session(scale=scale)
-    report = shared.warm(jobs_from_env())
+    jobs = jobs_from_env()
+    cache_dir = None
+    if jobs > 1 and not os.environ.get("REPRO_TRACE_CACHE"):
+        cache_dir = str(tmp_path_factory.mktemp("trace-cache"))
+    shared = Session(scale=scale, cache_dir=cache_dir)
+    report = shared.warm(jobs)
     if report is not None:
         print()
         print(report.render())

@@ -60,6 +60,13 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def peak_rss_mb(usage) -> float:
+    """The peak resident set in MB of one ``resource`` rusage."""
+    # ru_maxrss is KiB on Linux, bytes on macOS.
+    return usage.ru_maxrss / (1024 * 1024 if sys.platform == "darwin"
+                              else 1024)
+
+
 def kill_children() -> None:
     """Kill and reap every child still running (for signal handlers
     and the journal's crash drill)."""
@@ -240,10 +247,7 @@ class Children:
             self.metrics.inc_run("children/processes")
             self.metrics.inc_run("children/cpu_s",
                                  usage.ru_utime + usage.ru_stime)
-            # ru_maxrss is KiB on Linux, bytes on macOS.
-            divisor = 1024 * 1024 if sys.platform == "darwin" else 1024
-            self.metrics.max_run("children/peak_rss_mb",
-                                 usage.ru_maxrss / divisor)
+            self.metrics.max_run("children/peak_rss_mb", peak_rss_mb(usage))
         if status == 0 and child.eof:
             try:
                 child.result = pickle.loads(bytes(child.data))

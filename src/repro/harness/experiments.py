@@ -21,7 +21,6 @@ from typing import Callable
 from repro.errors import BenchmarkFailure
 from repro.isa.opcodes import ValueKind
 from repro.lvp.config import CONSTANT, LIMIT, PERFECT, SIMPLE
-from repro.lvp.locality import measure_locality_by_kind, measure_value_locality
 from repro.analysis.reference import render_table2, render_table5
 from repro.analysis.report import (
     TextTable,
@@ -30,7 +29,6 @@ from repro.analysis.report import (
     geometric_mean,
 )
 from repro.harness.session import Session
-from repro.trace.stats import compute_stats
 from repro.uarch.ppc620.config import PPC620, PPC620_PLUS
 from repro.uarch.ppc620.model import FU_NAMES, VERIFY_BUCKETS
 from repro.workloads.suite import get_benchmark
@@ -92,8 +90,8 @@ def run_tab1(session: Session) -> ExperimentResult:
     """Reproduce Table 1 (benchmark suite summary)."""
 
     def fn(name):
-        stats_p = compute_stats(session.trace(name, "ppc"))
-        stats_a = compute_stats(session.trace(name, "alpha"))
+        stats_p = session.trace_summary(name, "ppc").stats
+        stats_a = session.trace_summary(name, "alpha").stats
         return {
             "ppc_instructions": stats_p.instructions,
             "alpha_instructions": stats_a.instructions,
@@ -147,11 +145,8 @@ def run_fig1(session: Session) -> ExperimentResult:
     def fn(name):
         per_target = {}
         for target in ("alpha", "ppc"):
-            trace = session.trace(name, target)
-            per_target[target] = (
-                measure_value_locality(trace, depth=1).percent,
-                measure_value_locality(trace, depth=16).percent,
-            )
+            locality = session.trace_summary(name, target).locality
+            per_target[target] = (locality[1].percent, locality[16].percent)
         return per_target
 
     rows, failures = _per_benchmark(session, fn)
@@ -186,9 +181,8 @@ def run_fig2(session: Session) -> ExperimentResult:
     """Reproduce Figure 2 (PowerPC value locality by data type)."""
 
     def fn(name):
-        trace = session.trace(name, "ppc")
-        by_kind_1 = measure_locality_by_kind(trace, depth=1)
-        by_kind_16 = measure_locality_by_kind(trace, depth=16)
+        by_kind = session.trace_summary(name, "ppc").by_kind
+        by_kind_1, by_kind_16 = by_kind[1], by_kind[16]
         return {
             kind.name: (by_kind_1[kind].percent, by_kind_16[kind].percent,
                         by_kind_1[kind].total_loads)
@@ -232,7 +226,7 @@ def run_tab3(session: Session) -> ExperimentResult:
     def fn(name):
         per_combo = {}
         for target, config in combos:
-            stats = session.annotated(name, target, config).stats
+            stats = session.lvp_stats(name, target, config)
             per_combo[f"{target}/{config.name}"] = (
                 stats.unpredictable_identified,
                 stats.predictable_identified,
@@ -283,7 +277,7 @@ def run_tab4(session: Session) -> ExperimentResult:
     def fn(name):
         return {
             f"{target}/{config.name}":
-                session.annotated(name, target, config).stats.constant_fraction
+                session.lvp_stats(name, target, config).constant_fraction
             for target, config in combos
         }
 

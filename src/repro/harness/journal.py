@@ -52,7 +52,7 @@ import pickle
 import sys
 import time
 import zlib
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.errors import (
     JournalError,
@@ -231,6 +231,28 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+class _DigestingFile:
+    """A write-only binary file over descriptor *fd* that hashes what
+    it writes: a checkpoint streams to disk (a pickle writes large
+    arrays straight through) instead of being built as one bytes object
+    first, and its digest comes with it."""
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+        self.sha256 = hashlib.sha256()
+
+    def write(self, data) -> int:
+        # A pickle streams an array as a PickleBuffer, whose raw() is
+        # its memory in layout order, whatever the array's order.
+        view = data.raw() if isinstance(data, pickle.PickleBuffer) \
+            else memoryview(data).cast("B")
+        size = view.nbytes
+        self.sha256.update(view)
+        while view:
+            view = view[os.write(self.fd, view):]
+        return size
+
+
 def trace_digest(trace, cache=None) -> str:
     """sha256 over a trace's column bytes (the identity the TraceCache
     checksums protect, re-expressed as one stable digest).
@@ -390,7 +412,8 @@ class Journal:
     def _checkpoint_name(self, unit) -> str:
         raise NotImplementedError
 
-    def _encode(self, payload) -> bytes:
+    def _encode(self, payload, file) -> None:
+        """Write *payload*'s checkpoint bytes to the binary *file*."""
         raise NotImplementedError
 
     def _decode(self, data: bytes, record: dict, cache):
@@ -538,26 +561,26 @@ class Journal:
         the partial temp file, so the caller can skip the checkpoint
         without ever leaving a half-written one behind.
         """
-        data = self._encode(payload)
         path = self._checkpoint_path(unit)
         temporary = path.with_suffix(".tmp")
         try:
             fd = os.open(temporary,
                          os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
             try:
-                os.write(fd, data)
+                file = _DigestingFile(fd)
+                self._encode(payload, file)
                 os.fsync(fd)
             finally:
                 os.close(fd)
             temporary.replace(path)
-        except OSError as exc:
+        except BaseException as exc:
             with contextlib.suppress(OSError):
                 temporary.unlink()
-            if is_resource_exhaustion(exc):
+            if isinstance(exc, OSError) and is_resource_exhaustion(exc):
                 raise ResourceExhaustedError(
                     f"cannot checkpoint {unit}: {exc}") from exc
             raise
-        return _sha256(data)
+        return file.sha256.hexdigest()
 
     def _checkpoint(self, unit, payload) -> Optional[str]:
         """:meth:`_write_checkpoint`, or None once a full disk made it
@@ -603,14 +626,18 @@ class Journal:
                 if record.get("type") == "done"}
 
     def load_checkpoints(self, cache=None) -> dict:
-        """Verified payloads of every completed unit.
+        """Verified payloads of every completed unit, as a dict."""
+        return dict(self.checkpoints(cache))
+
+    def checkpoints(self, cache=None) -> Iterator[tuple]:
+        """``(unit, payload)`` of every completed unit, one checkpoint
+        loaded at a time.
 
         Each checkpoint is re-hashed against the digest its ``done``
         record committed; a missing, unreadable, mismatching or
         undecodable checkpoint is dropped (that unit simply re-runs --
         resume trades work for certainty, never the reverse).
         """
-        loaded = {}
         for unit, record in self.completed().items():
             try:
                 data = self._checkpoint_path(unit).read_bytes()
@@ -620,8 +647,7 @@ class Journal:
                 continue
             payload = self._decode(data, record, cache)
             if payload is not None:
-                loaded[unit] = payload
-        return loaded
+                yield unit, payload
 
 
 class RunJournal(Journal, EngineObserver):
@@ -643,12 +669,12 @@ class RunJournal(Journal, EngineObserver):
     def _checkpoint_name(self, benchmark: str) -> str:
         return benchmark.replace("/", "_") + ".pkl"
 
-    def _encode(self, result: _ShardResult) -> bytes:
+    def _encode(self, result: _ShardResult, file) -> None:
         # A checkpoint names cached traces by stub; the done record's
         # digests cover the in-memory traces the stubs stand for.
         light = _lighten_payload(result, self._trace_cache,
                                  self.manifest.get("scale", "small"))
-        return pickle.dumps(light, protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.dump(light, file, protocol=pickle.HIGHEST_PROTOCOL)
 
     def _decode(self, data: bytes, record: dict, cache):
         try:
@@ -694,8 +720,9 @@ class RunJournal(Journal, EngineObserver):
         })
 
     # -- resumption ---------------------------------------------------------
-    def load_checkpoints(self, cache=None) -> dict[str, _ShardResult]:
-        """Verified merge payloads of every completed benchmark.
+    def checkpoints(self, cache=None) -> Iterator[tuple[str, _ShardResult]]:
+        """Verified payloads of every completed benchmark, one at a
+        time (a resumed engine reduces each before loading the next).
 
         When *cache* (a :class:`~repro.harness.cache.TraceCache`) is
         given, every checkpointed trace is cross-checked against the
@@ -703,29 +730,27 @@ class RunJournal(Journal, EngineObserver):
         a resumed run cannot be poisoned by a cache that rotted while
         the run was down.
         """
-        loaded = super().load_checkpoints(cache)
-        if cache is not None:
-            self._cross_check_cache(loaded, cache)
-        return loaded
+        for benchmark, result in super().checkpoints(cache):
+            if cache is not None:
+                self._cross_check_cache(result, cache)
+            yield benchmark, result
 
-    def _cross_check_cache(self, loaded: dict[str, _ShardResult],
-                           cache) -> None:
+    def _cross_check_cache(self, result: _ShardResult, cache) -> None:
         """Quarantine cache bundles that disagree with a verified
         checkpoint (the checkpoint is journal-attested; the cache is
         only an accelerator and may have rotted while the run was
         down)."""
         scale = self.manifest.get("scale", "small")
-        for result in loaded.values():
-            for (name, target), trace in result.traces.items():
-                if isinstance(trace, _CachedTraceRef):
-                    # A ref's bytes *are* the cache bundle (CRC-verified
-                    # on every load): nothing independent to cross-check.
-                    continue
-                with contextlib.suppress(Exception):
-                    cached = cache.load(name, target, scale)
-                    if cached is not None and \
-                            trace_digest(cached) != trace_digest(trace):
-                        cache.discard(name, target, scale)
+        for (name, target), trace in result.traces.items():
+            if isinstance(trace, _CachedTraceRef):
+                # A ref's bytes *are* the cache bundle (CRC-verified
+                # on every load): nothing independent to cross-check.
+                continue
+            with contextlib.suppress(Exception):
+                cached = cache.load(name, target, scale)
+                if cached is not None and \
+                        trace_digest(cached) != trace_digest(trace):
+                    cache.discard(name, target, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -789,14 +814,12 @@ def run_journaled(exhibits, session, journal: RunJournal,
     """
     from repro.harness.experiments import run_experiment
     from repro.harness.parallel import ParallelEngine, units_for_exhibits
-    preloaded = journal.load_checkpoints(cache=session.cache) \
-        if resume else {}
     units = units_for_exhibits(exhibits, session.benchmark_names)
-    engine = ParallelEngine(session, jobs=jobs, units=units,
-                            unit_timeout=unit_timeout,
-                            observer=journal, preloaded=preloaded,
-                            profile=profile)
-    report = engine.run()
+    report = ParallelEngine(
+        session, jobs=jobs, units=units, unit_timeout=unit_timeout,
+        observer=journal, profile=profile,
+        preloaded=journal.checkpoints(cache=session.cache)
+        if resume else None).run()
     session.last_warm_report = report if jobs > 1 else None
     metrics = session.metrics
     results = []
@@ -806,7 +829,11 @@ def run_journaled(exhibits, session, journal: RunJournal,
         with span:
             results.append(run_experiment(exp_id, session))
     if metrics is not None:
+        import resource
+        from repro.harness.children import peak_rss_mb
         session.collect_run_counters()
+        metrics.max_run("parent/peak_rss_mb", peak_rss_mb(
+            resource.getrusage(resource.RUSAGE_SELF)))
         write_metrics(journal.directory,
                       metrics.to_document(run_id=journal.run_id,
                                           manifest=journal.manifest))

@@ -33,13 +33,21 @@ produces bit-identical traces, annotation statistics, cycle counts,
 and speedups to a serial run.  The differential suite in
 ``tests/harness/test_parallel.py`` asserts this end to end.
 
+**The parent keeps results, not intermediates.**  Once a shard's
+model groups are in and its checkpoint is written, the parent keeps
+only what the exhibits read (a
+:class:`~repro.harness.session.TraceSummary` per trace unit, each
+annotation's statistics, the model runs) and drops the shard's session
+with its traces, annotations and decodes.  So the parent's memory is
+bounded by the shards in flight, not by the suite.
+
 **Checkpoints carry stubs.**  A shard's payload keeps the session's
 own traces, so each cached bundle is loaded once.  What is pickled into
 a checkpoint names each trace whose bundle is in the shared
 :class:`~repro.harness.cache.TraceCache` by a tiny
-:class:`_CachedTraceRef`; a resumed run memory-maps the bundle back.
-A ref that no longer resolves (evicted, corrupted) drops that memo
-entry and the session regenerates it lazily.
+:class:`_CachedTraceRef`; a resumed run memory-maps the bundle back to
+summarize it.  A ref that no longer resolves (evicted, corrupted) gets
+no summary, and the session recomputes it on demand.
 
 **Graceful degradation.**  A benchmark that fails in a shard is
 recorded as a :class:`~repro.errors.BenchmarkFailure` on the shard's
@@ -60,7 +68,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.errors import (
     BenchmarkFailure,
@@ -398,9 +406,11 @@ def _machine_by_name(name: Optional[str]):
 
 
 def _execute_unit(session, unit: WorkUnit) -> None:
-    """Run one unit against *session* (results land in its memos)."""
+    """Run one unit against *session* (results land in its memos).  A
+    trace unit also summarizes its trace while the decode it shares
+    with the annotations is live."""
     if unit.stage == "trace":
-        session.trace(unit.benchmark, unit.target)
+        session.trace_summary(unit.benchmark, unit.target)
     elif unit.stage == "annotate":
         session.annotated(unit.benchmark, unit.target,
                           config_by_name(unit.lvp))
@@ -416,15 +426,16 @@ def _execute_unit(session, unit: WorkUnit) -> None:
 
 
 def _portable_failure(failure: BenchmarkFailure) -> BenchmarkFailure:
-    """A copy of *failure* guaranteed to survive the pickle trip home.
+    """A copy of *failure* as it comes out of the pickle trip home.
 
-    Causes are ordinarily plain exceptions and pickle fine; an exotic
-    unpicklable cause is replaced by a WorkerCrashError surrogate
-    carrying its repr rather than poisoning the whole shard payload.
+    The copy carries no traceback, whose frames would pin the failed
+    shard's traces in the parent.  Causes are ordinarily plain
+    exceptions and pickle fine; an exotic unpicklable cause is replaced
+    by a WorkerCrashError surrogate carrying its repr rather than
+    poisoning the whole shard payload.
     """
     try:
-        pickle.dumps(failure)
-        return failure
+        return pickle.loads(pickle.dumps(failure))
     except Exception:
         surrogate = WorkerCrashError(
             f"unpicklable {type(failure.cause).__name__}: {failure.cause}")
@@ -629,9 +640,9 @@ class _Shard:
         return 2.0 * timeout * len(group) + 1.0 if timeout > 0 else 0.0
 
     def payload(self) -> _ShardResult:
-        """The shard's merge payload (what is checkpointed and merged),
-        holding the session's own traces: :func:`_lighten_payload` makes
-        the copy that crosses a process boundary."""
+        """The shard's payload (what is checkpointed), holding the
+        session's own traces: :func:`_lighten_payload` makes the copy
+        that crosses a process boundary."""
         session = self.session
         failed = {key: _portable_failure(failure)
                   for key, failure in session._failed.items()}
@@ -669,7 +680,8 @@ class EngineObserver:
 
     def shard_finished(self, spec: "_ShardSpec",
                        result: "_ShardResult") -> None:
-        """*spec* completed; *result* is its full merge payload."""
+        """*spec* completed; *result* is its full payload (what is
+        checkpointed), traces and annotations included."""
 
 
 @dataclass
@@ -721,9 +733,10 @@ class ParallelEngine:
     and the unjournaled CLI skip the engine at ``jobs=1`` and stay lazy.
 
     ``unit_timeout`` (seconds; default ``REPRO_UNIT_TIMEOUT``) arms the
-    per-unit watchdog.  ``preloaded`` maps benchmark names to
-    already-computed shard payloads (checkpoints from a resumed run
-    journal): those benchmarks are merged without being re-run.
+    per-unit watchdog.  ``preloaded`` yields ``(benchmark, payload)``
+    pairs of already-computed shards (checkpoints from a resumed run
+    journal): each is reduced as it comes, and those benchmarks are
+    merged without being re-run.
     ``observer`` receives parent-side progress callbacks (see
     :class:`EngineObserver`).
     """
@@ -732,7 +745,7 @@ class ParallelEngine:
                  units: Optional[Sequence[WorkUnit]] = None,
                  unit_timeout: Optional[float] = None,
                  observer: Optional[EngineObserver] = None,
-                 preloaded: Optional[dict] = None,
+                 preloaded: Optional[Iterable] = None,
                  profile: bool = False) -> None:
         self.session = session
         self.jobs = max(1, int(jobs))
@@ -741,16 +754,16 @@ class ParallelEngine:
         self.unit_timeout = unit_timeout if unit_timeout is not None \
             else unit_timeout_from_env()
         self.observer = observer or EngineObserver()
-        self.preloaded = dict(preloaded or {})
+        self.preloaded = preloaded or ()
         self.profile = bool(profile)
 
     # -- planning ------------------------------------------------------------
-    def _shards(self) -> list[_ShardSpec]:
+    def _shards(self, done) -> list[_ShardSpec]:
         """Group units by benchmark, preserving per-benchmark order
-        (benchmarks with a preloaded payload are already done)."""
+        (benchmarks in *done*, preloaded, are skipped)."""
         grouped: dict[str, list[WorkUnit]] = {}
         for unit in self.units:
-            if unit.benchmark in self.preloaded:
+            if unit.benchmark in done:
                 continue
             grouped.setdefault(unit.benchmark, []).append(unit)
         session = self.session
@@ -768,8 +781,11 @@ class ParallelEngine:
     def run(self) -> EngineReport:
         """Execute the workplan; merge results into the parent session."""
         start = time.perf_counter()
-        results = self._run_in_process(self._shards())
-        results.update(self.preloaded)
+        kept = {name: self._keep(result, self._summarize_checkpoint(result))
+                for name, result in self.preloaded}
+        self.preloaded = ()
+        results = self._run_in_process(self._shards(kept))
+        results.update(kept)
         report = EngineReport(jobs=self.jobs, wall_seconds=0.0)
         self._merge(results, report)
         report.wall_seconds = time.perf_counter() - start
@@ -791,7 +807,9 @@ class ParallelEngine:
         child per model group and goes on with the next shard.  Shards
         finish (group results merged in workplan order, then payload and
         ``shard_finished``) in order, each once all its groups are in; a
-        group whose child failed runs inline first.
+        group whose child failed runs inline first.  A finished shard is
+        reduced to what the parent keeps (:meth:`_keep`), and its
+        session, with every trace and annotation, is dropped.
         """
         from repro.harness.children import Children
         cpus = self._cpus()
@@ -809,8 +827,9 @@ class ParallelEngine:
                 else:
                     shard.merge_group(child.result)
             result = shard.payload()
-            results[shard.spec.benchmark] = result
             self.observer.shard_finished(shard.spec, result)
+            results[shard.spec.benchmark] = self._keep(
+                result, shard.session._summaries)
 
         try:
             for spec in shards:
@@ -851,29 +870,36 @@ class ParallelEngine:
         except Exception:
             return None
 
-    def _merge_shard_memos(self, shard: _ShardResult) -> None:
-        """Fold one shard's trace/annotation memos into the session,
-        resolving :class:`_CachedTraceRef` stubs through the shared
-        cache.  An unresolvable ref drops that trace AND its dependent
-        annotations -- the session regenerates them lazily -- rather
-        than planting a stub where exhibits expect arrays."""
+    def _keep(self, result: _ShardResult, summaries: dict) -> _ShardResult:
+        """Reduce a finished shard to what the parent keeps: its trace
+        *summaries* and annotation statistics go straight into the
+        session, and the payload is kept without traces and
+        annotations (docs/parallel.md, "What the parent keeps")."""
         session = self.session
-        resolved: dict = {}
-        for key, value in shard.traces.items():
-            if isinstance(value, _CachedTraceRef):
-                value = self._resolve_ref(value)
-                if value is None:
-                    continue
-            resolved[key] = value
-        session._traces.update(resolved)
-        for key, annotation in shard.annotated.items():
-            ref = getattr(annotation, "trace", None)
-            if isinstance(ref, _CachedTraceRef):
-                trace = resolved.get((ref.name, ref.target))
+        session._summaries.update(summaries)
+        session._lvp_stats.update(
+            (key, annotation.stats)
+            for key, annotation in result.annotated.items())
+        return replace(result, traces={}, annotated={})
+
+    def _summarize_checkpoint(self, result: _ShardResult) -> dict:
+        """The trace summaries of a resumed run's checkpoint, one per
+        trace unit (a :class:`_CachedTraceRef` is memory-mapped back
+        through the shared cache).  A ref that no longer resolves gets
+        no summary: the session recomputes it on demand."""
+        from repro.harness.session import summarize_trace
+        wanted = {(unit.benchmark, unit.target) for unit in self.units
+                  if unit.stage == "trace"}
+        summaries: dict = {}
+        for key, trace in result.traces.items():
+            if key not in wanted:
+                continue
+            if isinstance(trace, _CachedTraceRef):
+                trace = self._resolve_ref(trace)
                 if trace is None:
                     continue
-                annotation.trace = trace
-            session._annotated[key] = annotation
+            summaries[key] = summarize_trace(trace)
+        return summaries
 
     def _merge(self, results: dict[str, _ShardResult],
                report: EngineReport) -> None:
@@ -881,7 +907,6 @@ class ParallelEngine:
         session = self.session
         for name in sorted(results):
             shard = results[name]
-            self._merge_shard_memos(shard)
             session._ppc_runs.update(shard.ppc_runs)
             session._alpha_runs.update(shard.alpha_runs)
             for key, failure in shard.failed.items():

@@ -42,6 +42,7 @@ import sys
 import time
 import weakref
 import zlib
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from repro.errors import (
@@ -54,10 +55,17 @@ from repro.harness.cache import TraceCache
 from repro.harness.guard import TierGuard
 from repro.harness.retry import RetryPolicy, call_with_retries
 from repro.lvp.config import LVPConfig, SIMPLE
+from repro.lvp.locality import (
+    LocalityResult,
+    measure_locality_by_kind,
+    measure_value_locality,
+)
+from repro.lvp.unit import LVPStats
 from repro.obs.metrics import MetricsRegistry, metrics_enabled_from_env
 from repro.sim.functional import run_program, sim_counters
 from repro.trace.annotate import AnnotatedTrace, annotate_trace
 from repro.trace.records import Trace
+from repro.trace.stats import TraceStats, compute_stats
 from repro.trace.validate import validate_trace
 from repro.uarch.axp21164.config import AXP21164Config
 from repro.uarch.axp21164.model import AXP21164Model, AXP21164Result
@@ -77,6 +85,35 @@ TRANSIENT_ENV = "REPRO_TRANSIENT"
 #: process.  Per-process on purpose: a retried stage re-attempts inside
 #: the same worker, so the counter sees every attempt.
 _TRANSIENT_FIRED: dict = {}
+
+
+#: The value-history depths Figures 1 and 2 report.
+LOCALITY_DEPTHS = (1, 16)
+
+
+@dataclass(frozen=True)
+class TraceSummary:
+    """What the exhibits read of one trace (Table 1, Figures 1 and 2),
+    small enough to keep after the trace itself is dropped."""
+
+    stats: TraceStats
+    #: depth -> value locality of every load.
+    locality: dict[int, LocalityResult]
+    #: depth -> value locality per kind of loaded value; PowerPC traces
+    #: only (Figure 2), empty for Alpha.
+    by_kind: dict[int, dict]
+
+
+def summarize_trace(trace: Trace) -> TraceSummary:
+    """Reduce *trace* to its :class:`TraceSummary` (one decode, shared
+    with every other pass over the same trace object)."""
+    return TraceSummary(
+        stats=compute_stats(trace),
+        locality={depth: measure_value_locality(trace, depth)
+                  for depth in LOCALITY_DEPTHS},
+        by_kind={depth: measure_locality_by_kind(trace, depth)
+                 for depth in LOCALITY_DEPTHS} if trace.target == "ppc"
+        else {})
 
 
 def _span_label(fail_key) -> str:
@@ -165,6 +202,11 @@ class Session:
             self.metrics = MetricsRegistry() if metrics else None
         self._traces: dict = {}
         self._annotated: dict = {}
+        #: What the exhibits read of each trace and annotation.  The
+        #: parallel engine fills these from finished shards and keeps
+        #: no trace or annotation (docs/parallel.md).
+        self._summaries: dict = {}
+        self._lvp_stats: dict = {}
         self._ppc_runs: dict = {}
         self._alpha_runs: dict = {}
         #: Every BenchmarkFailure recorded so far, in discovery order.
@@ -198,13 +240,14 @@ class Session:
         Runs the workplan (default: every trace/annotate/model run a
         full exhibit pass needs) through the
         :class:`~repro.harness.parallel.ParallelEngine` -- each
-        benchmark's model units in forked children -- and merges the
-        results, and any :class:`BenchmarkFailure`, back into this
-        session's memos, ordered by benchmark name.  Subsequent exhibit
-        runs are pure memo lookups and produce bit-identical output to
-        a serial run (see ``docs/parallel.md``).  ``unit_timeout``
-        (seconds; default ``REPRO_UNIT_TIMEOUT``) arms the per-unit
-        watchdog against hung units.
+        benchmark's model units in forked children -- and merges what
+        the exhibits read (trace summaries, annotation statistics, model
+        runs) and any :class:`BenchmarkFailure` into this session's
+        memos, ordered by benchmark name; no trace or annotation is
+        kept.  Subsequent exhibit runs are pure memo lookups and produce
+        bit-identical output to a serial run (see ``docs/parallel.md``).
+        ``unit_timeout`` (seconds; default ``REPRO_UNIT_TIMEOUT``) arms
+        the per-unit watchdog against hung units.
 
         ``jobs <= 1`` is a no-op returning None (the lazy serial path).
         Otherwise returns the :class:`~repro.harness.parallel
@@ -392,6 +435,29 @@ class Session:
                 name, f"lvp/{target}/{config.name}/",
                 self._annotated[key].stats.counters())
         return self._annotated[key]
+
+    def trace_summary(self, name: str, target: str = "ppc") -> TraceSummary:
+        """What the exhibits read of one trace (see :class:`TraceSummary`);
+        computed from :meth:`trace` unless already known, and timed as
+        part of the trace phase."""
+        key = (name, target)
+        if key not in self._summaries:
+            trace = self.trace(name, target)
+            span = contextlib.nullcontext() if self.metrics is None \
+                else self.metrics.span(name, "trace",
+                                       f"trace/{name}/{target}/summary")
+            with span:
+                self._summaries[key] = summarize_trace(trace)
+        return self._summaries[key]
+
+    def lvp_stats(self, name: str, target: str,
+                  config: LVPConfig) -> LVPStats:
+        """One annotation's statistics (Tables 3 and 4); computed from
+        :meth:`annotated` unless already known."""
+        key = (name, target, config.name)
+        if key not in self._lvp_stats:
+            self._lvp_stats[key] = self.annotated(name, target, config).stats
+        return self._lvp_stats[key]
 
     # ------------------------------------------------------------------
     def ppc_result(self, name: str, machine: PPC620Config = PPC620,

@@ -489,9 +489,9 @@ class SweepJournal(Journal, SweepObserver):
     def _checkpoint_name(self, chunk_id: int) -> str:
         return f"chunk-{chunk_id}.json"
 
-    def _encode(self, cells: list[dict]) -> bytes:
-        return json.dumps(cells, sort_keys=True,
-                          separators=(",", ":")).encode()
+    def _encode(self, cells: list[dict], file) -> None:
+        file.write(json.dumps(cells, sort_keys=True,
+                              separators=(",", ":")).encode())
 
     def _decode(self, data: bytes, record: dict, cache):
         try:

@@ -23,6 +23,10 @@ SLOWEST_MARK = " *"
 #: its wall time), with the groups of failed children re-run inline.
 CHILDREN_PREFIX = "children/"
 
+#: Run-scope gauges of the parent process (``parent/peak_rss_mb``),
+#: rendered beside the children's row.
+PARENT_PREFIX = "parent/"
+
 #: Run-scope ``sentinel/<stage>/oracle_s`` counters: the wall seconds of
 #: the tier guard's oracle re-runs, rendered beside the children's row.
 SENTINEL_PREFIX = "sentinel/"
@@ -132,6 +136,10 @@ def render_stats(document: Mapping, full: bool = False) -> str:
         sections.append(f"report phase (exhibit rendering): "
                         f"{float(report_seconds):.3f}s")
     run = document.get("run", {})
+    parent_peak = run.get(PARENT_PREFIX + "peak_rss_mb")
+    if parent_peak is not None:
+        sections.append(
+            f"parent process: peak RSS {float(parent_peak):.1f} MB")
     children = run.get(CHILDREN_PREFIX + "processes")
     rerun = run.get(CHILDREN_PREFIX + "rerun_inline")
     if children or rerun:
@@ -151,7 +159,8 @@ def render_stats(document: Mapping, full: bool = False) -> str:
             + ", ".join(f"{stage} {seconds:.3f}s"
                         for stage, seconds in sorted(oracle.items())))
     run = {name: value for name, value in run.items()
-           if not name.startswith((CHILDREN_PREFIX, SENTINEL_PREFIX))}
+           if not name.startswith((PARENT_PREFIX, CHILDREN_PREFIX,
+                                   SENTINEL_PREFIX))}
     if run:
         lines = ["Run-scope counters (per-process, not deterministic):"]
         for name in sorted(run):

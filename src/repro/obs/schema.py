@@ -15,6 +15,9 @@ from repro.obs.metrics import SCHEMA_ID
 _REQUIRED_KEYS = ("schema", "run_id", "version", "context",
                   "benchmarks", "run", "phases", "spans")
 _SPAN_KEYS = ("benchmark", "phase", "label", "start", "end", "pid")
+#: Run-scope peak resident sets: the parent process's and the largest
+#: model child's.
+_PEAK_GAUGES = ("parent/peak_rss_mb", "children/peak_rss_mb")
 
 
 def _is_number(value) -> bool:
@@ -61,6 +64,9 @@ def validate_metrics(document) -> list[str]:
             if not _is_number(value):
                 errors.append(f"run[{counter!r}] must be a number, "
                               f"got {value!r}")
+            elif counter in _PEAK_GAUGES and value <= 0:
+                errors.append(f"run[{counter!r}] must be a positive "
+                              f"peak in MB, got {value!r}")
 
     phases = document["phases"]
     if not isinstance(phases, Mapping):

@@ -30,7 +30,7 @@ columns, and each dynamic column's recorded values are scattered into
 its dynamic slots.  The trace's arrays come out in their final dtypes.
 
 The whole program becomes a single source string compiled once per
-:class:`Program` (cached in a ``WeakKeyDictionary``) to a ``_bind``
+:class:`Program` (cached on the program itself) to a ``_bind``
 function that defines every block function in its body.  Each run calls
 ``_bind`` with that run's :class:`~repro.sim.memory.Memory` methods, the
 FP helpers and the four dynamic sinks, so block functions reach them
@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import math
 import os
-import weakref
 
 import numpy as np
 
@@ -643,12 +642,17 @@ class CompiledProgram:
     :meth:`execute` binds that run's memory and record sinks into fresh
     block functions, runs them, and rebuilds the trace from the
     executed block starts and the recorded dynamic slots.
+
+    The engine keeps the program's instruction list, never the
+    :class:`Program` itself: the program holds its engine (see
+    :func:`compiled_engine_for`), so a back-reference would make every
+    program a reference cycle that outlives its last user.
     """
 
     def __init__(self, program: Program) -> None:
-        program.entry_pc  # raises LinkError early if not linked
-        self.program = program
-        instructions = program.instructions
+        self._entry = program.index_of(program.entry_pc)  # LinkError early
+        self.name = program.name
+        self.instructions = instructions = program.instructions
         items = [_emit(j, ins, TEXT_BASE + j * INSTR_SIZE)
                  for j, ins in enumerate(instructions)]
         self._table, self._dynamic = _static_table(instructions, items)
@@ -670,12 +674,12 @@ class CompiledProgram:
         length = int(self._span[index])
         bind = self._lazy.get(index)
         if bind is None:
-            instructions = self.program.instructions
+            instructions = self.instructions
             items = [_emit(j, instructions[j], TEXT_BASE + j * INSTR_SIZE)
                      for j in range(index, index + length)]
             bind = _binder(
                 _emit_block(items, index, f"_lz{index}"), f"_lz{index}",
-                f"<vrisc-compiled:{self.program.name}:+{index}>")
+                f"<vrisc-compiled:{self.name}:+{index}>")
             self._lazy[index] = bind
         blk = blocks[index] = (bind(*helpers), length)
         return blk
@@ -700,10 +704,9 @@ class CompiledProgram:
                    _to_float, _from_float, math.sqrt, math.trunc,
                    *extends)
         blocks = self._bind(*helpers)
-        program = self.program
-        name = program.name
-        n = len(program.instructions)
-        index = program.index_of(program.entry_pc)
+        name = self.name
+        n = len(self.instructions)
+        index = self._entry
         count = 0
         get = blocks.get
         while True:
@@ -755,14 +758,11 @@ def _noop(_values) -> None:
     """Record sink for untraced runs."""
 
 
-_ENGINE_CACHE: "weakref.WeakKeyDictionary[Program, CompiledProgram]" = \
-    weakref.WeakKeyDictionary()
-
-
 def compiled_engine_for(program: Program) -> CompiledProgram:
-    """Return (building and caching on first use) *program*'s engine."""
-    engine = _ENGINE_CACHE.get(program)
+    """Return (building and caching on first use) *program*'s engine.
+
+    The engine lives on the program, so it dies with it."""
+    engine = getattr(program, "_compiled_engine", None)
     if engine is None:
-        engine = CompiledProgram(program)
-        _ENGINE_CACHE[program] = engine
+        engine = program._compiled_engine = CompiledProgram(program)
     return engine

@@ -9,6 +9,13 @@ then repeat the comparison under REPRO_SABOTAGE (failure isolation and
 footnoting survive parallel mode) and with model children that die
 (their groups re-run in the parent, so the output does not change).
 They also hold ``jobs`` to its cap on the computing processes.
+
+The engine's parent keeps no trace or annotation (docs/parallel.md,
+"What the parent keeps"), so its side of each comparison is what it
+kept -- trace summaries, annotation statistics, model runs -- and the
+trace digests its shards reported when they finished; a call to
+``trace()`` on it would re-simulate and compare the serial path with
+itself.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
 from repro.errors import BenchmarkFailure
@@ -33,15 +39,27 @@ from repro.harness import (
     run_experiments,
 )
 from repro.harness import parallel
-from repro.harness.parallel import CRASH_ENV, jobs_from_env
+from repro.harness.journal import trace_digest
+from repro.harness.parallel import CRASH_ENV, EngineObserver, jobs_from_env
 from repro.lvp.config import CONSTANT, LIMIT, PERFECT, SIMPLE
-from repro.trace.records import TRACE_COLUMNS
 from repro.uarch.ppc620.config import PPC620, PPC620_PLUS
 
 BENCHES = ("grep", "compress", "quick")
 CONFIGS = (SIMPLE, CONSTANT, LIMIT, PERFECT)
 PPC_MODEL_LVPS = (None, SIMPLE, CONSTANT, LIMIT, PERFECT)
 ALPHA_MODEL_LVPS = (None, SIMPLE, LIMIT, PERFECT)
+
+
+class _TraceDigests(EngineObserver):
+    """The trace digests of each finished shard's payload (those a
+    journal's ``done`` record carries)."""
+
+    def __init__(self) -> None:
+        self.digests: dict = {}
+
+    def shard_finished(self, spec, result) -> None:
+        for key, trace in result.traces.items():
+            self.digests[key] = trace_digest(trace)
 
 
 def _clean_env(monkeypatch) -> None:
@@ -51,7 +69,13 @@ def _clean_env(monkeypatch) -> None:
 
 
 @pytest.fixture(scope="module")
-def sessions():
+def engine_digests():
+    """Filled by ``sessions`` with its engine run's trace digests."""
+    return _TraceDigests()
+
+
+@pytest.fixture(scope="module")
+def sessions(engine_digests):
     """(serial, parallel) fully-evaluated sessions over BENCHES."""
     mp = pytest.MonkeyPatch()
     _clean_env(mp)
@@ -60,7 +84,8 @@ def sessions():
         serial_text = {exp_id: run_experiment(exp_id, serial).text
                        for exp_id in EXPERIMENTS}
         parallel = Session(scale="tiny", benchmarks=BENCHES)
-        report = parallel.warm(jobs=4)
+        report = ParallelEngine(parallel, jobs=4,
+                                observer=engine_digests).run()
         parallel_text = {exp_id: run_experiment(exp_id, parallel).text
                          for exp_id in EXPERIMENTS}
         return serial, serial_text, parallel, parallel_text, report
@@ -69,16 +94,16 @@ def sessions():
 
 
 class TestDifferential:
-    def test_traces_bit_identical(self, sessions):
+    def test_traces_bit_identical(self, sessions, engine_digests):
         serial, _, parallel, _, _ = sessions
         for name in BENCHES:
             for target in ("ppc", "alpha"):
-                st = serial.trace(name, target)
-                pt = parallel.trace(name, target)
-                for column, _ in TRACE_COLUMNS:
-                    assert np.array_equal(getattr(st, column),
-                                          getattr(pt, column)), \
-                        (name, target, column)
+                key = (name, target)
+                assert engine_digests.digests[key] == \
+                    trace_digest(serial.trace(name, target)), key
+                assert parallel._summaries[key] == \
+                    serial.trace_summary(name, target), key
+        assert parallel._traces == {}
 
     def test_annotation_stats_identical(self, sessions):
         serial, _, parallel, _, _ = sessions
@@ -86,8 +111,9 @@ class TestDifferential:
             for target in ("ppc", "alpha"):
                 for config in CONFIGS:
                     ss = serial.annotated(name, target, config).stats
-                    ps = parallel.annotated(name, target, config).stats
+                    ps = parallel._lvp_stats[(name, target, config.name)]
                     assert ss == ps, (name, target, config.name)
+        assert parallel._annotated == {}
 
     def test_cycle_counts_identical(self, sessions):
         serial, _, parallel, _, _ = sessions
@@ -168,7 +194,7 @@ class TestSabotagedDifferential:
         assert "compress" in parallel_text["fig6"]
         # Survivors still produced full results.
         for name in ("grep", "quick"):
-            assert parallel.trace(name, "ppc").num_instructions > 0
+            assert parallel._summaries[(name, "ppc")].stats.instructions > 0
 
     def test_failures_merged_as_benchmark_failures(self, sabotaged):
         _, _, parallel, _ = sabotaged
@@ -208,8 +234,12 @@ class TestWorkerCrash:
     def test_innocent_benchmarks_survive_child_death(self, crashed):
         session, _, _ = crashed
         for name in BENCHES:
-            assert (name, "ppc") in session._traces
+            for target in ("ppc", "alpha"):
+                summary = session._summaries[(name, target)]
+                assert summary.stats.instructions > 0
             assert session.ppc_result(name, PPC620, SIMPLE).cycles > 0
+            assert session.alpha_result(name, SIMPLE).cycles > 0
+        assert session._traces == {}
 
     def test_crashed_benchmark_exhibits_equal_clean_session(self, sessions,
                                                             crashed):

@@ -288,6 +288,25 @@ class TestSentinelCost:
         # Shown once, not again among the generic run-scope counters.
         assert "sentinel/model/oracle_s" not in text
 
+    def test_parent_peak_renders_before_the_children(self):
+        registry = _registry_with_content()
+        registry.inc_run("children/processes", 2)
+        registry.max_run("parent/peak_rss_mb", 51.625)
+        registry.max_run("parent/peak_rss_mb", 40.0)  # a peak only rises
+        document = registry.to_document(run_id="r1")
+        assert validate_metrics(document) == []
+        text = render_stats(document)
+        parent = text.index("parent process: peak RSS 51.6 MB")
+        assert parent < text.index("model children")
+        assert "parent/peak_rss_mb" not in text
+
+    def test_validator_rejects_a_non_positive_peak(self):
+        for gauge in ("parent/peak_rss_mb", "children/peak_rss_mb"):
+            document = _registry_with_content().to_document(run_id="r1")
+            document["run"][gauge] = 0
+            assert any(gauge in error
+                       for error in validate_metrics(document)), gauge
+
     def test_model_children_send_it_home(self, monkeypatch, tmp_path,
                                          capsys):
         from repro.cli import main

@@ -6,6 +6,9 @@ suite, on both codegen targets, must produce byte-for-byte equal traces,
 register files, and instruction counts under both engines.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import ConfigError
@@ -71,6 +74,19 @@ class TestCompiledProgramCache:
         a = BENCHMARKS[7].build_program("ppc", "tiny")
         b = BENCHMARKS[7].build_program("ppc", "tiny")
         assert compiled_engine_for(a) is not compiled_engine_for(b)
+
+    def test_traced_program_dies_with_its_engine(self):
+        # The engine lives on its program, so neither pins the other
+        # (nor the program's data segment) once the program is dropped.
+        program = BENCHMARKS[7].build_program("ppc", "tiny")
+        result = run_program(program, engine="compiled")
+        assert result.trace is not None
+        program_ref = weakref.ref(program)
+        engine_ref = weakref.ref(compiled_engine_for(program))
+        del program, result
+        gc.collect()
+        assert program_ref() is None
+        assert engine_ref() is None
 
 
 @pytest.mark.parametrize("name", NAMES)
