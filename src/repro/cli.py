@@ -22,10 +22,10 @@ Commands
 ``sweep BENCH``
     One-pass design-space sweep: decode the benchmark's trace once and
     evaluate a whole grid of LVP configurations (>= 100 design points
-    by default) against shared in-memory columns, sharded across
-    ``--jobs`` workers and journaled under ``.repro/sweeps/<run-id>/``
-    for crash-resume.  ``--exhibits`` renders the Table 3/4 and
-    Figure 6 sensitivity families (see ``docs/sweep.md``).
+    by default) against shared in-memory columns in forked children
+    (``--jobs``), journaled under ``.repro/sweeps/<run-id>/`` for
+    crash-resume.  ``--exhibits`` renders the Table 3/4 and Figure 6
+    sensitivity families (see ``docs/sweep.md``).
 ``check``
     Evaluate every paper-shape claim against a fresh session.
 ``doctor``
@@ -437,7 +437,7 @@ def cmd_sweep(args) -> int:
             return 2
         print(f"swept {document['configs']} configurations in "
               f"{document.get('wall_s', 0.0):.2f}s "
-              f"({document.get('jobs', 1)} jobs)", file=sys.stderr)
+              f"(computing processes: {document['jobs']})", file=sys.stderr)
         print(render_sweep(document, top=args.top))
         if args.exhibits:
             print()
@@ -698,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser = commands.add_parser(
         "sweep", help="one-pass design-space sweep over one trace")
     _add_common(sweep_parser)
-    _add_jobs(sweep_parser, "serial, in one process")
+    _add_jobs(sweep_parser, "one child per usable CPU")
     sweep_parser.add_argument(
         "--grid", default=None, metavar="SPEC",
         help="grid spec 'dim=v1,v2;dim=...' using lvpt/depth/selection/"

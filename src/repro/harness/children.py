@@ -6,9 +6,9 @@ of one (benchmark, target) -- a *group* -- read that benchmark's trace
 and annotations, and only exhibit rendering reads their results: the
 parent runs a benchmark's trace and annotate units itself, forks one
 child per group, and goes on with the next benchmark while the
-children model.  A parallel sweep (:func:`~repro.harness.sweep
-.run_sweep`) forks one child per chunk of its grid, each inheriting
-the parent's trace and decode.
+children model.  A sweep (:func:`~repro.harness.sweep.run_sweep`)
+forks one child per computing process, each evaluating a contiguous
+share of the grid's chunks against the parent's trace and stage memo.
 
 * **At most n processes compute at once**: the CPUs this process may
   run on (:func:`usable_cpus`) by default, or the ``--jobs`` count.
@@ -58,6 +58,13 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def computing_processes(jobs: int) -> int:
+    """Processes that may compute at once: *jobs*, every usable CPU at 1."""
+    if not hasattr(os, "fork"):
+        return 1
+    return jobs if jobs > 1 else usable_cpus()
 
 
 def peak_rss_mb(usage) -> float:

@@ -77,6 +77,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.lvp.config import CONSTANT, LIMIT, PERFECT, SIMPLE, config_by_name
+from repro.trace.records import forget
 
 #: Chaos knob: name a benchmark here and each of its model children
 #: exits hard (``os._exit``) instead of computing, simulating a killed
@@ -791,14 +792,6 @@ class ParallelEngine:
         report.wall_seconds = time.perf_counter() - start
         return report
 
-    def _cpus(self) -> int:
-        """How many processes may compute at once: *jobs* when more
-        than one was asked for, else every usable CPU."""
-        from repro.harness.children import usable_cpus
-        if not hasattr(os, "fork"):
-            return 1
-        return self.jobs if self.jobs > 1 else usable_cpus()
-
     def _run_in_process(self, shards: list[_ShardSpec]) -> dict:
         """Run shards in this process, their model groups in forked
         children (:mod:`repro.harness.children`).
@@ -811,8 +804,8 @@ class ParallelEngine:
         reduced to what the parent keeps (:meth:`_keep`), and its
         session, with every trace and annotation, is dropped.
         """
-        from repro.harness.children import Children
-        cpus = self._cpus()
+        from repro.harness.children import Children, computing_processes
+        cpus = computing_processes(self.jobs)
         children = Children(cpus, getattr(self.session, "metrics", None))
         results: dict[str, _ShardResult] = {}
         waiting: collections.deque = collections.deque()
@@ -847,6 +840,9 @@ class ParallelEngine:
                                                           group),
                         shard.group_deadline(group)))
                     for group in groups]
+                # Children inherit the decodes; an inline re-run redoes them.
+                for trace in shard.session._traces.values() if forked else ():
+                    forget(trace)
                 waiting.append((shard, forked))
                 children.poll()
                 while waiting and all(child.done

@@ -47,18 +47,18 @@ rendering on top of it.
 
 ``run_sweep`` produces and decodes the trace once per call and
 evaluates every chunk of the grid against that decode and one shared
-:class:`StageMemo`.  In parallel, each chunk runs in a forked child
-(:mod:`repro.harness.children`) that inherits the trace and its
-decode; results merge back in deterministic grid order.  Every chunk
-is journalled write-ahead under ``.repro/sweeps/<run-id>/`` so an
-interrupted sweep resumes with ``repro sweep --resume`` without
-recomputing finished chunks (:class:`SweepJournal`, the chunk kind of
+:class:`StageMemo`.  On more than one CPU each computing process is a
+forked child (:mod:`repro.harness.children`) that evaluates a
+contiguous share of the chunks with the trace, decode and memo it
+inherits; results merge back in grid order.  Every chunk is journalled
+write-ahead under ``.repro/sweeps/<run-id>/`` so an interrupted sweep
+resumes with ``repro sweep --resume`` without recomputing finished
+chunks (:class:`SweepJournal`, the chunk kind of
 :class:`repro.harness.journal.Journal`).
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import json
 import os
@@ -70,6 +70,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigError, JournalError
+from repro.harness.children import Children, computing_processes
 from repro.harness.journal import Journal, _sha256
 from repro.lvp.config import LVPConfig
 from repro.lvp.unit import LVPStats
@@ -339,36 +340,33 @@ def plan_chunks(configs: Sequence[LVPConfig],
             for start in range(0, len(order), size)]
 
 
-def _run_chunk_children(trace: Trace, memo: StageMemo,
-                        todo: list[_SweepChunkSpec], jobs: int,
-                        observer: "SweepObserver",
-                        finish: Callable) -> None:
-    """Evaluate *todo* one forked child per chunk, at most *jobs* at
-    once.  Chunk k forks once chunk k - jobs has finished, and chunks
-    finish in order, so the journal's record order does not depend on
-    timing.  A chunk whose child failed is evaluated here."""
-    from repro.harness.children import Children
-    children = Children(jobs)
-    waiting: collections.deque = collections.deque()
+def _run_shares(trace: Trace, memo: StageMemo,
+                todo: list[_SweepChunkSpec], processes: int,
+                observer: "SweepObserver", finish: Callable) -> None:
+    """Evaluate *todo* in *processes* contiguous shares, each in a forked
+    child while this process waits; chunks start as their share forks
+    and finish in plan order.  A failed child's share is evaluated here."""
+    bounds = [len(todo) * k // processes for k in range(processes + 1)]
+    children = Children(processes)
 
-    def settle(spec: _SweepChunkSpec, child) -> None:
-        children.settle(child)
-        cells = child.result
-        if cells is None:
-            children.rerun_inline()
-            cells = _evaluate_chunk(trace, memo, spec)
-        finish(spec, cells)
+    def evaluate(share: list[_SweepChunkSpec]) -> list[list[dict]]:
+        return [_evaluate_chunk(trace, memo, spec) for spec in share]
 
     try:
-        for spec in todo:
-            if len(waiting) >= jobs:
-                settle(*waiting.popleft())
-            observer.chunk_started(spec)
-            waiting.append((spec, children.fork(
-                "sweep", functools.partial(_evaluate_chunk, trace, memo,
-                                           spec), 0.0)))
-        while waiting:
-            settle(*waiting.popleft())
+        forked = []
+        for share in (todo[a:b] for a, b in zip(bounds, bounds[1:])):
+            for spec in share:
+                observer.chunk_started(spec)
+            forked.append((share, children.fork(
+                "sweep", functools.partial(evaluate, share), 0.0)))
+        for share, child in forked:
+            children.settle(child)
+            payloads = child.result
+            if payloads is None:
+                children.rerun_inline()
+                payloads = evaluate(share)
+            for spec, cells in zip(share, payloads):
+                finish(spec, cells)
     finally:
         children.close()
 
@@ -396,12 +394,13 @@ def run_sweep(bench: str, configs: Sequence[LVPConfig], *,
     The trace is produced once per call (simulated, sentinel-checked
     and verified by one :class:`~repro.harness.session.Session`, or
     read from the trace cache) and decoded once; every chunk evaluates
-    against that decode and one shared :class:`StageMemo`.  With ``jobs
-    > 1`` each chunk runs in a forked child that inherits the trace and
-    the decode, at most *jobs* at once; chunks are journalled
-    ``started`` as they fork and finish in chunk order, and a chunk
-    whose child failed is evaluated in the parent.  Results merge in
-    grid order, so the document is bit-identical to a serial run.
+    against that decode and one shared :class:`StageMemo`.  The chunks
+    left to run are cut into contiguous shares, one per computing
+    process (*jobs*, or every usable CPU at ``jobs=1``), each evaluated
+    by a forked child that inherits the trace, decode and memo (in this
+    process if there is one share).  Results merge in grid order, so
+    the document is bit-identical to a serial run; its ``jobs`` counts
+    the processes that computed.
     ``preloaded`` maps chunk ids to already-computed cell payloads
     (from a resumed sweep journal): those chunks are not re-run, and
     if none is left the trace is never produced.  A payload whose cell
@@ -427,6 +426,7 @@ def run_sweep(bench: str, configs: Sequence[LVPConfig], *,
             preloaded[spec.chunk_id] = cells
     todo = [spec for spec in specs if spec.chunk_id not in preloaded]
     payloads: dict[int, list[dict]] = dict(preloaded)
+    processes = min(computing_processes(jobs), len(todo))
     start = time.perf_counter()
 
     def _finish(spec: _SweepChunkSpec, cells: list[dict]) -> None:
@@ -444,12 +444,12 @@ def run_sweep(bench: str, configs: Sequence[LVPConfig], *,
         branches = any(config.index_mode == "gshare"
                        for spec in todo for config in spec.configs)
         memo = StageMemo(decode_events(trace, branches=branches))
-        if jobs <= 1 or len(todo) == 1 or not hasattr(os, "fork"):
+        if processes == 1:
             for spec in todo:
                 observer.chunk_started(spec)
                 _finish(spec, _evaluate_chunk(trace, memo, spec))
         else:
-            _run_chunk_children(trace, memo, todo, jobs, observer, _finish)
+            _run_shares(trace, memo, todo, processes, observer, _finish)
 
     # Merge back into grid order (never completion order).
     by_index: dict[int, dict] = {}
@@ -463,7 +463,7 @@ def run_sweep(bench: str, configs: Sequence[LVPConfig], *,
         "target": target,
         "scale": scale,
         "configs": len(configs),
-        "jobs": int(jobs),
+        "jobs": processes,
         "wall_s": round(time.perf_counter() - start, 4),
         "cells": [by_index[i] for i in range(len(configs))],
     }

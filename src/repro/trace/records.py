@@ -212,3 +212,8 @@ def memoized(trace: Trace, key: tuple, compute):
     if result is None:
         result = entry[key] = compute()
     return result
+
+
+def forget(trace: Trace) -> None:
+    """Drop every value :func:`memoized` holds for *trace*."""
+    _MEMO.pop(trace, None)

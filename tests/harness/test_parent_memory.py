@@ -147,3 +147,24 @@ def test_failed_benchmark_pins_no_trace(tmp_path, monkeypatch):
         {"compress"}
     assert "compress [ppc] omitted -- annotate stage failed" in texts["tab3"]
     _assert_all_dead(refs)
+
+
+def test_waiting_shard_holds_no_decode(tmp_path, monkeypatch, lazy_texts):
+    """Once a shard's model groups are forked, the children hold what its
+    traces memoize (their decodes, say), so the parent drops its copy
+    while the shard waits for them."""
+    from repro.harness import children
+    from repro.trace import records
+    monkeypatch.setattr(children, "usable_cpus", lambda: 2)
+    held = []
+    payload = parallel._Shard.payload
+
+    def spy_payload(self):
+        held.extend(trace in records._MEMO
+                    for trace in self.session._traces.values())
+        return payload(self)
+
+    monkeypatch.setattr(parallel._Shard, "payload", spy_payload)
+    session, texts = _run(tmp_path, "waiting")
+    assert held == [False] * 2 * len(BENCHES)
+    assert texts == lazy_texts

@@ -251,7 +251,7 @@ class TestTraceOncePerSweep:
     once per call, however many chunks the grid splits into."""
 
     @pytest.fixture
-    def counts(self, clean_env):
+    def counts(self, clean_env, one_cpu):
         import repro.harness.sweep as sweep_module
         import repro.sim.functional as functional
         counts = {"compiled": 0, "interp": 0, "decode": 0}
@@ -268,8 +268,8 @@ class TestTraceOncePerSweep:
             counts["decode"] += 1
             return decode(*args, **kwargs)
 
-        # The guard imports run_program at call time, and forked pool
-        # workers inherit both wrappers.
+        # The guard imports run_program at call time, and forked share
+        # children inherit both wrappers.
         clean_env.setattr(functional, "run_program", counted_run_program)
         clean_env.setattr(sweep_module, "decode_events", counted_decode)
         clean_env.setenv("REPRO_SENTINEL_RATE", "1")
@@ -415,60 +415,103 @@ class TestSweepFailureAndResume:
 
 
 class TestChunkChildren:
-    """``jobs > 1``: one forked child per chunk, inheriting the parent's
-    trace and decode; chunks finish in order, and a chunk whose child
-    died is evaluated in the parent."""
+    """The chunks left to run are cut into contiguous shares, one forked
+    child per computing process (*jobs*, or every usable CPU at
+    ``jobs=1``), each inheriting the parent's trace, decode and memo.
+    Chunks are journalled ``started`` as their share forks and finish
+    in chunk order, and a share whose child died is evaluated in the
+    parent."""
 
     def test_killed_chunk_child_is_rerun_inline(self, clean_env):
         import repro.harness.sweep as sweep_module
         grid = list(CHUNKED_GRID)
-        serial = run_sweep("compress", grid, scale="tiny", chunk_size=2)
-        # Mid-chunk: chunk 1's child dies on its second cell.
-        victim = grid[plan_chunks(grid, 2)[1][1]].name
+        with clean_env.context() as patch:
+            _pin_cpus(patch, 1)
+            serial = run_sweep("compress", grid, scale="tiny", chunk_size=2)
+        # Three chunks in two shares: chunk 0, then chunks 1 and 2.  The
+        # second share's child dies on its last cell, after finishing
+        # chunk 1, and the parent evaluates that whole share again.
+        plan = plan_chunks(grid, 2)
+        victim = grid[plan[2][-1]].name
         parent = os.getpid()
         inline = []
         original = sweep_module._Replay.cell
 
         def cell(self, config):
-            if config.name == victim:
-                if os.getpid() != parent:
+            if os.getpid() != parent:
+                if config.name == victim:
                     os.kill(os.getpid(), signal.SIGKILL)
+            else:
                 inline.append(config.name)
             return original(self, config)
 
         clean_env.setattr(sweep_module._Replay, "cell", cell)
         parallel = run_sweep("compress", grid, scale="tiny", chunk_size=2,
                              jobs=2)
-        assert inline == [victim]
+        assert inline == [grid[j].name for j in plan[1] + plan[2]]
         assert _volatile_free(parallel) == _volatile_free(serial)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     def test_at_most_jobs_children_and_ordered_journal(self, clean_env,
                                                        tmp_path):
-        from repro.harness import children
-        running_at_fork = []
-        real_fork = os.fork
-
-        def fork():
-            running_at_fork.append(len(children._LIVE))
-            return real_fork()
-
-        clean_env.setattr(os, "fork", fork)
+        forks = _count_forks(clean_env)
         grid = list(CHUNKED_GRID)
         journal = SweepJournal.create(tmp_path, "run", build_sweep_manifest(
             "compress", "ppc", "tiny", grid, chunk_size=2, jobs=2))
         run_journaled_sweep("compress", grid, journal=journal, scale="tiny",
                             jobs=2)
-        # Three chunks, never more than two children (the idle parent
-        # not counted).
-        assert len(running_at_fork) == 3
-        assert max(running_at_fork) <= 1
+        # Three chunks, two shares: two children, never more than two at
+        # once (the idle parent not counted).
+        assert len(forks) == 2
+        assert max(forks) <= 1
+        # Every chunk starts as its share forks; done records follow in
+        # chunk order.
         records = replay_journal(journal.journal_path)
         assert [(r["type"], r["chunk"]) for r in records
                 if r["type"] in ("started", "done")] == [
-            ("started", 0), ("started", 1), ("done", 0),
-            ("started", 2), ("done", 1), ("done", 2)]
+            ("started", 0), ("started", 1), ("started", 2),
+            ("done", 0), ("done", 1), ("done", 2)]
+
+    @pytest.mark.parametrize("chunk_size, children", [(2, 2), (3, 2),
+                                                      (6, 0)])
+    def test_default_sweep_forks_one_child_per_cpu(self, clean_env,
+                                                   chunk_size, children):
+        """At two usable CPUs a default sweep forks min(2, chunks)
+        children; a single chunk runs in this process."""
+        _pin_cpus(clean_env, 2)
+        forks = _count_forks(clean_env)
+        document = run_sweep("compress", list(CHUNKED_GRID), scale="tiny",
+                             chunk_size=chunk_size)
+        assert len(forks) == children
+        assert document["jobs"] == max(1, children)
+
+
+def _pin_cpus(monkeypatch, cpus: int) -> None:
+    """Make the sweep see *cpus* usable CPUs."""
+    from repro.harness import children
+    monkeypatch.setattr(children, "usable_cpus", lambda: cpus)
+
+
+def _count_forks(monkeypatch) -> list:
+    """Children already running at each ``os.fork``, as a list."""
+    from repro.harness import children
+    running_at_fork = []
+    real_fork = os.fork
+
+    def fork():
+        running_at_fork.append(len(children._LIVE))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return running_at_fork
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """Evaluate every chunk in this process: spies that count calls in
+    the parent would miss those a share child makes."""
+    _pin_cpus(monkeypatch, 1)
 
 
 def _expected_replays(trace, grid) -> int:
@@ -499,6 +542,7 @@ def _expected_replays(trace, grid) -> int:
     return expected
 
 
+@pytest.mark.usefixtures("one_cpu")
 class TestStageMemo:
     @pytest.mark.parametrize("chunk_size", [1, 3, 16])
     def test_chunked_with_shared_memo_matches_one_call(
