@@ -3,17 +3,14 @@
 One memoized :class:`Session` over the full 17-benchmark suite is shared
 by every exhibit bench, exactly as the paper's numbers all derive from
 one set of simulations.  Set ``REPRO_SCALE`` to ``tiny`` for a fast
-smoke pass or ``reference`` for long runs (default: ``small``), and
-``REPRO_JOBS=N`` to precompute the session with the parallel engine
-(the exhibits then render from warmed memos with bit-identical output).
+smoke pass or ``reference`` for long runs (default: ``small``).
 
-The engine precomputes what the exhibits read, not traces or
-annotations: its parent keeps no trace (``docs/parallel.md``, "What
+The session stays lazy: it is not warmed through the parallel engine,
+whose parent keeps no trace or annotation (``docs/parallel.md``, "What
 the parent keeps").  The ablation and extension benches read
-``session.trace()`` and annotate again, so under ``REPRO_JOBS`` the
-session gets a trace cache (``REPRO_TRACE_CACHE``, else a temporary
-directory): the engine stores each trace it simulates, and those
-benches load it instead of simulating it again.
+``session.trace()`` and ``session.annotated()``, so a lazy session
+computes each trace and annotation once and every bench after the
+first reuses it.
 
 Rendered exhibit text is also written to ``benchmarks/reports/`` so a
 benchmark run leaves the reproduced tables/figures behind as artifacts.
@@ -32,21 +29,9 @@ REPORT_DIR = pathlib.Path(__file__).parent / "reports"
 
 
 @pytest.fixture(scope="session")
-def session(tmp_path_factory) -> Session:
-    """The shared full-suite session (parallel-warmed under REPRO_JOBS)."""
-    from repro.harness.parallel import jobs_from_env
-
-    scale = os.environ.get("REPRO_SCALE", "small")
-    jobs = jobs_from_env()
-    cache_dir = None
-    if jobs > 1 and not os.environ.get("REPRO_TRACE_CACHE"):
-        cache_dir = str(tmp_path_factory.mktemp("trace-cache"))
-    shared = Session(scale=scale, cache_dir=cache_dir)
-    report = shared.warm(jobs)
-    if report is not None:
-        print()
-        print(report.render())
-    return shared
+def session() -> Session:
+    """The shared full-suite session."""
+    return Session(scale=os.environ.get("REPRO_SCALE", "small"))
 
 
 @pytest.fixture(scope="session")

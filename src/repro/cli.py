@@ -66,7 +66,6 @@ from repro.harness.journal import (
     find_run,
     new_run_id,
     prune_runs,
-    run_journaled,
     runs_dir_from_env,
 )
 from repro.obs import (
@@ -154,7 +153,10 @@ def _timeout_arg(value: str) -> float:
     return seconds
 
 
-def _add_jobs(parser: argparse.ArgumentParser, one: str) -> None:
+def _add_jobs(parser: argparse.ArgumentParser,
+              one: str = "one computing process per usable CPU, each "
+                         "benchmark's timing models in forked children",
+              ) -> None:
     """``--jobs``; *one* says what the default of one job does."""
     parser.add_argument(
         "--jobs", type=_jobs_arg, default=None,
@@ -187,7 +189,7 @@ def _resolve_jobs(args) -> int:
     jobs = getattr(args, "jobs", None)
     if jobs is None:
         try:
-            jobs = jobs_from_env(strict=True)
+            jobs = jobs_from_env()
         except ValueError as exc:
             print(f"repro: error: {exc}", file=sys.stderr)
             raise SystemExit(2) from None
@@ -277,12 +279,11 @@ def _report_failures(session: Session) -> bool:
     return True
 
 
-def _report_timing(session: Session) -> None:
-    """Print the parallel warm's per-unit timing summary (stderr, so
-    exhibit stdout stays byte-identical to a serial run)."""
-    report = session.last_warm_report
-    if report is not None:
-        print(report.render(), file=sys.stderr)
+def _report_timing(session: Session, jobs: int) -> None:
+    """At ``--jobs N>=2``, print the engine's per-unit timing summary
+    (stderr, so exhibit stdout stays byte-identical at every N)."""
+    if jobs > 1:
+        print(session.last_warm_report.render(), file=sys.stderr)
 
 
 def _install_interrupt_handlers(journal: Journal):
@@ -356,51 +357,51 @@ def cmd_experiment(args) -> int:
             names = tuple(args.benchmarks.split(",")) \
                 if args.benchmarks else None
             exhibits = list(EXPERIMENTS) if args.id == "all" else [args.id]
-            if args.no_journal:
-                # No run directory, so there is nowhere to persist a
-                # metrics document: sessions keep their library default
-                # (off unless REPRO_METRICS asks).
-                session = Session(scale=args.scale, benchmarks=names)
-                for result in run_experiments(exhibits, session, jobs=jobs):
-                    print(result.text)
-                    print()
-                _report_timing(session)
-                return 1 if _report_failures(session) else 0
             # Journaled runs observe by default: all surfacing goes to
             # the run directory and stderr, so exhibit stdout stays
-            # byte-identical either way.
-            metrics = False if args.no_metrics \
-                else metrics_enabled_from_env(default=True)
+            # byte-identical either way.  Without a run directory there
+            # is nowhere to persist a metrics document, so the session
+            # keeps its library default (off unless REPRO_METRICS asks).
+            metrics = (None if args.no_journal
+                       else False if args.no_metrics
+                       else metrics_enabled_from_env(default=True))
             session = Session(scale=args.scale, benchmarks=names,
                               metrics=metrics)
-            profile = args.profile
-            run_id = args.run_id or new_run_id()
-            prune_runs(runs_dir, protect=run_id)
-            journal = RunJournal.create(
-                runs_dir, run_id,
-                build_manifest(exhibits, session, jobs, unit_timeout,
-                               profile=profile))
+            profile = args.profile and not args.no_journal
             resume = False
+            journal = None
+            if not args.no_journal:
+                run_id = args.run_id or new_run_id()
+                prune_runs(runs_dir, protect=run_id)
+                journal = RunJournal.create(
+                    runs_dir, run_id,
+                    build_manifest(exhibits, session, jobs, unit_timeout,
+                                   profile=profile))
     except JournalError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
-    print(f"run journal: {journal.directory} "
-          f"(resume: {journal.resume_command})", file=sys.stderr)
-    previous = _install_interrupt_handlers(journal)
+    previous = {}
+    if journal is not None:
+        print(f"run journal: {journal.directory} "
+              f"(resume: {journal.resume_command})", file=sys.stderr)
+        previous = _install_interrupt_handlers(journal)
     try:
-        results = run_journaled(exhibits, session, journal, jobs=jobs,
-                                unit_timeout=unit_timeout, resume=resume,
-                                profile=profile)
+        results = run_experiments(exhibits, session, jobs=jobs,
+                                  unit_timeout=unit_timeout,
+                                  journal=journal, resume=resume,
+                                  profile=profile)
     finally:
         _restore_handlers(previous)
     for result in results:
         print(result.text)
         print()
-    _report_timing(session)
-    if session.metrics is not None:
-        print(f"metrics: repro stats {journal.run_id}", file=sys.stderr)
+    _report_timing(session, jobs)
     code = 1 if _report_failures(session) else 0
-    journal.finished(code)
+    if journal is not None:
+        if session.metrics is not None:
+            print(f"metrics: repro stats {journal.run_id}",
+                  file=sys.stderr)
+        journal.finished(code)
     return code
 
 
@@ -543,10 +544,11 @@ def cmd_check(args) -> int:
     from repro.analysis.expectations import check_all, render_check_report
     names = tuple(args.benchmarks.split(",")) if args.benchmarks else None
     session = Session(scale=args.scale, benchmarks=names)
-    session.last_warm_report = session.warm(_resolve_jobs(args))
+    jobs = _resolve_jobs(args)
+    session.warm(jobs)
     results = check_all(session)
     print(render_check_report(results))
-    _report_timing(session)
+    _report_timing(session, jobs)
     _report_failures(session)
     return 0 if all(r.passed for r in results) else 1
 
@@ -582,9 +584,10 @@ def cmd_report(args) -> int:
     from repro.analysis.html import build_html_report
     names = tuple(args.benchmarks.split(",")) if args.benchmarks else None
     session = Session(scale=args.scale, benchmarks=names)
-    session.last_warm_report = session.warm(_resolve_jobs(args))
+    jobs = _resolve_jobs(args)
+    session.warm(jobs)
     document = build_html_report(session)
-    _report_timing(session)
+    _report_timing(session, jobs)
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(document)
     print(f"wrote {args.output} ({len(document):,} bytes)")
@@ -658,10 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    choices=("tiny", "small", "reference"))
     experiment_parser.add_argument("--benchmarks", default=None,
                                    help="comma-separated subset")
-    _add_jobs(experiment_parser,
-              "one computing process per usable CPU when journaled, "
-              "each benchmark's timing models in forked children; "
-              "serial with --no-journal")
+    _add_jobs(experiment_parser)
     experiment_parser.add_argument(
         "--unit-timeout", type=_timeout_arg, default=None, metavar="SECONDS",
         help="per-unit watchdog: a work unit exceeding this many "
@@ -682,8 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
              "or .repro/runs)")
     experiment_parser.add_argument(
         "--no-journal", action="store_true",
-        help="skip the write-ahead journal (the pre-journal code path; "
-             "the run cannot be resumed)")
+        help="write no run directory; the run cannot be resumed")
     experiment_parser.add_argument(
         "--no-metrics", action="store_true",
         help="skip metrics collection (journaled runs record counters "
@@ -767,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
                               choices=("tiny", "small", "reference"))
     check_parser.add_argument("--benchmarks", default=None,
                               help="comma-separated subset")
-    _add_jobs(check_parser, "serial, in one process")
+    _add_jobs(check_parser)
     check_parser.set_defaults(func=cmd_check)
 
     doctor_parser = commands.add_parser(
@@ -815,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
                                choices=("tiny", "small", "reference"))
     report_parser.add_argument("--benchmarks", default=None,
                                help="comma-separated subset")
-    _add_jobs(report_parser, "serial, in one process")
+    _add_jobs(report_parser)
     report_parser.set_defaults(func=cmd_report)
 
     disasm_parser = commands.add_parser(

@@ -18,7 +18,6 @@ from repro.harness.parallel import (
     jobs_from_env,
     unit_timeout_from_env,
     units_for_exhibits,
-    warm_session,
 )
 from repro.harness.retry import RetryPolicy, call_with_retries
 from repro.harness.session import Session
@@ -29,4 +28,4 @@ __all__ = ["EXPERIMENTS", "EngineObserver", "EngineReport",
            "call_with_retries", "default_workplan", "find_run",
            "jobs_from_env", "new_run_id", "run_experiment",
            "run_experiments", "unit_timeout_from_env",
-           "units_for_exhibits", "warm_session"]
+           "units_for_exhibits"]

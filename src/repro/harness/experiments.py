@@ -15,8 +15,9 @@ exhibit it can.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.errors import BenchmarkFailure
 from repro.isa.opcodes import ValueKind
@@ -601,23 +602,39 @@ def run_experiment(exp_id: str, session: Session) -> ExperimentResult:
     return result
 
 
-def run_experiments(exp_ids, session: Session,
-                    jobs: int = 1) -> list[ExperimentResult]:
-    """Run several exhibits, optionally warming the session in parallel.
+def run_experiments(exp_ids, session: Session, jobs: int = 1,
+                    unit_timeout: Optional[float] = None, journal=None,
+                    resume: bool = False,
+                    profile: bool = False) -> list[ExperimentResult]:
+    """Run several exhibits: the engine computes, then each renders.
 
-    With ``jobs > 1`` the session's workplan is precomputed by the
-    parallel engine (:meth:`Session.warm`) before the exhibits render
-    from the warmed memos; the rendered output is bit-identical to a
-    ``jobs=1`` run.  The warm's :class:`~repro.harness.parallel
-    .EngineReport` (per-unit timings), if any, is left on
-    ``session.last_warm_report`` for callers that want to print it.
+    The workplan is the union of what the exhibits read (single-exhibit
+    runs stay cheap).  :meth:`Session.warm` runs it through the engine
+    on at most *jobs* processes (every usable CPU at ``jobs=1``), and
+    each exhibit renders from the merged memos under a ``report`` span,
+    byte-identical to a lazy session's.  ``unit_timeout`` (seconds;
+    default ``REPRO_UNIT_TIMEOUT``) arms the per-unit watchdog.
+
+    With a :class:`~repro.harness.journal.RunJournal` the engine
+    journals each benchmark's shard to it; on *resume*, completed
+    benchmarks are preloaded from verified checkpoints and only the
+    rest re-executes; and the run directory gets ``metrics.json`` and,
+    with *profile*, the hottest units' cProfile captures
+    (:meth:`~repro.harness.journal.RunJournal.write_outputs`).
     """
-    session.last_warm_report = session.warm(jobs)
+    from repro.harness.parallel import units_for_exhibits
+    report = session.warm(
+        jobs, units_for_exhibits(exp_ids, session.benchmark_names),
+        unit_timeout, observer=journal, profile=profile,
+        preloaded=journal.checkpoints(cache=session.cache)
+        if resume else None)
     metrics = session.metrics
-    if metrics is None:
-        return [run_experiment(exp_id, session) for exp_id in exp_ids]
     results = []
     for exp_id in exp_ids:
-        with metrics.span(None, "report", exp_id):
+        span = contextlib.nullcontext() if metrics is None \
+            else metrics.span(None, "report", exp_id)
+        with span:
             results.append(run_experiment(exp_id, session))
+    if journal is not None:
+        journal.write_outputs(session, report)
     return results

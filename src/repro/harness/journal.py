@@ -752,9 +752,27 @@ class RunJournal(Journal, EngineObserver):
                         trace_digest(cached) != trace_digest(trace):
                     cache.discard(name, target, scale)
 
+    def write_outputs(self, session, report) -> None:
+        """Write the finished run's ``metrics.json`` (when *session*
+        carries a :class:`~repro.obs.MetricsRegistry`; ``repro stats``
+        reads it) and the hottest profiled units of *report* into the
+        run directory."""
+        metrics = session.metrics
+        if metrics is not None:
+            import resource
+            from repro.harness.children import peak_rss_mb
+            session.collect_run_counters()
+            metrics.max_run("parent/peak_rss_mb", peak_rss_mb(
+                resource.getrusage(resource.RUSAGE_SELF)))
+            write_metrics(self.directory,
+                          metrics.to_document(run_id=self.run_id,
+                                              manifest=self.manifest))
+        if report.profiles:
+            write_run_profiles(self.directory, report)
+
 
 # ---------------------------------------------------------------------------
-# Orchestration: journaled (and resumable) experiment runs.
+# A journaled run's manifest and outputs.
 # ---------------------------------------------------------------------------
 def build_manifest(exhibits, session, jobs: int,
                    unit_timeout: float, profile: bool = False) -> dict:
@@ -793,50 +811,3 @@ def write_run_profiles(directory, report, keep: int = 5) -> list:
         written.append(path)
     return written
 
-
-def run_journaled(exhibits, session, journal: RunJournal,
-                  jobs: int = 1, unit_timeout: float = 0.0,
-                  resume: bool = False, profile: bool = False):
-    """Run *exhibits* under *journal*; returns ExperimentResult list.
-
-    The workplan is the union of what the exhibits read (single-exhibit
-    runs stay cheap); on *resume*, completed benchmarks are preloaded
-    from verified checkpoints and only the remainder re-executes.  The
-    rendered exhibits -- drawn from the merged session memos either way
-    -- are byte-identical to an uninterrupted (or unjournaled) run.
-    ``session.last_warm_report`` is set only for ``jobs > 1``, matching
-    the unjournaled engine's stderr contract.
-
-    When the session carries a :class:`~repro.obs.MetricsRegistry`,
-    the merged metrics document is written as ``metrics.json`` into the
-    run directory (``repro stats`` reads it); with *profile* the
-    hottest units' cProfile captures land in ``profiles/`` beside it.
-    """
-    from repro.harness.experiments import run_experiment
-    from repro.harness.parallel import ParallelEngine, units_for_exhibits
-    units = units_for_exhibits(exhibits, session.benchmark_names)
-    report = ParallelEngine(
-        session, jobs=jobs, units=units, unit_timeout=unit_timeout,
-        observer=journal, profile=profile,
-        preloaded=journal.checkpoints(cache=session.cache)
-        if resume else None).run()
-    session.last_warm_report = report if jobs > 1 else None
-    metrics = session.metrics
-    results = []
-    for exp_id in exhibits:
-        span = contextlib.nullcontext() if metrics is None \
-            else metrics.span(None, "report", exp_id)
-        with span:
-            results.append(run_experiment(exp_id, session))
-    if metrics is not None:
-        import resource
-        from repro.harness.children import peak_rss_mb
-        session.collect_run_counters()
-        metrics.max_run("parent/peak_rss_mb", peak_rss_mb(
-            resource.getrusage(resource.RUSAGE_SELF)))
-        write_metrics(journal.directory,
-                      metrics.to_document(run_id=journal.run_id,
-                                          manifest=journal.manifest))
-    if report.profiles:
-        write_run_profiles(journal.directory, report)
-    return results

@@ -52,7 +52,7 @@ no summary, and the session recomputes it on demand.
 **Graceful degradation.**  A benchmark that fails in a shard is
 recorded as a :class:`~repro.errors.BenchmarkFailure` on the shard's
 session and merged into the parent's negative-memoization table, so
-exhibits footnote it exactly as in a lazy serial session.
+exhibits footnote it exactly as a lazy session does.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ from repro.trace.records import forget
 #: child's group is re-run in the parent; never set in production.
 CRASH_ENV = "REPRO_PARALLEL_CRASH"
 
-#: Default job-count environment variable honoured by the CLI and the
-#: benchmark harness (``1`` = one computing process per usable CPU).
+#: Default job-count environment variable honoured by the CLI
+#: (``1`` = one computing process per usable CPU).
 JOBS_ENV = "REPRO_JOBS"
 
 #: Default per-unit watchdog environment variable (seconds; unset or
@@ -105,29 +105,20 @@ _ALPHA_MODEL_CONFIGS = (None, SIMPLE, LIMIT, PERFECT)
 _ANNOTATE_CONFIGS = (SIMPLE, CONSTANT, LIMIT, PERFECT)
 
 
-def jobs_from_env(default: int = 1, strict: bool = False) -> int:
-    """The job count requested via ``REPRO_JOBS`` (>= 1).
-
-    Lenient by default (malformed or non-positive values fall back to
-    *default*) for library callers; the CLI passes ``strict=True`` to
-    turn a bad value into a clear error instead of a silent fallback.
-    """
+def jobs_from_env() -> int:
+    """The job count requested via ``REPRO_JOBS`` (default 1); a
+    malformed or non-positive value raises :class:`ValueError`."""
     raw = os.environ.get(JOBS_ENV)
     if raw is None:
-        return default
+        return 1
     try:
         jobs = int(raw)
     except ValueError:
-        if strict:
-            raise ValueError(
-                f"{JOBS_ENV} must be a positive integer, got {raw!r}"
-            ) from None
-        return default
+        raise ValueError(
+            f"{JOBS_ENV} must be a positive integer, got {raw!r}"
+        ) from None
     if jobs < 1:
-        if strict:
-            raise ValueError(
-                f"{JOBS_ENV} must be >= 1, got {jobs}")
-        return default
+        raise ValueError(f"{JOBS_ENV} must be >= 1, got {jobs}")
     return jobs
 
 
@@ -729,9 +720,11 @@ class ParallelEngine:
     the parent goes on (:mod:`repro.harness.children`); a shard is
     checkpointed only once all its model groups are in.  At most
     ``jobs`` processes compute at once, or one per usable CPU at
-    ``jobs=1``, the default journaled ``repro experiment`` path
-    (:func:`~repro.harness.journal.run_journaled`).  :meth:`Session.warm`
-    and the unjournaled CLI skip the engine at ``jobs=1`` and stay lazy.
+    ``jobs=1``, the default.  Every CLI exhibit run goes through it:
+    :func:`~repro.harness.experiments.run_experiments` for
+    ``experiment`` and :meth:`Session.warm` for ``check`` and
+    ``report``.  On one usable CPU everything runs inline and nothing
+    forks.
 
     ``unit_timeout`` (seconds; default ``REPRO_UNIT_TIMEOUT``) arms the
     per-unit watchdog.  ``preloaded`` yields ``(benchmark, payload)``
@@ -922,18 +915,3 @@ class ParallelEngine:
             if demotions:
                 session.demotions.extend(demotions)
 
-
-def warm_session(session, jobs: int,
-                 units: Optional[Sequence[WorkUnit]] = None,
-                 unit_timeout: Optional[float] = None,
-                 ) -> Optional[EngineReport]:
-    """Precompute *session*'s workplan, at most *jobs* processes
-    computing at once.
-
-    ``jobs <= 1`` is a no-op returning None: the session stays lazy and
-    serial.
-    """
-    if jobs <= 1:
-        return None
-    return ParallelEngine(session, jobs=jobs, units=units,
-                          unit_timeout=unit_timeout).run()

@@ -212,9 +212,7 @@ class Session:
         #: Every BenchmarkFailure recorded so far, in discovery order.
         self.failures: list[BenchmarkFailure] = []
         self._failed: dict = {}
-        #: EngineReport of the most recent parallel warm (None = never
-        #: warmed / serial).  Set by run_experiments and Session.warm
-        #: callers that want the timing summary.
+        #: EngineReport of the most recent warm (None = never warmed).
         self.last_warm_report = None
         if unit_timeout is None:
             from repro.harness.parallel import unit_timeout_from_env
@@ -233,9 +231,10 @@ class Session:
         self.guard = TierGuard(weakref.proxy(self))
 
     # ------------------------------------------------------------------
-    def warm(self, jobs: int = 1, units=None, unit_timeout=None):
+    def warm(self, jobs: int = 1, units=None, unit_timeout=None,
+             **engine):
         """Precompute this session's runs, at most *jobs* processes
-        computing at once.
+        computing at once (every usable CPU at ``jobs=1``).
 
         Runs the workplan (default: every trace/annotate/model run a
         full exhibit pass needs) through the
@@ -245,17 +244,20 @@ class Session:
         runs) and any :class:`BenchmarkFailure` into this session's
         memos, ordered by benchmark name; no trace or annotation is
         kept.  Subsequent exhibit runs are pure memo lookups and produce
-        bit-identical output to a serial run (see ``docs/parallel.md``).
+        bit-identical output to a lazy session (see ``docs/parallel.md``).
         ``unit_timeout`` (seconds; default ``REPRO_UNIT_TIMEOUT``) arms
-        the per-unit watchdog against hung units.
+        the per-unit watchdog against hung units; *engine* passes the
+        engine's other options (``observer``, ``preloaded``,
+        ``profile``) through.
 
-        ``jobs <= 1`` is a no-op returning None (the lazy serial path).
-        Otherwise returns the :class:`~repro.harness.parallel
-        .EngineReport` with per-unit timings.
+        Returns the :class:`~repro.harness.parallel.EngineReport` with
+        per-unit timings, also left on ``last_warm_report``.
         """
-        from repro.harness.parallel import warm_session
-        return warm_session(self, jobs, units=units,
-                            unit_timeout=unit_timeout)
+        from repro.harness.parallel import ParallelEngine
+        self.last_warm_report = ParallelEngine(
+            self, jobs=jobs, units=units, unit_timeout=unit_timeout,
+            **engine).run()
+        return self.last_warm_report
 
     # ------------------------------------------------------------------
     def collect_run_counters(self) -> None:

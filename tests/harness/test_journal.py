@@ -483,12 +483,12 @@ class TestKnobValidation:
         _clean_env(monkeypatch)
         monkeypatch.setenv("REPRO_JOBS", "banana")
         with pytest.raises(ValueError):
-            jobs_from_env(strict=True)
+            jobs_from_env()
         monkeypatch.setenv("REPRO_JOBS", "0")
         with pytest.raises(ValueError):
-            jobs_from_env(strict=True)
+            jobs_from_env()
         monkeypatch.setenv("REPRO_JOBS", "3")
-        assert jobs_from_env(strict=True) == 3
+        assert jobs_from_env() == 3
 
     def test_unit_timeout_from_env(self, monkeypatch):
         _clean_env(monkeypatch)

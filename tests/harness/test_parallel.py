@@ -351,20 +351,12 @@ class TestRunExperiments:
         assert session.last_warm_report is not None
         assert session.last_warm_report.jobs == 2
 
-    def test_helper_serial_leaves_session_lazy(self, monkeypatch):
-        _clean_env(monkeypatch)
-        session = Session(scale="tiny", benchmarks=("grep",))
-        results = run_experiments(("tab2",), session, jobs=1)
-        assert results[0].exp_id == "tab2"
-        assert session.last_warm_report is None
-        assert session._traces == {}  # nothing precomputed
-
     def test_jobs_from_env(self, monkeypatch):
         _clean_env(monkeypatch)
         assert jobs_from_env() == 1
         monkeypatch.setenv("REPRO_JOBS", "6")
         assert jobs_from_env() == 6
-        monkeypatch.setenv("REPRO_JOBS", "0")
-        assert jobs_from_env() == 1
-        monkeypatch.setenv("REPRO_JOBS", "banana")
-        assert jobs_from_env() == 1
+        for bad in ("0", "banana"):
+            monkeypatch.setenv("REPRO_JOBS", bad)
+            with pytest.raises(ValueError, match="REPRO_JOBS"):
+                jobs_from_env()

@@ -1,14 +1,15 @@
 """The engine's parent keeps results, not traces (docs/parallel.md,
 "What the parent keeps").
 
-A journaled run keeps, of each finished shard, only what the exhibits
-read: a trace summary per trace unit, each annotation's statistics and
-the model runs.  These tests run three benchmarks through the journal
-with a trace cache and hold the parent to that: after the run and its
-exhibits, no trace or annotation a shard (or a resumed checkpoint) held
-is still alive; the exhibits equal a lazy session's byte for byte; and
-rendering neither re-simulates nor reloads a trace, so the cache
-counters are those of the shards alone.
+Every exhibit run goes through the engine, which keeps, of each
+finished shard, only what the exhibits read: a trace summary per trace
+unit, each annotation's statistics and the model runs.  These tests run
+three benchmarks with a trace cache -- through the journal, without
+one, and through ``Session.warm(1)`` -- and hold the parent to that:
+after the run and its exhibits, no trace or annotation a shard (or a
+resumed checkpoint) held is still alive; the exhibits equal a lazy
+session's byte for byte; and rendering neither re-simulates nor
+reloads a trace, so the cache counters are those of the shards alone.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import weakref
 import pytest
 
 from repro.harness import EXPERIMENTS, Session, run_experiment
-from repro.harness import parallel
+from repro.harness import parallel, run_experiments
 from repro.harness.cache import TraceCache
-from repro.harness.journal import RunJournal, build_manifest, run_journaled
+from repro.harness.journal import RunJournal, build_manifest
 from repro.harness.parallel import CRASH_ENV
 
 BENCHES = ("grep", "compress", "quick")
@@ -68,16 +69,21 @@ def _spy(monkeypatch) -> list:
     return refs
 
 
+def _session(tmp_path) -> Session:
+    return Session(scale="tiny", benchmarks=BENCHES, metrics=True,
+                   cache_dir=str(tmp_path / "cache"))
+
+
 def _run(tmp_path, run_id: str, resume: bool = False):
     """One journaled run of every exhibit; (session, exhibit texts)."""
-    session = Session(scale="tiny", benchmarks=BENCHES, metrics=True,
-                      cache_dir=str(tmp_path / "cache"))
+    session = _session(tmp_path)
     runs = tmp_path / "runs"
     journal = RunJournal.open(runs, run_id) if resume else \
         RunJournal.create(runs, run_id,
                           build_manifest(EXHIBITS, session, 1, 0.0))
     try:
-        results = run_journaled(EXHIBITS, session, journal, resume=resume)
+        results = run_experiments(EXHIBITS, session, journal=journal,
+                                  resume=resume)
         journal.finished(0)
     finally:
         journal.close()
@@ -106,6 +112,30 @@ def test_parent_keeps_no_trace_and_renders_the_same(tmp_path, monkeypatch,
     assert run["cache/misses"] == 2 * len(BENCHES)
     assert run["cache/hits"] == 0
     assert run["parent/peak_rss_mb"] > 0
+    assert session.failures == []
+
+
+@pytest.mark.parametrize("path", ["no-journal", "warm"])
+def test_unjournaled_runs_keep_no_trace(tmp_path, monkeypatch, lazy_texts,
+                                        path):
+    """``experiment --no-journal`` (``run_experiments`` without a
+    journal) and ``check``/``report`` (``Session.warm(1)``) go through
+    the engine too, so their parent keeps no trace either."""
+    refs = _spy(monkeypatch)
+    session = _session(tmp_path)
+    if path == "warm":
+        session.warm(1)
+        texts = {exp_id: run_experiment(exp_id, session).text
+                 for exp_id in EXHIBITS}
+    else:
+        texts = {result.exp_id: result.text
+                 for result in run_experiments(EXHIBITS, session)}
+    assert len(refs) == len(BENCHES) * (2 + 8)
+    _assert_all_dead(refs)
+    assert session._traces == {} and session._annotated == {}
+    assert texts == lazy_texts
+    assert session.metrics.run_counters()["cache/misses"] == \
+        2 * len(BENCHES)
     assert session.failures == []
 
 

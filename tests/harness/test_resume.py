@@ -162,10 +162,12 @@ class TestSignals:
 
 
 class TestWatchdogDrill:
-    def test_hung_benchmark_is_footnoted_not_fatal(self, tmp_path):
+    @pytest.mark.parametrize("extra", [(), ("--no-journal",)],
+                             ids=["journaled", "no-journal"])
+    def test_hung_benchmark_is_footnoted_not_fatal(self, tmp_path, extra):
         start = time.monotonic()
         result = _experiment(
-            tmp_path, "--unit-timeout", "2", run_id="hang",
+            tmp_path, "--unit-timeout", "2", *extra, run_id="hang",
             extra_env={"REPRO_PARALLEL_HANG": "compress:trace:300"})
         wall = time.monotonic() - start
         assert result.returncode == 1  # degraded, not aborted
