@@ -22,8 +22,8 @@ Commands
 ``sweep BENCH``
     One-pass design-space sweep: decode the benchmark's trace once and
     evaluate a whole grid of LVP configurations (>= 100 design points
-    by default) against shared in-memory columns in forked children
-    (``--jobs``), journaled under ``.repro/sweeps/<run-id>/`` for
+    by default) against shared in-memory columns here and in forked
+    children (``--jobs``), journaled under ``.repro/sweeps/<run-id>/`` for
     crash-resume.  ``--exhibits`` renders the Table 3/4 and Figure 6
     sensitivity families (see ``docs/sweep.md``).
 ``check``
@@ -77,6 +77,7 @@ from repro.obs import (
 from repro.harness.children import kill_children, usable_cpus
 from repro.harness.parallel import jobs_from_env, unit_timeout_from_env
 from repro.harness.session import Session
+from repro.harness.sweep import DEFAULT_CHUNK_SIZE
 from repro.isa.disasm import disassemble
 from repro.lvp.config import (
     EXTENSION_CONFIGS,
@@ -697,7 +698,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser = commands.add_parser(
         "sweep", help="one-pass design-space sweep over one trace")
     _add_common(sweep_parser)
-    _add_jobs(sweep_parser, "one child per usable CPU")
+    _add_jobs(sweep_parser, "one computing process per usable CPU: "
+                            "this one and a forked child per other CPU")
     sweep_parser.add_argument(
         "--grid", default=None, metavar="SPEC",
         help="grid spec 'dim=v1,v2;dim=...' using lvpt/depth/selection/"
@@ -714,13 +716,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="also render the Table 3/4 and Figure 6 sensitivity "
              "families")
     sweep_parser.add_argument(
-        "--chunk-size", type=_jobs_arg, default=16, metavar="N",
-        help="configs per journaled work unit (default: 16)")
+        "--chunk-size", type=_jobs_arg, default=DEFAULT_CHUNK_SIZE,
+        metavar="N", help="configs per journaled chunk (default: %(default)s)")
     sweep_parser.add_argument(
         "--resume", default=None, metavar="RUN_ID",
         help="resume an interrupted journaled sweep ('latest' picks "
-             "the newest); completed chunks load from verified "
-             "checkpoints, only the rest re-evaluate")
+             "the newest); completed chunks load from their "
+             "CRC-checked journal records, only the rest re-evaluate")
     sweep_parser.add_argument(
         "--run-id", default=None, metavar="RUN_ID",
         help="explicit id for this sweep's journal directory "

@@ -7,8 +7,9 @@ and annotations, and only exhibit rendering reads their results: the
 parent runs a benchmark's trace and annotate units itself, forks one
 child per group, and goes on with the next benchmark while the
 children model.  A sweep (:func:`~repro.harness.sweep.run_sweep`)
-forks one child per computing process, each evaluating a contiguous
-share of the grid's chunks against the parent's trace and stage memo.
+cuts the grid's chunks into one contiguous share per computing
+process: the parent evaluates the first share against its trace and
+stage memo, and forks one child for each of the others.
 
 * **At most n processes compute at once**: the CPUs this process may
   run on (:func:`usable_cpus`) by default, or the ``--jobs`` count.

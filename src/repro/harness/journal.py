@@ -3,8 +3,9 @@
 :class:`Journal` is the one journal primitive; a subclass is a *unit
 kind*.  :class:`RunJournal` journals a ``repro experiment`` run, one
 unit per benchmark shard; :class:`~repro.harness.sweep.SweepJournal`
-journals a ``repro sweep``, one unit per grid chunk.  Every journaled
-``repro experiment`` run owns a *run directory*::
+journals a ``repro sweep``, one unit per grid chunk, whose ``done``
+record carries the chunk's cells inline.  Every journaled ``repro
+experiment`` run owns a *run directory*::
 
     <runs-dir>/<run-id>/
         manifest.json        what was asked for (suite, scale, jobs...)
@@ -19,10 +20,10 @@ shard is recorded ``planned`` before any work starts, ``started``
 when it starts, and ``done`` (with a checkpoint digest and
 per-unit result digests) or ``failed`` only after its checkpoint is
 durably on disk.  Each journal line carries a CRC-32 of its payload.
-A record -- or the opening batch of ``run_started`` plus every
-``planned`` record -- is written with a single ``write``+``fsync``, so
-a power cut can at worst truncate the final line -- which replay
-tolerates.
+A record -- or a batch of them, such as the opening ``run_started``
+plus every ``planned`` record -- is written with a single
+``write``+``fsync``, so a power cut can at worst truncate the final
+line -- which replay tolerates.
 
 ``repro experiment --resume <run-id>`` replays the journal, loads the
 checkpoint of every completed benchmark (re-hashing each one against
@@ -35,8 +36,8 @@ differential suite in ``tests/harness/test_resume.py`` proves it,
 SIGKILL included).
 
 Chaos knob: ``REPRO_JOURNAL_CRASH_AFTER=<k>`` hard-exits the parent
-process (``os._exit``) immediately after the *k*-th checkpoint is
-journalled, simulating a mid-suite crash for the resume drill.
+process (``os._exit``) right after the append holding the *k*-th
+``done`` record, simulating a mid-suite crash for the resume drill.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ DEFAULT_RUNS_DIR = os.path.join(".repro", "runs")
 RUNS_KEEP_ENV = "REPRO_RUNS_KEEP"
 DEFAULT_RUNS_KEEP = 8
 
-#: Chaos knob: crash the parent after the k-th checkpoint (resume drill).
+#: Chaos knob: crash the parent after the k-th ``done`` record.
 CRASH_AFTER_ENV = "REPRO_JOURNAL_CRASH_AFTER"
 
 _MANIFEST = "manifest.json"
@@ -369,19 +370,17 @@ class Journal:
     """Write-ahead journal for one run directory, over one unit kind.
 
     A unit is recorded ``planned`` when the run is created, ``started``
-    when it is handed out, and ``done`` only after its checkpoint is
-    durably on disk (write-ahead order: the journal never claims more
-    than the disk holds).  A subclass is a unit kind: it names its
-    units' record key, fingerprint keys, planned units, checkpoint file
-    name and payload codec, and its resume command; everything else --
+    when it is handed out, and ``done`` only after its result is
+    durable (write-ahead order: the journal never claims more than the
+    disk holds).  A subclass is a unit kind: it names its units' record
+    key, fingerprint keys and planned units, makes a finished unit's
+    result durable, and names its resume command; everything else --
     manifest, one kept journal descriptor, disk-full degradation,
-    atomic checkpoints, replay, and the crash knob -- lives here.
+    replay, and the crash knob -- lives here.
     """
 
     #: Record key naming one unit (``benchmark`` / ``chunk``).
     UNIT = ""
-    #: ``done``-record key holding the checkpoint's sha256.
-    DIGEST_KEY = ""
     #: Manifest keys the fingerprint covers.
     IDENTITY: tuple = ()
     #: What one directory is called in messages.
@@ -391,7 +390,7 @@ class Journal:
         self.directory = pathlib.Path(directory)
         self.manifest = manifest
         self._fd: Optional[int] = None
-        self._checkpoints_done = 0
+        self._done_records = 0
         self._crash_after = self._crash_after_from_env()
         #: Set when the disk filled up under a journal write: further
         #: appends become no-ops (the computation itself continues).
@@ -409,17 +408,6 @@ class Journal:
         """The unit ids ``create`` journals ``planned``."""
         raise NotImplementedError
 
-    def _checkpoint_name(self, unit) -> str:
-        raise NotImplementedError
-
-    def _encode(self, payload, file) -> None:
-        """Write *payload*'s checkpoint bytes to the binary *file*."""
-        raise NotImplementedError
-
-    def _decode(self, data: bytes, record: dict, cache):
-        """The payload of verified checkpoint bytes (None = unusable)."""
-        raise NotImplementedError
-
     @property
     def resume_command(self) -> str:
         raise NotImplementedError
@@ -430,7 +418,6 @@ class Journal:
         """Start a fresh run directory (manifest + opening records)."""
         directory = pathlib.Path(runs_dir) / run_id
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / _CHECKPOINTS).mkdir(exist_ok=True)
         manifest = dict(manifest, run_id=run_id,
                         fingerprint=cls.fingerprint(manifest))
         temporary = directory / (_MANIFEST + ".tmp")
@@ -454,6 +441,7 @@ class Journal:
                 f"unreadable manifest in {directory}: {exc}") from exc
         journal = cls(directory, manifest)
         journal.verify_manifest()
+        journal._drop_torn_tail()
         return journal
 
     @classmethod
@@ -476,6 +464,18 @@ class Journal:
             raise JournalError(
                 f"manifest of {self.NOUN} {self.run_id!r} does not match "
                 f"its fingerprint (edited by hand?); refusing to resume")
+
+    def _drop_torn_tail(self) -> None:
+        """Cut a damaged final line (a crash or full disk mid-append)
+        off the journal before a resumed run appends to it: replay
+        ignores that line, but a record appended after it would turn
+        it into interior damage that refuses every later resume."""
+        with contextlib.suppress(OSError), \
+                open(self.journal_path, "r+b") as file:
+            data = file.read()
+            head, newline, last = data.rstrip(b"\n").rpartition(b"\n")
+            if last and _decode_line(last) is None:
+                file.truncate(len(head) + len(newline))
 
     # -- plumbing ------------------------------------------------------------
     @property
@@ -511,13 +511,15 @@ class Journal:
         """
         if self._degraded:
             return
-        lines = b"".join(_encode_record(record) for record in records)
+        lines = memoryview(
+            b"".join(_encode_record(record) for record in records))
         try:
             if self._fd is None:
                 self._fd = os.open(self.journal_path,
                                    os.O_WRONLY | os.O_CREAT | os.O_APPEND,
                                    0o644)
-            os.write(self._fd, lines)
+            while lines:  # a nearly full disk may take part of a line
+                lines = lines[os.write(self._fd, lines):]
         except OSError as exc:
             if is_resource_exhaustion(exc):
                 self._mark_degraded(exc)
@@ -549,63 +551,15 @@ class Journal:
         self.append({"type": "run_finished", "exit": int(exit_code)})
         self.close()
 
-    # -- checkpoints --------------------------------------------------------
-    def _checkpoint_path(self, unit) -> pathlib.Path:
-        return self.directory / _CHECKPOINTS / self._checkpoint_name(unit)
-
-    def _write_checkpoint(self, unit, payload) -> str:
-        """Durably persist *unit*'s *payload*; returns its sha256.
-
-        A full disk (or exhausted fd table) raises
-        :class:`~repro.errors.ResourceExhaustedError` after removing
-        the partial temp file, so the caller can skip the checkpoint
-        without ever leaving a half-written one behind.
-        """
-        path = self._checkpoint_path(unit)
-        temporary = path.with_suffix(".tmp")
-        try:
-            fd = os.open(temporary,
-                         os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-            try:
-                file = _DigestingFile(fd)
-                self._encode(payload, file)
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            temporary.replace(path)
-        except BaseException as exc:
-            with contextlib.suppress(OSError):
-                temporary.unlink()
-            if isinstance(exc, OSError) and is_resource_exhaustion(exc):
-                raise ResourceExhaustedError(
-                    f"cannot checkpoint {unit}: {exc}") from exc
-            raise
-        return file.sha256.hexdigest()
-
-    def _checkpoint(self, unit, payload) -> Optional[str]:
-        """:meth:`_write_checkpoint`, or None once a full disk made it
-        journal ``checkpoint_failed`` instead.
-
-        No checkpoint is durably on disk then, so no ``done`` record
-        may claim one (write-ahead order): the in-memory result stands
-        and ``--resume`` re-runs the unit.
-        """
-        try:
-            return self._write_checkpoint(unit, payload)
-        except ResourceExhaustedError as exc:
-            self.append({"type": "checkpoint_failed", self.UNIT: unit,
-                         "cause": str(exc)})
-            return None
-
-    def _done(self, record: dict) -> None:
-        """Append a checkpointed unit's ``done`` record; the crash knob
-        counts these."""
-        self.append(record)
-        self._checkpoints_done += 1
+    def _done(self, *records: dict) -> None:
+        """Append finished units' ``done`` records in one write; the
+        crash knob counts these."""
+        self.append(*records)
+        self._done_records += len(records)
         if (self._crash_after is not None
-                and self._checkpoints_done >= self._crash_after):
+                and self._done_records >= self._crash_after):
             # Chaos drill: die the hardest way possible (no atexit, no
-            # flush) right after the journal claims this checkpoint.
+            # flush) right after the journal claims this unit.
             # Children are reaped first -- a real crash would leave
             # them to die on their broken pipes, but the drill must not
             # leave orphans holding the caller's pipes open.
@@ -625,30 +579,6 @@ class Journal:
         return {record[self.UNIT]: record for record in self.replay()
                 if record.get("type") == "done"}
 
-    def load_checkpoints(self, cache=None) -> dict:
-        """Verified payloads of every completed unit, as a dict."""
-        return dict(self.checkpoints(cache))
-
-    def checkpoints(self, cache=None) -> Iterator[tuple]:
-        """``(unit, payload)`` of every completed unit, one checkpoint
-        loaded at a time.
-
-        Each checkpoint is re-hashed against the digest its ``done``
-        record committed; a missing, unreadable, mismatching or
-        undecodable checkpoint is dropped (that unit simply re-runs --
-        resume trades work for certainty, never the reverse).
-        """
-        for unit, record in self.completed().items():
-            try:
-                data = self._checkpoint_path(unit).read_bytes()
-            except OSError:
-                continue
-            if _sha256(data) != record.get(self.DIGEST_KEY):
-                continue
-            payload = self._decode(data, record, cache)
-            if payload is not None:
-                yield unit, payload
-
 
 class RunJournal(Journal, EngineObserver):
     """The experiment run's journal: one unit per benchmark shard.
@@ -656,34 +586,21 @@ class RunJournal(Journal, EngineObserver):
     Doubles as the parallel engine's observer: shard lifecycle events
     are journalled as they happen, and a finished shard's payload is
     pickled to ``checkpoints/<benchmark>.pkl`` before its ``done``
-    record (which also carries per-unit result digests) is appended.
+    record (which carries the checkpoint's sha256 and per-unit result
+    digests) is appended.
     """
 
     UNIT = "benchmark"
-    DIGEST_KEY = "checkpoint"
     IDENTITY = ("version", "exhibits", "scale", "benchmarks", "verify")
+
+    @classmethod
+    def create(cls, runs_dir, run_id: str, manifest: dict):
+        (pathlib.Path(runs_dir) / run_id / _CHECKPOINTS).mkdir(
+            parents=True, exist_ok=True)
+        return super().create(runs_dir, run_id, manifest)
 
     def _planned_units(self):
         return self.manifest.get("benchmarks", ())
-
-    def _checkpoint_name(self, benchmark: str) -> str:
-        return benchmark.replace("/", "_") + ".pkl"
-
-    def _encode(self, result: _ShardResult, file) -> None:
-        # A checkpoint names cached traces by stub; the done record's
-        # digests cover the in-memory traces the stubs stand for.
-        light = _lighten_payload(result, self._trace_cache,
-                                 self.manifest.get("scale", "small"))
-        pickle.dump(light, file, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def _decode(self, data: bytes, record: dict, cache):
-        try:
-            result = pickle.loads(data)
-        except Exception:
-            return None
-        if shard_digests(result, cache=cache) != record.get("digests"):
-            return None
-        return result
 
     @property
     def resume_command(self) -> str:
@@ -699,6 +616,60 @@ class RunJournal(Journal, EngineObserver):
             with contextlib.suppress(Exception):
                 return TraceCache(cache_dir)
         return None
+
+    # -- checkpoints --------------------------------------------------------
+    def _checkpoint_path(self, benchmark: str) -> pathlib.Path:
+        return (self.directory / _CHECKPOINTS
+                / (benchmark.replace("/", "_") + ".pkl"))
+
+    def _write_checkpoint(self, benchmark: str, result: _ShardResult) -> str:
+        """Durably persist *benchmark*'s *result*; returns its sha256.
+
+        A checkpoint names cached traces by stub; the done record's
+        digests cover the in-memory traces the stubs stand for.  A full
+        disk (or exhausted fd table) raises
+        :class:`~repro.errors.ResourceExhaustedError` after removing
+        the partial temp file, so the caller can skip the checkpoint
+        without ever leaving a half-written one behind.
+        """
+        path = self._checkpoint_path(benchmark)
+        temporary = path.with_suffix(".tmp")
+        try:
+            fd = os.open(temporary,
+                         os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+            try:
+                file = _DigestingFile(fd)
+                light = _lighten_payload(result, self._trace_cache,
+                                         self.manifest.get("scale", "small"))
+                pickle.dump(light, file, protocol=pickle.HIGHEST_PROTOCOL)
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            temporary.replace(path)
+        except BaseException as exc:
+            with contextlib.suppress(OSError):
+                temporary.unlink()
+            if isinstance(exc, OSError) and is_resource_exhaustion(exc):
+                raise ResourceExhaustedError(
+                    f"cannot checkpoint {benchmark}: {exc}") from exc
+            raise
+        return file.sha256.hexdigest()
+
+    def _checkpoint(self, benchmark: str,
+                    result: _ShardResult) -> Optional[str]:
+        """:meth:`_write_checkpoint`, or None once a full disk made it
+        journal ``checkpoint_failed`` instead.
+
+        No checkpoint is durably on disk then, so no ``done`` record
+        may claim one (write-ahead order): the in-memory result stands
+        and ``--resume`` re-runs the benchmark.
+        """
+        try:
+            return self._write_checkpoint(benchmark, result)
+        except ResourceExhaustedError as exc:
+            self.append({"type": "checkpoint_failed", self.UNIT: benchmark,
+                         "cause": str(exc)})
+            return None
 
     # -- engine observer hooks ----------------------------------------------
     def shard_started(self, spec: _ShardSpec) -> None:
@@ -720,9 +691,19 @@ class RunJournal(Journal, EngineObserver):
         })
 
     # -- resumption ---------------------------------------------------------
+    def load_checkpoints(self, cache=None) -> dict:
+        """Verified payloads of every completed benchmark, as a dict."""
+        return dict(self.checkpoints(cache))
+
     def checkpoints(self, cache=None) -> Iterator[tuple[str, _ShardResult]]:
         """Verified payloads of every completed benchmark, one at a
         time (a resumed engine reduces each before loading the next).
+
+        Each checkpoint is re-hashed against the digest its ``done``
+        record committed, and its per-unit result digests re-checked; a
+        missing, unreadable, mismatching or undecodable checkpoint is
+        dropped (that benchmark simply re-runs -- resume trades work
+        for certainty, never the reverse).
 
         When *cache* (a :class:`~repro.harness.cache.TraceCache`) is
         given, every checkpointed trace is cross-checked against the
@@ -730,10 +711,29 @@ class RunJournal(Journal, EngineObserver):
         a resumed run cannot be poisoned by a cache that rotted while
         the run was down.
         """
-        for benchmark, result in super().checkpoints(cache):
+        for benchmark, record in self.completed().items():
+            try:
+                data = self._checkpoint_path(benchmark).read_bytes()
+            except OSError:
+                continue
+            if _sha256(data) != record.get("checkpoint"):
+                continue
+            result = self._decode(data, record, cache)
+            if result is None:
+                continue
             if cache is not None:
                 self._cross_check_cache(result, cache)
             yield benchmark, result
+
+    def _decode(self, data: bytes, record: dict, cache):
+        """The payload of verified checkpoint bytes (None = unusable)."""
+        try:
+            result = pickle.loads(data)
+        except Exception:
+            return None
+        if shard_digests(result, cache=cache) != record.get("digests"):
+            return None
+        return result
 
     def _cross_check_cache(self, result: _ShardResult, cache) -> None:
         """Quarantine cache bundles that disagree with a verified

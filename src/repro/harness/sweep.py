@@ -47,20 +47,21 @@ rendering on top of it.
 
 ``run_sweep`` produces and decodes the trace once per call and
 evaluates every chunk of the grid against that decode and one shared
-:class:`StageMemo`.  On more than one CPU each computing process is a
-forked child (:mod:`repro.harness.children`) that evaluates a
-contiguous share of the chunks with the trace, decode and memo it
-inherits; results merge back in grid order.  Every chunk is journalled
-write-ahead under ``.repro/sweeps/<run-id>/`` so an interrupted sweep
-resumes with ``repro sweep --resume`` without recomputing finished
-chunks (:class:`SweepJournal`, the chunk kind of
+:class:`StageMemo`.  On more than one CPU the chunks are cut into one
+contiguous share per computing process: this process evaluates the
+first, and a forked child (:mod:`repro.harness.children`) each of the
+others with the trace, decode and memo it inherits; results merge back
+in grid order.  Every chunk is journalled write-ahead under
+``.repro/sweeps/<run-id>/`` -- a finished chunk as one ``done`` record
+carrying its cells -- so an interrupted sweep resumes with ``repro
+sweep --resume`` without recomputing finished chunks
+(:class:`SweepJournal`, the chunk kind of
 :class:`repro.harness.journal.Journal`).
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import os
 import pathlib
 import time
@@ -220,8 +221,8 @@ class StageMemo:
     turn memoizes each table size's load grouping), and
     ``evaluate_configs`` evaluates against that decode.  ``run_sweep``
     shares one memo across every chunk of a run, so the chunk size sets
-    only how often the journal checkpoints, not how much work is
-    shared.  Stage C is kept per stage-B key as the list of CVU replays
+    only how often the journal records finished work, not how much work
+    is shared.  Stage C is kept per stage-B key as the list of CVU replays
     run so far (see :func:`~repro.trace.kernels.run_stage_c` for when
     one replay serves several capacities).
     """
@@ -330,8 +331,8 @@ def plan_chunks(configs: Sequence[LVPConfig],
     scattering one predictor family across every chunk (and
     :meth:`StageMemo.retain` holds at most one chunk's passes).
     Returns tuples of indices into *configs*; deterministic for a given
-    grid (a resumed sweep checks each checkpoint's cell names against
-    its chunk of this plan).
+    grid (a resumed sweep checks each journalled chunk's cell names
+    against its chunk of this plan).
     """
     order = sorted(range(len(configs)),
                    key=lambda i: (lct_key(configs[i]), i))
@@ -343,30 +344,30 @@ def plan_chunks(configs: Sequence[LVPConfig],
 def _run_shares(trace: Trace, memo: StageMemo,
                 todo: list[_SweepChunkSpec], processes: int,
                 observer: "SweepObserver", finish: Callable) -> None:
-    """Evaluate *todo* in *processes* contiguous shares, each in a forked
-    child while this process waits; chunks start as their share forks
-    and finish in plan order.  A failed child's share is evaluated here."""
+    """Evaluate *todo* in *processes* contiguous shares: this process
+    the first, a forked child each other.  All chunks are reported
+    started at once, each share's finished as one batch in plan order;
+    a failed child's share is evaluated here."""
     bounds = [len(todo) * k // processes for k in range(processes + 1)]
+    shares = [todo[a:b] for a, b in zip(bounds, bounds[1:])]
     children = Children(processes)
 
     def evaluate(share: list[_SweepChunkSpec]) -> list[list[dict]]:
         return [_evaluate_chunk(trace, memo, spec) for spec in share]
 
+    observer.chunk_started(*todo)
     try:
-        forked = []
-        for share in (todo[a:b] for a, b in zip(bounds, bounds[1:])):
-            for spec in share:
-                observer.chunk_started(spec)
-            forked.append((share, children.fork(
-                "sweep", functools.partial(evaluate, share), 0.0)))
+        forked = [(share, children.fork(
+            "sweep", functools.partial(evaluate, share), 0.0))
+            for share in shares[1:]]
+        finish(shares[0], evaluate(shares[0]))
         for share, child in forked:
             children.settle(child)
             payloads = child.result
             if payloads is None:
                 children.rerun_inline()
                 payloads = evaluate(share)
-            for spec, cells in zip(share, payloads):
-                finish(spec, cells)
+            finish(share, payloads)
     finally:
         children.close()
 
@@ -374,12 +375,13 @@ def _run_shares(trace: Trace, memo: StageMemo,
 class SweepObserver:
     """Parent-side progress hooks (the sweep journal implements these)."""
 
-    def chunk_started(self, spec: _SweepChunkSpec) -> None:
-        """*spec* is about to run (forked, or in this process)."""
+    def chunk_started(self, *specs: _SweepChunkSpec) -> None:
+        """*specs* are about to run (forked, or in this process)."""
 
-    def chunk_finished(self, spec: _SweepChunkSpec,
-                       cells: list[dict]) -> None:
-        """*spec* completed; *cells* is its full payload."""
+    def chunk_finished(self, *finished: tuple[_SweepChunkSpec,
+                                              list[dict]]) -> None:
+        """Each ``(spec, cells)`` in *finished* completed; *cells* is
+        its full payload."""
 
 
 def run_sweep(bench: str, configs: Sequence[LVPConfig], *,
@@ -396,11 +398,11 @@ def run_sweep(bench: str, configs: Sequence[LVPConfig], *,
     read from the trace cache) and decoded once; every chunk evaluates
     against that decode and one shared :class:`StageMemo`.  The chunks
     left to run are cut into contiguous shares, one per computing
-    process (*jobs*, or every usable CPU at ``jobs=1``), each evaluated
-    by a forked child that inherits the trace, decode and memo (in this
-    process if there is one share).  Results merge in grid order, so
-    the document is bit-identical to a serial run; its ``jobs`` counts
-    the processes that computed.
+    process (*jobs*, or every usable CPU at ``jobs=1``): this process
+    evaluates the first and a forked child that inherits the trace,
+    decode and memo each of the others.  Results merge in grid order,
+    so the document is bit-identical to a serial run; its ``jobs``
+    counts the processes that computed.
     ``preloaded`` maps chunk ids to already-computed cell payloads
     (from a resumed sweep journal): those chunks are not re-run, and
     if none is left the trace is never produced.  A payload whose cell
@@ -414,13 +416,13 @@ def run_sweep(bench: str, configs: Sequence[LVPConfig], *,
                         configs=tuple(configs[j] for j in indices))
         for i, indices in enumerate(chunks)
     ]
-    # A checkpoint stands in for its chunk only if it holds exactly the
-    # planned cells, in order.  One written under another chunk order
+    # A journalled chunk stands in for its chunk only if it holds exactly
+    # the planned cells, in order.  One written under another chunk order
     # (an older planner, say) would otherwise land its cells on the
     # wrong grid rows; such a chunk is recomputed instead.
-    checkpoints, preloaded = preloaded or {}, {}
+    journalled, preloaded = preloaded or {}, {}
     for spec in specs:
-        cells = checkpoints.get(spec.chunk_id)
+        cells = journalled.get(spec.chunk_id)
         if cells is not None and [cell.get("name") for cell in cells] \
                 == [config.name for config in spec.configs]:
             preloaded[spec.chunk_id] = cells
@@ -429,12 +431,14 @@ def run_sweep(bench: str, configs: Sequence[LVPConfig], *,
     processes = min(computing_processes(jobs), len(todo))
     start = time.perf_counter()
 
-    def _finish(spec: _SweepChunkSpec, cells: list[dict]) -> None:
-        payloads[spec.chunk_id] = cells
-        observer.chunk_finished(spec, cells)
-        if progress is not None:
-            progress(f"chunk {spec.chunk_id + 1}/{len(specs)}: "
-                     f"{len(cells)} configs")
+    def _finish(share: list[_SweepChunkSpec],
+                share_cells: list[list[dict]]) -> None:
+        observer.chunk_finished(*zip(share, share_cells))
+        for spec, cells in zip(share, share_cells):
+            payloads[spec.chunk_id] = cells
+            if progress is not None:
+                progress(f"chunk {spec.chunk_id + 1}/{len(specs)}: "
+                         f"{len(cells)} configs")
 
     if todo:
         from repro.harness.session import Session
@@ -447,7 +451,7 @@ def run_sweep(bench: str, configs: Sequence[LVPConfig], *,
         if processes == 1:
             for spec in todo:
                 observer.chunk_started(spec)
-                _finish(spec, _evaluate_chunk(trace, memo, spec))
+                _finish([spec], [_evaluate_chunk(trace, memo, spec)])
         else:
             _run_shares(trace, memo, todo, processes, observer, _finish)
 
@@ -474,11 +478,10 @@ def run_sweep(bench: str, configs: Sequence[LVPConfig], *,
 # ---------------------------------------------------------------------------
 class SweepJournal(Journal, SweepObserver):
     """The sweep's journal (:class:`~repro.harness.journal.Journal`):
-    one unit per grid chunk, checkpointed as canonical JSON cells to
-    ``checkpoints/chunk-<id>.json``."""
+    one unit per grid chunk, whose ``done`` record carries the chunk's
+    canonical JSON cells inline (the line's CRC-32 protects them)."""
 
     UNIT = "chunk"
-    DIGEST_KEY = "digest"
     IDENTITY = ("version", "bench", "target", "scale", "config_names",
                 "chunks", "chunk_size")
     NOUN = "sweep"
@@ -486,35 +489,28 @@ class SweepJournal(Journal, SweepObserver):
     def _planned_units(self):
         return range(self.manifest.get("chunks", 0))
 
-    def _checkpoint_name(self, chunk_id: int) -> str:
-        return f"chunk-{chunk_id}.json"
-
-    def _encode(self, cells: list[dict], file) -> None:
-        file.write(json.dumps(cells, sort_keys=True,
-                              separators=(",", ":")).encode())
-
-    def _decode(self, data: bytes, record: dict, cache):
-        try:
-            return json.loads(data)
-        except ValueError:
-            return None
-
     @property
     def resume_command(self) -> str:
         return (f"repro sweep {self.manifest.get('bench')} "
                 f"--resume {self.run_id}")
 
-    # -- observer hooks ------------------------------------------------------
-    def chunk_started(self, spec: _SweepChunkSpec) -> None:
-        self.append({"type": "started", "chunk": spec.chunk_id,
-                     "configs": len(spec.configs)})
+    def load_cells(self) -> dict[int, list[dict]]:
+        """Chunk -> cells of every completed chunk.  A ``done`` record
+        without cells (one a sweep wrote when cells lived in checkpoint
+        files) counts as not done: its chunk is recomputed."""
+        return {chunk: record["cells"]
+                for chunk, record in self.completed().items()
+                if isinstance(record.get("cells"), list)}
 
-    def chunk_finished(self, spec: _SweepChunkSpec,
-                       cells: list[dict]) -> None:
-        digest = self._checkpoint(spec.chunk_id, cells)
-        if digest is not None:
-            self._done({"type": "done", "chunk": spec.chunk_id,
-                        "digest": digest})
+    # -- observer hooks ------------------------------------------------------
+    def chunk_started(self, *specs: _SweepChunkSpec) -> None:
+        self.append(*({"type": "started", "chunk": spec.chunk_id,
+                       "configs": len(spec.configs)} for spec in specs))
+
+    def chunk_finished(self, *finished: tuple[_SweepChunkSpec,
+                                              list[dict]]) -> None:
+        self._done(*({"type": "done", "chunk": spec.chunk_id,
+                      "cells": cells} for spec, cells in finished))
 
 
 def build_sweep_manifest(bench: str, target: str, scale: str,
@@ -552,7 +548,7 @@ def run_journaled_sweep(bench: str, configs: Sequence[LVPConfig], *,
             raise JournalError(
                 f"sweep run {journal.run_id!r} was recorded over a "
                 "different grid; start a fresh sweep")
-    preloaded = journal.load_checkpoints() if resume else {}
+    preloaded = journal.load_cells() if resume else {}
     document = run_sweep(
         bench, configs, target=target, scale=scale, jobs=jobs,
         cache_dir=cache_dir,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.errors import (
+    JournalError,
     MemoryBudgetError,
     ResourceExhaustedError,
     is_resource_exhaustion,
@@ -153,8 +154,9 @@ def _run_journal(tmp_path):
 
 
 def _sweep_journal(tmp_path):
+    from repro import __version__
     return SweepJournal.create(tmp_path / "sweep", "run", {
-        "version": "t", "bench": "compress", "chunks": 1})
+        "version": __version__, "bench": "compress", "chunks": 1})
 
 
 def _empty_result(benchmark="b1") -> _ShardResult:
@@ -170,8 +172,18 @@ def _finish_unit(journal) -> None:
                        cache_dir=None, units=(), unit_timeout=0.0),
             _empty_result())
     else:
-        journal.chunk_finished(_SweepChunkSpec(chunk_id=0, configs=()),
-                               [{"name": "x"}])
+        journal.chunk_finished((_SweepChunkSpec(chunk_id=0, configs=()),
+                                [{"name": "x"}]))
+
+
+def _fill_disk(patch, journal) -> None:
+    """Make the disk full under whatever makes *journal*'s finished
+    unit durable: a run's checkpoint temp file, a sweep's ``done``
+    append."""
+    if isinstance(journal, RunJournal):
+        patch.setattr(os, "open", _enospc_on_temp(os.open))
+    else:
+        patch.setattr(os, "write", _enospc)
 
 
 def _enospc_on_temp(real_open):
@@ -220,27 +232,63 @@ class TestJournalDegradation:
         for make in JOURNALS:
             journal = make(tmp_path)
             with monkeypatch.context() as patch:
-                patch.setattr(os, "open", _enospc_on_temp(os.open))
+                _fill_disk(patch, journal)
                 _finish_unit(journal)  # no raise
             journal.close()
             types = [r["type"] for r in journal.replay()]
-            assert "checkpoint_failed" in types, make.__name__
-            assert "done" not in types
-            # A failed checkpoint means that unit simply re-runs.
+            if isinstance(journal, RunJournal):
+                assert "checkpoint_failed" in types
+                assert list((journal.directory / "checkpoints")
+                            .iterdir()) == []
+            else:
+                # The done append itself failed: the journal degraded.
+                assert journal._degraded
+                assert sorted(os.listdir(journal.directory)) == [
+                    "journal.jsonl", "manifest.json"]
+            assert "done" not in types, make.__name__
+            # A unit the journal could not attest simply re-runs.
             assert journal.completed() == {}
-            assert list((journal.directory / "checkpoints").iterdir()) == []
 
     def test_checkpoint_write_cleans_temp_on_enospc(self, tmp_path,
                                                     monkeypatch):
-        units = {_run_journal: ("b1", _empty_result()),
-                 _sweep_journal: (0, [{"name": "x"}])}
-        for make, (unit, payload) in units.items():
-            journal = make(tmp_path)
-            with monkeypatch.context() as patch:
-                patch.setattr(os, "open", _enospc_on_temp(os.open))
-                with pytest.raises(ResourceExhaustedError):
-                    journal._write_checkpoint(unit, payload)
-            assert list((journal.directory / "checkpoints").iterdir()) == []
+        """A full disk leaves nothing half-written that a resume trusts.
+        A run's checkpoint temp file is removed.  A sweep's ``done``
+        line torn by the disk filling mid-write is dropped on replay,
+        and a resume cuts it off before appending: appended after, it
+        would be interior damage, which refuses to resume."""
+        journal = _run_journal(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "open", _enospc_on_temp(os.open))
+            with pytest.raises(ResourceExhaustedError):
+                journal._write_checkpoint("b1", _empty_result())
+        assert list((journal.directory / "checkpoints").iterdir()) == []
+
+        journal = _sweep_journal(tmp_path)
+        real_write, taken = os.write, []
+
+        def fill_up(fd, data):
+            if taken:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            taken.append(len(data) // 2)
+            return real_write(fd, data[:taken[0]])
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", fill_up)
+            _finish_unit(journal)  # no raise
+        journal.close()
+        torn = journal.journal_path.read_bytes()
+        assert taken and not torn.endswith(b"\n")
+        assert journal.completed() == {}
+        appended = SweepJournal(journal.directory, journal.manifest)
+        appended.append({"type": "started", "chunk": 0},
+                        {"type": "started", "chunk": 0})
+        with pytest.raises(JournalError):
+            appended.replay()
+        journal.journal_path.write_bytes(torn)
+        resumed = SweepJournal.open(tmp_path / "sweep", "run")
+        _finish_unit(resumed)
+        resumed.close()
+        assert resumed.load_cells() == {0: [{"name": "x"}]}
 
     def test_demotions_are_journalled(self, tmp_path):
         from repro.harness.guard import TierDemotion

@@ -2,9 +2,10 @@
 lock bounding, and the --jobs/--unit-timeout validation layer.
 
 The journal primitive's cases (replay, truncation, tamper, manifest
-refusal, checkpoint digests) run over both unit kinds -- experiment
-runs and sweeps -- inside each test, so the suite's test ids stay one
-per case."""
+refusal, what a finished unit leaves durable) run over both unit kinds
+-- experiment runs, whose units are checkpoint files, and sweeps,
+whose ``done`` records carry their cells -- inside each test, so the
+suite's test ids stay one per case."""
 
 from __future__ import annotations
 
@@ -41,7 +42,11 @@ from repro.harness.parallel import (
 )
 from repro.harness.retry import RetryPolicy, call_with_retries
 from repro.harness.session import Session
-from repro.harness.sweep import SweepJournal, build_sweep_manifest
+from repro.harness.sweep import (
+    SweepJournal,
+    _SweepChunkSpec,
+    build_sweep_manifest,
+)
 from repro.lvp import sensitivity_grid
 
 try:
@@ -72,7 +77,8 @@ def _manifest(**overrides) -> dict:
 
 
 class RunKind:
-    """An experiment run: units are benchmarks, payloads pickled."""
+    """An experiment run: units are benchmarks, payloads pickled to
+    checkpoint files."""
 
     name = "run"
     journal = RunJournal
@@ -95,9 +101,24 @@ class RunKind:
         return {"type": "done", "benchmark": "b1", "checkpoint": digest,
                 "digests": shard_digests(payload or _empty_shard())}
 
+    @staticmethod
+    def finish(journal, payload) -> None:
+        digest = journal._write_checkpoint("b1", payload)
+        journal.append(RunKind.done(digest, payload))
+
+    @staticmethod
+    def load(journal) -> dict:
+        return journal.load_checkpoints()
+
+    @staticmethod
+    def damage(journal) -> None:
+        """Rot the finished unit's checkpoint file."""
+        journal._checkpoint_path("b1").write_bytes(b"rotten")
+
 
 class SweepKind:
-    """A sweep: units are grid chunks, payloads JSON cell lists."""
+    """A sweep: units are grid chunks, payloads JSON cell lists carried
+    by their ``done`` records."""
 
     name = "sweep"
     journal = SweepJournal
@@ -119,7 +140,28 @@ class SweepKind:
 
     @staticmethod
     def done(digest: str, payload=None) -> dict:
+        """A ``done`` record naming a checkpoint file by digest: the
+        shape sweeps wrote before cells moved into the record."""
         return {"type": "done", "chunk": 0, "digest": digest}
+
+    @staticmethod
+    def finish(journal, payload) -> None:
+        journal.chunk_finished(
+            (_SweepChunkSpec(chunk_id=0, configs=()), payload))
+
+    @staticmethod
+    def load(journal) -> dict:
+        return journal.load_cells()
+
+    @staticmethod
+    def damage(journal) -> None:
+        """Flip a byte of the trailing ``done`` line's cells, keeping
+        the line valid JSON: only its CRC can tell."""
+        path = journal.journal_path
+        head, last = path.read_bytes().rstrip(b"\n").rsplit(b"\n", 1)
+        assert b'"cells":[{"name":"x"}]' in last
+        path.write_bytes(head + b"\n"
+                         + last.replace(b'"name":"x"', b'"name":"y"'))
 
 
 KINDS = (RunKind, SweepKind)
@@ -186,7 +228,7 @@ class TestJournalLines:
             with pytest.raises(JournalError):
                 replay_journal(path)
             with pytest.raises(JournalError):
-                journal.load_checkpoints()
+                kind.load(journal)
 
     def test_crc_protects_payload(self, tmp_path):
         for kind in KINDS:
@@ -211,32 +253,33 @@ class TestJournalLines:
 
 
 class TestCheckpoints:
+    """What a finished unit leaves durable: a run's checkpoint file, a
+    sweep's ``done`` record with its cells."""
+
     def test_finished_shard_checkpoints_and_resumes(self, tmp_path):
         for kind in KINDS:
             journal = _create(kind, tmp_path)
             payload = kind.payload()
-            digest = journal._write_checkpoint(kind.unit, payload)
-            journal.append(kind.done(digest, payload))
+            kind.finish(journal, payload)
             journal.close()
             reopened = kind.journal.open(tmp_path / kind.name, "r1")
-            loaded = reopened.load_checkpoints()
+            loaded = kind.load(reopened)
             assert list(loaded) == [kind.unit], kind.name
             assert loaded[kind.unit] == payload
 
     def test_tampered_checkpoint_dropped(self, tmp_path):
         for kind in KINDS:
             journal = _create(kind, tmp_path)
-            payload = kind.payload()
-            digest = journal._write_checkpoint(kind.unit, payload)
-            journal.append(kind.done(digest, payload))
-            journal._checkpoint_path(kind.unit).write_bytes(b"rotten")
-            assert journal.load_checkpoints() == {}, kind.name
+            kind.finish(journal, kind.payload())
+            kind.damage(journal)
+            assert kind.load(journal) == {}, kind.name
 
     def test_missing_checkpoint_dropped(self, tmp_path):
+        # A sweep's old-shape done record has no cells: not done.
         for kind in KINDS:
             journal = _create(kind, tmp_path)
             journal.append(kind.done("0" * 64))
-            assert journal.load_checkpoints() == {}, kind.name
+            assert kind.load(journal) == {}, kind.name
 
 
 def _edit_manifest(journal, **changes) -> None:

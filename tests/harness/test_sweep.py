@@ -242,8 +242,9 @@ class _Recorder(SweepObserver):
     def __init__(self):
         self.payloads = {}
 
-    def chunk_finished(self, spec, cells):
-        self.payloads[spec.chunk_id] = cells
+    def chunk_finished(self, *finished):
+        for spec, cells in finished:
+            self.payloads[spec.chunk_id] = cells
 
 
 class TestTraceOncePerSweep:
@@ -332,52 +333,54 @@ class TestSweepFailureAndResume:
 
     def test_failed_checkpoint_chunk_is_recomputed_on_resume(
             self, clean_env, tmp_path):
-        """A full disk under one chunk's checkpoint does not stop the
-        sweep; resuming recomputes just that chunk, and both documents
-        equal an uninterrupted run."""
+        """A full disk under chunk 1's ``done`` append does not stop the
+        sweep: the journal degrades and stops there.  Resuming
+        recomputes just the chunks it could not attest, and both
+        documents equal an uninterrupted run."""
         import errno
+        _pin_cpus(clean_env, 2)
         grid = list(CHUNKED_GRID)
         manifest = build_sweep_manifest("compress", "ppc", "tiny", grid,
                                         chunk_size=2, jobs=1)
         journal = SweepJournal.create(tmp_path, "full", manifest)
-        real_open = os.open
+        real_write = os.write
 
-        def enospc_chunk_1(path, *args, **kwargs):
-            if str(path).endswith("chunk-1.tmp"):
+        def enospc_chunk_1(fd, data):
+            if fd == journal._fd \
+                    and b'"chunk":1,"type":"done"' in bytes(data):
                 raise OSError(errno.ENOSPC, "No space left on device")
-            return real_open(path, *args, **kwargs)
+            return real_write(fd, data)
 
         with clean_env.context() as patch:
-            patch.setattr(os, "open", enospc_chunk_1)
+            patch.setattr(os, "write", enospc_chunk_1)
             first = run_journaled_sweep("compress", grid, journal=journal,
                                         scale="tiny")
         journal.finished(0)
-        failed = [record["chunk"] for record in journal.replay()
-                  if record["type"] == "checkpoint_failed"]
-        assert failed == [1]
-        assert sorted(journal.completed()) == [0, 2]
-        assert not (journal.directory / "checkpoints" / "chunk-1.tmp") \
-            .exists()
+        assert journal._degraded
+        # Three chunks in two shares: chunk 0 here, chunks 1 and 2 in a
+        # child, journalled done in one append that the disk refused.
+        assert sorted(journal.completed()) == [0]
 
         reopened = SweepJournal.open(tmp_path, "full")
         recomputed = _Recorder()
         reopened_finished = reopened.chunk_finished
 
-        def observe(spec, cells):
-            recomputed.chunk_finished(spec, cells)
-            reopened_finished(spec, cells)
+        def observe(*finished):
+            recomputed.chunk_finished(*finished)
+            reopened_finished(*finished)
 
         reopened.chunk_finished = observe
         resumed = run_journaled_sweep("compress", grid, journal=reopened,
                                       scale="tiny", resume=True)
-        assert list(recomputed.payloads) == [1]
+        assert list(recomputed.payloads) == [1, 2]
+        assert sorted(reopened.completed()) == [0, 1, 2]
         control = run_sweep("compress", grid, scale="tiny", chunk_size=2)
         assert _volatile_free(first) == _volatile_free(control)
         assert _volatile_free(resumed) == _volatile_free(control)
 
     def test_resume_ignores_checkpoints_of_another_chunk_order(
             self, clean_env, tmp_path, compress_trace):
-        """Checkpoints written under a different chunk order (an older
+        """Chunks journalled under a different chunk order (an older
         planner) must not land on the current plan's rows: a chunk whose
         cell names differ from its planned configurations is re-run."""
         grid = list(CHUNKED_GRID)
@@ -392,7 +395,7 @@ class TestSweepFailureAndResume:
             cells = [cell.as_dict() for cell in
                      evaluate_configs(compress_trace, configs)]
             journal.chunk_finished(
-                _SweepChunkSpec(chunk_id=chunk_id, configs=configs), cells)
+                (_SweepChunkSpec(chunk_id=chunk_id, configs=configs), cells))
         resumed = run_journaled_sweep(
             "compress", grid, journal=SweepJournal.open(tmp_path, "old"),
             scale="tiny", resume=True)
@@ -415,12 +418,13 @@ class TestSweepFailureAndResume:
 
 
 class TestChunkChildren:
-    """The chunks left to run are cut into contiguous shares, one forked
-    child per computing process (*jobs*, or every usable CPU at
-    ``jobs=1``), each inheriting the parent's trace, decode and memo.
-    Chunks are journalled ``started`` as their share forks and finish
-    in chunk order, and a share whose child died is evaluated in the
-    parent."""
+    """The chunks left to run are cut into contiguous shares, one per
+    computing process (*jobs*, or every usable CPU at ``jobs=1``): the
+    parent evaluates the first and forks a child, inheriting its trace,
+    decode and memo, for each of the others.  Every chunk is journalled
+    ``started`` in one append before any share runs, each share's
+    ``done`` records in one append, in chunk order, and a share whose
+    child died is evaluated in the parent."""
 
     def test_killed_chunk_child_is_rerun_inline(self, clean_env):
         import repro.harness.sweep as sweep_module
@@ -428,9 +432,10 @@ class TestChunkChildren:
         with clean_env.context() as patch:
             _pin_cpus(patch, 1)
             serial = run_sweep("compress", grid, scale="tiny", chunk_size=2)
-        # Three chunks in two shares: chunk 0, then chunks 1 and 2.  The
-        # second share's child dies on its last cell, after finishing
-        # chunk 1, and the parent evaluates that whole share again.
+        # Three chunks in two shares: chunk 0, evaluated here, then
+        # chunks 1 and 2.  The second share's child dies on its last
+        # cell, after finishing chunk 1, and the parent evaluates that
+        # whole share again.
         plan = plan_chunks(grid, 2)
         victim = grid[plan[2][-1]].name
         parent = os.getpid()
@@ -448,7 +453,8 @@ class TestChunkChildren:
         clean_env.setattr(sweep_module._Replay, "cell", cell)
         parallel = run_sweep("compress", grid, scale="tiny", chunk_size=2,
                              jobs=2)
-        assert inline == [grid[j].name for j in plan[1] + plan[2]]
+        assert inline == [grid[j].name
+                          for j in plan[0] + plan[1] + plan[2]]
         assert _volatile_free(parallel) == _volatile_free(serial)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -461,30 +467,58 @@ class TestChunkChildren:
             "compress", "ppc", "tiny", grid, chunk_size=2, jobs=2))
         run_journaled_sweep("compress", grid, journal=journal, scale="tiny",
                             jobs=2)
-        # Three chunks, two shares: two children, never more than two at
-        # once (the idle parent not counted).
-        assert len(forks) == 2
-        assert max(forks) <= 1
-        # Every chunk starts as its share forks; done records follow in
-        # chunk order.
+        # Three chunks, two shares: the parent evaluates the first and
+        # forks one child for the second.
+        assert forks == [0]
+        # Every chunk starts before any share runs; done records follow
+        # in chunk order.
         records = replay_journal(journal.journal_path)
         assert [(r["type"], r["chunk"]) for r in records
                 if r["type"] in ("started", "done")] == [
             ("started", 0), ("started", 1), ("started", 2),
             ("done", 0), ("done", 1), ("done", 2)]
 
-    @pytest.mark.parametrize("chunk_size, children", [(2, 2), (3, 2),
+    @pytest.mark.parametrize("chunk_size, children", [(2, 1), (3, 1),
                                                       (6, 0)])
-    def test_default_sweep_forks_one_child_per_cpu(self, clean_env,
-                                                   chunk_size, children):
-        """At two usable CPUs a default sweep forks min(2, chunks)
-        children; a single chunk runs in this process."""
+    def test_default_sweep_forks_one_child_per_other_cpu(
+            self, clean_env, chunk_size, children):
+        """At two usable CPUs a default sweep computes in min(2, chunks)
+        processes, this one included: one child at two or more chunks,
+        none for a single chunk."""
         _pin_cpus(clean_env, 2)
         forks = _count_forks(clean_env)
         document = run_sweep("compress", list(CHUNKED_GRID), scale="tiny",
                              chunk_size=chunk_size)
         assert len(forks) == children
-        assert document["jobs"] == max(1, children)
+        assert document["jobs"] == children + 1
+
+    def test_journaled_sweep_io_budget(self, clean_env, tmp_path):
+        """At two CPUs a journaled sweep writes two files, forks one
+        child and fsyncs once per batch of records: the opening records
+        and ``LATEST``, every chunk's ``started``, each share's ``done``
+        records, and ``run_finished``."""
+        grid = list(CHUNKED_GRID)
+        with clean_env.context() as patch:
+            _pin_cpus(patch, 1)
+            serial = run_sweep("compress", grid, scale="tiny", chunk_size=2)
+        _pin_cpus(clean_env, 2)
+        forks = _count_forks(clean_env)
+        fsyncs, real_fsync = [], os.fsync
+        clean_env.setattr(os, "fsync", lambda fd: (
+            fsyncs.append(fd), real_fsync(fd))[1])
+        manifest = build_sweep_manifest("compress", "ppc", "tiny", grid,
+                                        chunk_size=2, jobs=1)
+        assert manifest["chunks"] == 3
+        journal = SweepJournal.create(tmp_path, "run", manifest)
+        document = run_journaled_sweep("compress", grid, journal=journal,
+                                       scale="tiny")
+        journal.finished(0)
+        assert sorted(os.listdir(journal.directory)) == [
+            "journal.jsonl", "manifest.json"]
+        shares = 2
+        assert len(fsyncs) == 2 + 1 + shares + 1
+        assert len(forks) == 1
+        assert _volatile_free(document) == _volatile_free(serial)
 
 
 def _pin_cpus(monkeypatch, cpus: int) -> None:
@@ -660,15 +694,21 @@ class TestSweepJournalUnit:
             SweepJournal.open(tmp_path, "run")
 
     def test_damaged_checkpoint_is_not_loaded(self, tmp_path):
+        """A chunk's cells live in its ``done`` line, under the line's
+        CRC: tampered cells in the trailing line are dropped, so the
+        chunk re-runs."""
         grid = sensitivity_grid()[:8]
         journal = SweepJournal.create(tmp_path, "run", self._manifest(grid))
         spec_cells = [{"name": "x"}]
         spec = _SweepChunkSpec(chunk_id=0, configs=())
-        journal.chunk_finished(spec, spec_cells)
-        assert journal.load_checkpoints() == {0: spec_cells}
-        checkpoint = journal.directory / "checkpoints" / "chunk-0.json"
-        checkpoint.write_text("[{\"name\": \"tampered\"}]")
-        assert journal.load_checkpoints() == {}
+        journal.chunk_finished((spec, spec_cells))
+        assert journal.load_cells() == {0: spec_cells}
+        assert sorted(os.listdir(journal.directory)) == [
+            "journal.jsonl", "manifest.json"]
+        path = journal.journal_path
+        path.write_bytes(path.read_bytes().replace(
+            b'"name":"x"', b'"name":"tampered"'))
+        assert journal.load_cells() == {}
 
     def test_latest_follows_pointer_not_sort_order(self, tmp_path):
         """``latest`` is the newest *created* run, resolved through the
@@ -728,8 +768,8 @@ class TestSweepJournalUnit:
             pytest.skip("no /proc/self/fd on this platform")
         grid = sensitivity_grid()[:8]
         journal = SweepJournal.create(tmp_path, "run", self._manifest(grid))
-        journal.chunk_finished(_SweepChunkSpec(chunk_id=0, configs=()),
-                               [{"name": "x"}])
+        journal.chunk_finished((_SweepChunkSpec(chunk_id=0, configs=()),
+                                [{"name": "x"}]))
         assert len(journal_fds(journal)) == 1
         journal.finished(0)
         assert journal_fds(journal) == []
@@ -812,9 +852,11 @@ class TestCliCrashResume:
         crashed = _cli(*SWEEP_ARGS, "--run-id", "crash", cwd=tmp_path,
                        extra_env={"REPRO_JOURNAL_CRASH_AFTER": "1"})
         assert crashed.returncode == 23, crashed.stderr.decode()
-        checkpoints = (tmp_path / ".repro" / "sweeps" / "crash"
-                       / "checkpoints")
-        assert len(list(checkpoints.glob("chunk-*.json"))) == 1
+        run = tmp_path / ".repro" / "sweeps" / "crash"
+        done = [record for record in replay_journal(run / "journal.jsonl")
+                if record["type"] == "done"]
+        assert len(done) == 1 and done[0]["cells"]
+        assert not (run / "checkpoints").exists()
         resumed = _cli(*SWEEP_ARGS, "--resume", "crash", cwd=tmp_path)
         assert resumed.returncode == 0, resumed.stderr.decode()
         assert resumed.stdout == control
@@ -829,6 +871,40 @@ class TestCliCrashResume:
                        cwd=tmp_path)
         assert resumed.returncode == 0, resumed.stderr.decode()
         assert resumed.stdout == control
+
+    def test_resume_recomputes_chunks_of_an_old_run_directory(
+            self, tmp_path, control):
+        """A run directory written when a chunk's cells lived in
+        ``checkpoints/chunk-<id>.json``, named by digest from its
+        ``done`` record: such a chunk counts as not done, and
+        ``--resume`` recomputes it."""
+        import hashlib
+
+        from repro.harness.journal import _encode_record
+        first = _cli(*SWEEP_ARGS, "--run-id", "old", cwd=tmp_path)
+        assert first.returncode == 0, first.stderr.decode()
+        run = tmp_path / ".repro" / "sweeps" / "old"
+        (run / "checkpoints").mkdir()
+        records = []
+        for record in replay_journal(run / "journal.jsonl"):
+            if record["type"] == "run_finished":
+                continue  # the old run was interrupted
+            if record["type"] == "done":
+                data = json.dumps(record["cells"], sort_keys=True,
+                                  separators=(",", ":")).encode()
+                name = f"chunk-{record['chunk']}.json"
+                (run / "checkpoints" / name).write_bytes(data)
+                record = {"type": "done", "chunk": record["chunk"],
+                          "digest": hashlib.sha256(data).hexdigest()}
+            records.append(record)
+        assert [r["chunk"] for r in records if r["type"] == "done"] == [0, 1]
+        (run / "journal.jsonl").write_bytes(
+            b"".join(_encode_record(record) for record in records))
+        resumed = _cli(*SWEEP_ARGS, "--resume", "old", cwd=tmp_path)
+        assert resumed.returncode == 0, resumed.stderr.decode()
+        assert resumed.stdout == control
+        assert b"chunk 1/2" in resumed.stderr
+        assert b"chunk 2/2" in resumed.stderr
 
     def test_resume_with_different_grid_refuses(self, tmp_path):
         crashed = _cli(*SWEEP_ARGS, "--run-id", "crash", cwd=tmp_path,
