@@ -28,15 +28,6 @@ Commands
     sensitivity families (see ``docs/sweep.md``).
 ``check``
     Evaluate every paper-shape claim against a fresh session.
-``doctor``
-    Inject a deterministic campaign of faults (trace, cache, LVP) and
-    verify each one is detected or safely recovered, never silent;
-    also self-tests the journal and tiered-engine layers.
-``chaos``
-    Seeded randomized soak: run ``repro experiment`` subprocesses
-    under planted faults (tier divergence, kills, cache damage,
-    resource budgets...) and assert byte-identical exhibits or a
-    cleanly footnoted degradation (see ``docs/resilience.md``).
 ``report``
     Write a single-file HTML report of all exhibits.
 ``stats [RUN_ID]``
@@ -554,33 +545,6 @@ def cmd_check(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_doctor(args) -> int:
-    from repro.faults import run_doctor
-    faults = 18 if args.quick else args.faults
-    report = run_doctor(seed=args.seed, faults=faults,
-                        benchmark=args.bench, scale=args.scale)
-    print(report.render())
-    return 0 if report.ok else 1
-
-
-def cmd_chaos(args) -> int:
-    from repro.errors import FaultError
-    from repro.harness.chaos import run_chaos
-    benchmarks = tuple(args.benchmarks.split(","))
-    progress = (lambda line: print(line, file=sys.stderr)) \
-        if not args.quiet else None
-    try:
-        report = run_chaos(seed=args.seed, drills=args.drills,
-                           exhibit=args.exhibit, scale=args.scale,
-                           benchmarks=benchmarks,
-                           artifacts=args.artifacts, progress=progress)
-    except FaultError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-    print(report.render())
-    return 0 if report.ok else 1
-
-
 def cmd_report(args) -> int:
     from repro.analysis.html import build_html_report
     names = tuple(args.benchmarks.split(",")) if args.benchmarks else None
@@ -770,44 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="comma-separated subset")
     _add_jobs(check_parser)
     check_parser.set_defaults(func=cmd_check)
-
-    doctor_parser = commands.add_parser(
-        "doctor", help="run the fault-injection self-test campaign")
-    doctor_parser.add_argument("--seed", type=int, default=0,
-                               help="campaign seed (default: 0)")
-    doctor_parser.add_argument("--faults", type=int, default=60,
-                               help="faults to inject (default: 60)")
-    doctor_parser.add_argument("--quick", action="store_true",
-                               help="small 18-fault campaign (for CI)")
-    doctor_parser.add_argument("--bench", default="grep",
-                               help="benchmark to trace (default: grep)")
-    doctor_parser.add_argument("--scale", default="tiny",
-                               choices=("tiny", "small", "reference"))
-    doctor_parser.set_defaults(func=cmd_doctor)
-
-    chaos_parser = commands.add_parser(
-        "chaos", help="seeded randomized resilience soak")
-    chaos_parser.add_argument("--seed", type=int, default=0,
-                              help="campaign seed (default: 0)")
-    chaos_parser.add_argument("--drills", type=int, default=20,
-                              help="drills to run (default: 20)")
-    chaos_parser.add_argument("--exhibit", default="fig6",
-                              choices=sorted(EXPERIMENTS),
-                              help="exhibit each drill regenerates "
-                                   "(default: fig6)")
-    chaos_parser.add_argument("--scale", default="tiny",
-                              choices=("tiny", "small", "reference"))
-    chaos_parser.add_argument("--benchmarks", default="grep,compress",
-                              help="comma-separated subset each drill "
-                                   "runs (default: grep,compress)")
-    chaos_parser.add_argument("--artifacts", default=None, metavar="DIR",
-                              help="keep every drill's captures under "
-                                   "DIR (default: a temp dir, kept only "
-                                   "on failure)")
-    chaos_parser.add_argument("--quiet", action="store_true",
-                              help="suppress per-drill progress on "
-                                   "stderr")
-    chaos_parser.set_defaults(func=cmd_chaos)
 
     report_parser = commands.add_parser(
         "report", help="write an HTML report of all exhibits")

@@ -57,9 +57,9 @@ class TraceError(ReproError):
 class FaultError(ReproError):
     """A fault-injection request is invalid or a deliberate fault fired.
 
-    Raised by :mod:`repro.faults` for malformed fault specifications and
-    by the harness when a sabotage knob (``REPRO_SABOTAGE``) deliberately
-    fails a benchmark to exercise the degradation paths.
+    Raised by the harness when a sabotage knob (``REPRO_SABOTAGE``)
+    deliberately fails a benchmark to exercise the degradation paths,
+    and by fault injectors asked for a fault they cannot plant.
     """
 
 
@@ -67,10 +67,10 @@ class RetryableError(ReproError):
     """Base class for *transient* failures that are safe to retry.
 
     The split is the retry contract of the whole harness: an error
-    deriving from this class (lock contention, a worker lost to a
-    crash, an injected transient I/O fault) may succeed on a clean
-    re-execution, so the session retries it with exponential backoff
-    (:mod:`repro.harness.retry`) before recording a
+    deriving from this class (lock contention, a machine out of disk
+    space or descriptors) may succeed on a clean re-execution, so the
+    session retries the stage a bounded number of times
+    (``repro.harness.session.RETRY_DELAYS``) before recording a
     :class:`BenchmarkFailure`.  Every other error is terminal: retrying
     would deterministically fail again, so it is recorded immediately.
     """
@@ -86,14 +86,6 @@ class CacheLockTimeout(RetryableError):
     """
 
 
-class TransientFaultError(FaultError, RetryableError):
-    """A deliberately injected *transient* fault (``REPRO_TRANSIENT``).
-
-    Fails a benchmark's stage for the first N attempts and then lets it
-    succeed, proving the retry-with-backoff path end to end.
-    """
-
-
 class ResourceExhaustedError(RetryableError):
     """The machine ran out of disk space, quota, or file descriptors.
 
@@ -102,7 +94,7 @@ class ResourceExhaustedError(RetryableError):
     store/load, journal checkpoints).  Retryable: space and descriptors
     are routinely freed by other processes, and the cache/journal
     layers additionally degrade (LRU eviction, journalling stops with
-    a resume hint) before this escapes to the retry machinery.
+    a resume hint) before this escapes to the session's stage retry.
     """
 
 
@@ -160,15 +152,13 @@ class JournalError(ReproError):
     """
 
 
-class WorkerCrashError(RetryableError):
-    """A parallel worker process died before returning its results.
+class WorkerCrashError(ReproError):
+    """Stands in for a failure's cause that cannot be pickled.
 
-    Recorded as the ``cause`` of the :class:`BenchmarkFailure` that the
-    parallel engine synthesizes for work lost to a crashed (killed,
-    segfaulted, out-of-memory...) worker, so the affected benchmark is
-    footnoted like any other failure instead of aborting the run.
-    Retryable: the engine re-runs lost shards (with backoff) before
-    giving up on them.
+    A failure recorded in a forked child travels home pickled; when its
+    original cause will not pickle, the engine records this surrogate,
+    carrying the cause's type name and message, in its place.  Nothing
+    retries it: a child that dies has its work re-run in the parent.
     """
 
 
@@ -178,9 +168,8 @@ class BenchmarkFailure(ReproError):
     The harness records these instead of aborting a whole run: exhibits
     render with the failed benchmark footnoted, and ``experiment all``
     completes (with a non-zero exit status).  Carries the failing
-    ``benchmark``, the ``stage`` (``trace``/``annotate``/``model``, or
-    ``worker`` for work lost to a crashed parallel worker), the codegen
-    ``target``, and the original exception as ``cause``.
+    ``benchmark``, the ``stage`` (``trace``/``annotate``/``model``),
+    the codegen ``target``, and the original exception as ``cause``.
     """
 
     def __init__(self, benchmark: str, stage: str, target: str,

@@ -19,13 +19,12 @@ from repro.harness.parallel import (
     unit_timeout_from_env,
     units_for_exhibits,
 )
-from repro.harness.retry import RetryPolicy, call_with_retries
 from repro.harness.session import Session
 
 __all__ = ["EXPERIMENTS", "EngineObserver", "EngineReport",
-           "ExperimentResult", "ParallelEngine", "RetryPolicy",
-           "RunJournal", "Session", "TraceCache", "WorkUnit",
-           "call_with_retries", "default_workplan", "find_run",
+           "ExperimentResult", "ParallelEngine", "RunJournal",
+           "Session", "TraceCache", "WorkUnit",
+           "default_workplan", "find_run",
            "jobs_from_env", "new_run_id", "run_experiment",
            "run_experiments", "unit_timeout_from_env",
            "units_for_exhibits"]

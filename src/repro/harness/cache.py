@@ -224,7 +224,7 @@ class TraceCache:
         Acquisition is non-blocking with a bounded spin so a wedged
         lock holder surfaces as a retryable
         :class:`~repro.errors.CacheLockTimeout` instead of hanging the
-        whole run (the session's retry-with-backoff then re-attempts
+        whole run (the session's bounded stage retry then re-attempts
         the stage).
         """
         if fcntl is None:  # pragma: no cover - non-POSIX platforms

@@ -35,10 +35,9 @@ aside entirely: an explicitly requested tier is what the user measures
 is exactly how one produces the demotion-free comparison run.
 
 Chaos knob: ``REPRO_TIER_FAULT=<benchmark>[:<stage>]`` deterministically
-corrupts that benchmark's fast-tier result (via
-:func:`repro.faults.inject.inject_tier_fault`) and forces the sentinel
-to sample the unit, so the detect→demote→retry path can be drilled at
-any sampling rate.
+corrupts that benchmark's fast-tier result (via :func:`inject_tier_fault`)
+and forces the sentinel to sample the unit, so the detect→demote→retry
+path can be drilled at any sampling rate.
 """
 
 from __future__ import annotations
@@ -55,6 +54,7 @@ import numpy as np
 
 from repro.errors import (
     BenchmarkFailure,
+    FaultError,
     RetryableError,
     TierDivergenceError,
     UnitTimeoutError,
@@ -93,7 +93,7 @@ def sentinel_rate() -> float:
     A malformed ``REPRO_SENTINEL_RATE`` warns (naming the bad value)
     and falls back to the default rather than silently disarming the
     sentinels -- the same contract as
-    :meth:`~repro.harness.retry.RetryPolicy.from_env`.
+    :func:`~repro.harness.parallel.rss_limit_from_env`.
     """
     raw = os.environ.get(SENTINEL_RATE_ENV)
     if raw is None:
@@ -138,6 +138,42 @@ def tier_fault_matches(benchmark: str, stage: str) -> bool:
         return False
     victim, _, victim_stage = knob.partition(":")
     return victim == benchmark and (victim_stage or "trace") == stage
+
+
+def inject_tier_fault(stage: str, result):
+    """Deterministically corrupt one fast-tier *result* in place.
+
+    The smallest corruption each stage's field-for-field comparator
+    must still catch: a flipped load value (trace), a flipped load
+    outcome (annotate), one extra cycle (model).  Deterministic on
+    purpose -- the ``REPRO_TIER_FAULT`` drill must demote identically
+    in serial and parallel runs.  Returns *result*.
+    """
+    if stage == "trace":
+        trace = result.trace
+        loads = np.nonzero(trace.is_load)[0]
+        if len(loads):
+            # Cached traces map read-only pages shared across
+            # processes: corrupt a private materialized copy, never
+            # the shared mapping.
+            trace = trace.materialize()
+            trace.value[loads[0]] ^= np.uint64(1)
+            result.trace = trace
+        else:
+            result.instruction_count += 1
+        return result
+    if stage == "annotate":
+        from repro.trace.annotate import NOT_A_LOAD
+        positions = np.nonzero(result.outcomes != NOT_A_LOAD)[0]
+        if len(positions):
+            result.outcomes[positions[0]] ^= 1
+        else:
+            result.stats.loads += 1
+        return result
+    if stage == "model":
+        result.cycles += 1
+        return result
+    raise FaultError(f"unknown tier fault stage {stage!r}")
 
 
 @dataclass(frozen=True)
@@ -186,7 +222,7 @@ def strip_tier_notes(text: str) -> str:
 
     The block is strictly additive, so stripping it from a degraded
     run's output must yield the oracle-only run's bytes -- the property
-    the chaos drills and the differential tests assert.
+    the drill tests and the differential tests assert.
     """
     import re
     return re.sub(r"\n\nTier notes:(?:\n  ~ [^\n]*)+", "", text)
@@ -369,7 +405,6 @@ class TierGuard:
                     name, stage, target)
             return self._run_ladder(key, label, run, tiers[1:])
         if forced:
-            from repro.faults.inject import inject_tier_fault
             result = inject_tier_fault(stage, result)
         if forced or sentinel_samples(label):
             self._count(name, stage, "sentinel_checks")

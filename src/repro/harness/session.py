@@ -15,19 +15,16 @@ broken benchmark.  The experiment runners catch these and render the
 exhibit with the benchmark footnoted instead of aborting the run.
 
 Transient failures -- anything deriving from
-:class:`~repro.errors.RetryableError`, e.g. cache-lock contention or an
-injected I/O fault -- are retried with exponential backoff
-(:mod:`repro.harness.retry`) before a failure is recorded; terminal
-errors are recorded on the first strike.
+:class:`~repro.errors.RetryableError`: a timed-out cache lock, or a
+cache read that ran out of descriptors -- are retried after each of the
+:data:`RETRY_DELAYS` before a failure is recorded; terminal errors are
+recorded on the first strike.
 
 Chaos knobs (all exercising exactly the paths a real failure would):
 
 * ``REPRO_SABOTAGE=<benchmark>[:<stage>]`` deliberately fails that
   benchmark at that stage (default ``trace``) with a terminal
   :class:`~repro.errors.FaultError`;
-* ``REPRO_TRANSIENT=<benchmark>[:<stage>][:<fails>]`` fails the first
-  *fails* attempts (default 2) with a retryable
-  :class:`~repro.errors.TransientFaultError`, proving the backoff path;
 * ``REPRO_PARALLEL_HANG=<benchmark>[:<stage>][:<seconds>]`` wedges the
   stage in a long sleep (default 300s) so the per-unit watchdog
   (``--unit-timeout``, see :mod:`repro.harness.parallel`) can be
@@ -41,7 +38,6 @@ import os
 import sys
 import time
 import weakref
-import zlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -49,11 +45,10 @@ from repro.errors import (
     BenchmarkFailure,
     FaultError,
     ResourceExhaustedError,
-    TransientFaultError,
+    RetryableError,
 )
 from repro.harness.cache import TraceCache
 from repro.harness.guard import TierGuard
-from repro.harness.retry import RetryPolicy, call_with_retries
 from repro.lvp.config import LVPConfig, SIMPLE
 from repro.lvp.locality import (
     LocalityResult,
@@ -77,14 +72,9 @@ from repro.workloads.suite import BENCHMARKS, get_benchmark
 #: drill).  Format ``<benchmark>[:<stage>][:<seconds>]``.
 HANG_ENV = "REPRO_PARALLEL_HANG"
 
-#: Chaos knob: fail one benchmark's stage transiently for its first N
-#: attempts.  Format ``<benchmark>[:<stage>][:<fails>]``.
-TRANSIENT_ENV = "REPRO_TRANSIENT"
-
-#: How often each (benchmark, stage) transient knob has fired in this
-#: process.  Per-process on purpose: a retried stage re-attempts inside
-#: the same worker, so the counter sees every attempt.
-_TRANSIENT_FIRED: dict = {}
+#: Seconds slept before each retry of a stage that raised a
+#: :class:`~repro.errors.RetryableError`: three attempts in all.
+RETRY_DELAYS = (0.05, 0.1)
 
 
 #: The value-history depths Figures 1 and 2 report.
@@ -303,53 +293,36 @@ class Session:
         if victim == name and victim_stage == stage:
             time.sleep(seconds if seconds is not None else 300.0)
 
-    @staticmethod
-    def _check_transient(name: str, stage: str) -> None:
-        """Honour the REPRO_TRANSIENT chaos knob (retry drill)."""
-        knob = os.environ.get(TRANSIENT_ENV)
-        if not knob:
-            return
-        victim, victim_stage, fails = _parse_knob(knob)
-        if victim != name or victim_stage != stage:
-            return
-        budget = int(fails) if fails is not None else 2
-        fired = _TRANSIENT_FIRED.get((name, stage), 0)
-        if fired < budget:
-            _TRANSIENT_FIRED[(name, stage)] = fired + 1
-            raise TransientFaultError(
-                f"injected transient fault {fired + 1}/{budget} for "
-                f"{name!r} at the {stage} stage (REPRO_TRANSIENT={knob})"
-            )
-
     def _run_stage(self, name: str, stage: str, target: str, fail_key,
                    body: Callable):
         """Execute one stage body with chaos knobs, retry, and failure
         isolation.
 
         Transient errors (:class:`~repro.errors.RetryableError`) are
-        retried with seeded exponential backoff; whatever still escapes
-        is recorded as a :class:`BenchmarkFailure` under *fail_key* and
-        re-raised, so subsequent requests fail fast via negative
-        memoization.
+        retried after each of :data:`RETRY_DELAYS`; whatever still
+        escapes is recorded as a :class:`BenchmarkFailure` under
+        *fail_key* and re-raised, so subsequent requests fail fast via
+        negative memoization.
         """
 
         def attempt():
             self._check_sabotage(name, stage)
             self._check_hang(name, stage)
-            self._check_transient(name, stage)
             return body()
 
-        # Seed the jitter per (benchmark, stage) so concurrent workers
-        # that collide (e.g. on the cache lock) de-synchronize instead
-        # of marching in lockstep -- while staying run-to-run
-        # deterministic.
-        policy = RetryPolicy.from_env(
-            seed=zlib.crc32(f"{name}/{stage}/{target}".encode()))
+        def retried():
+            for delay in RETRY_DELAYS:
+                try:
+                    return attempt()
+                except RetryableError:
+                    time.sleep(delay)
+            return attempt()
+
         span = contextlib.nullcontext() if self.metrics is None \
             else self.metrics.span(name, stage, _span_label(fail_key))
         with span:
             try:
-                return call_with_retries(attempt, policy)
+                return retried()
             except BenchmarkFailure:
                 raise
             except Exception as exc:

@@ -156,9 +156,10 @@ class LVPUnit:
     With ``audit=True`` the unit records, for every dynamic load, the
     value it would have forwarded alongside the actual value and the
     assigned outcome (``audit_log`` of ``(pc, predicted, actual,
-    outcome)`` tuples).  The fault-injection doctor replays these to
-    prove the verification comparator never lets a wrong forwarded
-    value stand -- even when the tables have been corrupted mid-run.
+    outcome)`` tuples).  The fault campaign in ``tests/faults`` replays
+    these to prove the verification comparator never lets a wrong
+    forwarded value stand -- even when the tables have been corrupted
+    mid-run.
     """
 
     def __init__(self, config: LVPConfig, audit: bool = False) -> None:

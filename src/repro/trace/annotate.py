@@ -123,8 +123,8 @@ def annotate_trace(trace: Trace, config: LVPConfig, *,
     interleaved with the memory operations.
 
     ``audit=True`` makes the unit record every forwarded prediction so
-    callers (notably the fault-injection doctor) can prove the value
-    comparator catches every wrong forward.  ``fault_hook``, if given,
+    callers (notably the fault campaign in ``tests/faults``) can prove
+    the value comparator catches every wrong forward.  ``fault_hook``, if given,
     is called as ``fault_hook(unit, event_index)`` before each
     load/store/branch event -- the hook decides when (and whether) to
     corrupt the unit's tables mid-annotation.

@@ -3,9 +3,9 @@
 :func:`validate_trace` checks the structural invariants every consumer
 of a trace relies on and returns a list of human-readable violations
 (empty = valid).  The harness validates traces loaded from the on-disk
-cache; tests validate freshly generated ones; the fault-injection
-doctor (:mod:`repro.faults`) relies on these checks catching every
-structural corruption it plants.
+cache; tests validate freshly generated ones; the fault campaign
+(``tests/faults/test_doctor.py``) relies on these checks catching
+every structural corruption it plants.
 
 The checks are written defensively: a trace that is *already* corrupt
 (opcode 0, zero-sized memory ops, hostile dtypes) must produce

@@ -1,29 +1,39 @@
-"""Fault injectors for the three layers the doctor exercises.
+"""The fault campaign: seeded fault plans, one-fault injectors, the
+audit oracle, and the classifier the campaign test asserts on.
 
-Each injector plants exactly one fault at a realistic boundary:
+The paper's safety argument is that load value prediction is
+speculative but safe: a wrong LVPT entry, LCT counter or CVU pairing
+can cost cycles, never correctness, because the verification
+comparator and the CVU catch every bad forward.  The campaign plants
+one fault at a time at three boundaries and classifies what the
+pipeline did with it:
 
-* :func:`inject_trace_fault` corrupts a *copy* of an in-memory trace
-  (bit flips, out-of-range fields, truncation) the way a bad producer
-  or decayed storage would;
-* :func:`inject_cache_fault` damages a stored ``.rtc`` bundle on disk
-  (truncation, bit flips, garbage, stale versions, checksum lies) --
-  bit flips land inside the integrity-covered regions (header, column
-  data, footer), never the alignment padding, so every planted fault
-  is one the cache's checksum layers are contracted to catch;
-* :func:`make_lvp_hook` builds an ``annotate_trace`` fault hook that
-  corrupts a live LVP unit's tables mid-annotation (soft errors in the
-  LVPT/LCT/CVU).
+* **trace** -- :func:`inject_trace_fault` corrupts a copy of an
+  in-memory trace (bit flips, out-of-range fields, truncation) the way
+  a bad producer or decayed storage would;
+* **cache** -- :func:`inject_cache_fault` damages a stored ``.rtc``
+  bundle on disk (truncation, bit flips, garbage, stale versions,
+  checksum lies); bit flips land inside the integrity-covered regions
+  (header, column data, footer), never the alignment padding, so every
+  planted fault is one the cache's checksum layers are contracted to
+  catch;
+* **lvp** -- :func:`make_lvp_hook` builds an ``annotate_trace`` fault
+  hook that corrupts a live LVP unit's tables mid-annotation (soft
+  errors in the LVPT/LCT/CVU).
 
-:func:`audit_violations` is the other half of the contract: given an
-audited annotation it returns every way a corrupted unit let a wrong
-forwarded value stand.  An empty list means the misprediction path
-absorbed the fault.
+:func:`plant` classifies each planted fault as DETECTED (validation or
+the cache's checksums refused it), RECOVERED (annotation completed and
+:func:`audit_violations` found no wrong forward standing) or SILENT
+(neither: the one outcome the design must never produce).
 """
 
 from __future__ import annotations
 
+import json
 import random
-from typing import Callable, Optional
+import tempfile
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -31,17 +41,84 @@ from repro.errors import FaultError
 from repro.harness.cache import TraceCache
 from repro.isa.opcodes import CONDITIONAL_BRANCHES, Opcode, OpClass
 from repro.isa.registers import NUM_REGS
+from repro.lvp.config import CONSTANT, SIMPLE
 from repro.lvp.unit import LoadOutcome
-from repro.trace.annotate import AnnotatedTrace
+from repro.trace.annotate import AnnotatedTrace, annotate_trace
 from repro.trace.records import TRACE_COLUMNS, Trace
+from repro.trace.validate import validate_trace
+
+# ---------------------------------------------------------------------------
+# The plan.
+# ---------------------------------------------------------------------------
+#: Trace-layer fault kinds.  All but ``value_flip`` violate a trace
+#: invariant and must be caught by ``validate_trace``; ``value_flip``
+#: leaves the trace well-formed and must be absorbed by the LVP
+#: misprediction path instead.
+TRACE_FAULTS: tuple[str, ...] = (
+    "opcode_zero", "opcode_overflow", "opclass_mismatch",
+    "register_range", "bad_size", "misalign", "taken_flag",
+    "pc_unaligned", "truncate_tail", "value_flip",
+)
+
+#: Cache-layer fault kinds, applied to a stored ``.rtc`` bundle.
+CACHE_FAULTS: tuple[str, ...] = (
+    "truncate", "bitflip", "garbage", "empty", "version_bump",
+    "checksum_mismatch",
+)
+
+#: LVP-layer fault kinds, injected into a live unit mid-annotation.
+LVP_FAULTS: tuple[str, ...] = (
+    "lvpt_poke", "lct_poke", "cvu_bogus", "unit_flush",
+)
+
+#: Every (layer, kind) pair, in the order a plan cycles through them.
+FAULT_KINDS: tuple[tuple[str, str], ...] = tuple(
+    (layer, kind)
+    for layer, kinds in (("trace", TRACE_FAULTS), ("cache", CACHE_FAULTS),
+                         ("lvp", LVP_FAULTS))
+    for kind in kinds)
 
 
-def copy_trace(trace: Trace) -> Trace:
-    """A deep copy of *trace* safe to corrupt."""
-    return Trace(
-        {key: getattr(trace, key).copy() for key, _ in TRACE_COLUMNS},
-        name=trace.name, target=trace.target,
-    )
+@dataclass(frozen=True)
+class FaultSpec:
+    """One planned fault: where to inject it and its private seed."""
+
+    layer: str  #: "trace", "cache", or "lvp"
+    kind: str  #: one of the layer's *_FAULTS kinds
+    seed: int  #: seeds the injector's own RNG
+
+    def rng(self) -> random.Random:
+        """A fresh RNG for executing this spec."""
+        return random.Random(self.seed)
+
+
+class FaultPlan:
+    """A deterministic campaign of *faults* specs derived from *seed*,
+    cycling through :data:`FAULT_KINDS` (so ``len(FAULT_KINDS)`` faults
+    plant every kind once)."""
+
+    def __init__(self, seed: int = 0, faults: int = 60) -> None:
+        if faults < 1:
+            raise FaultError(f"a fault plan needs >= 1 fault, got {faults}")
+        self.seed = seed
+        rng = random.Random(seed)
+        self.specs: tuple[FaultSpec, ...] = tuple(
+            FaultSpec(*FAULT_KINDS[i % len(FAULT_KINDS)],
+                      rng.randrange(2 ** 32))
+            for i in range(faults))
+
+    def __len__(self) -> int:
+        return len(self.specs)
+
+    def __iter__(self):
+        return iter(self.specs)
+
+
+# ---------------------------------------------------------------------------
+# Trace-layer faults.
+# ---------------------------------------------------------------------------
+#: A deep copy of a trace, safe to corrupt.
+copy_trace = Trace.materialize
 
 
 def _pick(rng: random.Random, positions: np.ndarray, what: str) -> int:
@@ -50,9 +127,6 @@ def _pick(rng: random.Random, positions: np.ndarray, what: str) -> int:
     return int(positions[rng.randrange(len(positions))])
 
 
-# ---------------------------------------------------------------------------
-# Trace-layer faults.
-# ---------------------------------------------------------------------------
 def inject_trace_fault(trace: Trace, kind: str,
                        rng: random.Random) -> tuple[Trace, bool, str]:
     """Corrupt a copy of *trace*; returns (copy, expect_detected, what).
@@ -121,50 +195,10 @@ def inject_trace_fault(trace: Trace, kind: str,
 
 
 # ---------------------------------------------------------------------------
-# Tier-layer faults (the divergence-sentinel drill).
-# ---------------------------------------------------------------------------
-def inject_tier_fault(stage: str, result):
-    """Deterministically corrupt one fast-tier *result* in place.
-
-    The smallest corruption each stage's field-for-field comparator
-    must still catch: a flipped load value (trace), a flipped load
-    outcome (annotate), one extra cycle (model).  Deterministic on
-    purpose -- the ``REPRO_TIER_FAULT`` drill must demote identically
-    in serial and parallel runs.  Returns *result*.
-    """
-    if stage == "trace":
-        trace = result.trace
-        loads = np.nonzero(trace.is_load)[0]
-        if len(loads):
-            # Cached traces map read-only pages shared across
-            # processes: corrupt a private materialized copy, never
-            # the shared mapping.
-            trace = trace.materialize()
-            trace.value[loads[0]] ^= np.uint64(1)
-            result.trace = trace
-        else:
-            result.instruction_count += 1
-        return result
-    if stage == "annotate":
-        from repro.trace.annotate import NOT_A_LOAD
-        positions = np.nonzero(result.outcomes != NOT_A_LOAD)[0]
-        if len(positions):
-            result.outcomes[positions[0]] ^= 1
-        else:
-            result.stats.loads += 1
-        return result
-    if stage == "model":
-        result.cycles += 1
-        return result
-    raise FaultError(f"unknown tier fault stage {stage!r}")
-
-
-# ---------------------------------------------------------------------------
 # Cache-layer faults.
 # ---------------------------------------------------------------------------
 def _v2_column_table(data: bytes) -> list[dict]:
     """The column table of an in-memory v2 bundle image."""
-    import json
     header_len = int.from_bytes(data[8:12], "little")
     header = json.loads(bytes(data[12:12 + header_len]).decode("utf-8"))
     return header["columns"]
@@ -235,7 +269,7 @@ def inject_cache_fault(cache: TraceCache, trace: Trace, scale: str,
 def make_lvp_hook(kind: str, rng: random.Random,
                   n_events: int) -> tuple[Callable, str]:
     """An ``annotate_trace`` fault hook firing once mid-annotation."""
-    if kind not in ("lvpt_poke", "lct_poke", "cvu_bogus", "unit_flush"):
+    if kind not in LVP_FAULTS:
         raise FaultError(f"unknown LVP fault kind {kind!r}")
     fire_at = rng.randrange(n_events) if n_events > 0 else 0
     fired = [False]
@@ -314,3 +348,57 @@ def audit_violations(annotated: AnnotatedTrace,
                 f"load @0x{pc:x} marked INCORRECT but the forwarded "
                 "value was right")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# The classifier.
+# ---------------------------------------------------------------------------
+DETECTED = "detected"
+RECOVERED = "recovered"
+SILENT = "silent"
+
+
+def plant(spec: FaultSpec, trace: Trace,
+          scale: str = "tiny") -> tuple[str, str]:
+    """Plant *spec* against *trace*; returns ``(status, detail)``."""
+    rng = spec.rng()
+    if spec.layer == "trace":
+        corrupt, expect_detected, what = inject_trace_fault(
+            trace, spec.kind, rng)
+        problems = validate_trace(corrupt)
+        if problems:
+            return DETECTED, f"{what}; flagged: {problems[0]}"
+        if expect_detected:
+            return SILENT, f"{what}; validate_trace saw nothing"
+        # Well-formed corruption (a value flip): annotation must absorb
+        # it via the misprediction path without ever letting a wrong
+        # forward stand.
+        violations = audit_violations(
+            annotate_trace(corrupt, SIMPLE, audit=True))
+        if violations:
+            return SILENT, f"{what}; {violations[0]}"
+        return RECOVERED, f"{what}; absorbed by the misprediction path"
+    if spec.layer == "cache":
+        with tempfile.TemporaryDirectory(prefix="repro-campaign-") as tmp:
+            cache = TraceCache(tmp)
+            what = inject_cache_fault(cache, trace, scale, spec.kind, rng)
+            loaded = cache.load(trace.name, trace.target, scale)
+            if loaded is None:
+                return DETECTED, f"{what}; treated as a miss"
+            intact = len(loaded) == len(trace) and all(
+                np.array_equal(getattr(loaded, key), getattr(trace, key))
+                for key, _ in TRACE_COLUMNS)
+            del loaded  # release the mapping before the directory goes
+        if intact:
+            return RECOVERED, f"{what}; bundle survived intact"
+        return SILENT, f"{what}; a corrupted trace was served"
+    if spec.layer == "lvp":
+        config = rng.choice((SIMPLE, CONSTANT))
+        n_events = int((trace.is_load | trace.is_store).sum())
+        hook, what = make_lvp_hook(spec.kind, rng, n_events)
+        violations = audit_violations(annotate_trace(
+            trace, config, audit=True, fault_hook=hook))
+        if violations:
+            return SILENT, f"{what} ({config.name}); {violations[0]}"
+        return RECOVERED, f"{what} ({config.name}); comparator held"
+    raise FaultError(f"unknown fault layer {spec.layer!r}")

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from repro.errors import FaultError
-from repro.faults import (
+from repro.harness.cache import TraceCache
+from repro.lvp.config import SIMPLE
+from repro.trace import validate_trace
+from repro.trace.annotate import annotate_trace
+from tests.faults.campaign import (
     CACHE_FAULTS,
+    LVP_FAULTS,
     TRACE_FAULTS,
     audit_violations,
     copy_trace,
@@ -15,10 +20,6 @@ from repro.faults import (
     inject_trace_fault,
     make_lvp_hook,
 )
-from repro.harness.cache import TraceCache
-from repro.lvp.config import SIMPLE
-from repro.trace import validate_trace
-from repro.trace.annotate import annotate_trace
 
 
 class TestCopyTrace:
@@ -83,8 +84,7 @@ class TestCacheFaults:
 
 
 class TestLVPFaults:
-    @pytest.mark.parametrize("kind", ("lvpt_poke", "lct_poke",
-                                      "cvu_bogus", "unit_flush"))
+    @pytest.mark.parametrize("kind", LVP_FAULTS)
     def test_unit_corruption_never_silently_wrong(self, grep_trace, kind):
         rng = random.Random(6)
         n_events = int((grep_trace.is_load | grep_trace.is_store).sum())

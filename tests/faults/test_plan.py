@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import FaultError
-from repro.faults import (
+from tests.faults.campaign import (
     CACHE_FAULTS,
     FaultPlan,
     FaultSpec,

@@ -1,8 +1,10 @@
-"""RetryPolicy x TierGuard interaction: retries respect the ladder.
+"""The session's stage retry x TierGuard: retries respect the ladder.
 
-The session wraps each guarded stage in ``call_with_retries``; the
+The session retries a guarded stage that raised a
+:class:`~repro.errors.RetryableError` (``Session._run_stage``); the
 guard holds the sticky demotion table.  Their composition must satisfy
-two properties:
+two properties, checked here with a planted
+:class:`~repro.errors.CacheLockTimeout`:
 
 * a unit that was demoted and then hits a transient fault on the
   oracle attempt retries **on the demoted tier** -- bouncing back to
@@ -15,25 +17,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import TransientFaultError
-from repro.harness.guard import TierGuard
-from repro.harness.retry import RetryPolicy, call_with_retries
-
-POLICY = RetryPolicy(attempts=3, base=0.0, jitter=0.0)
-
-
-class _FakeSession:
-    def __init__(self):
-        self.demotions = []
-        self.metrics = None
-        self.unit_timeout = 0.0
+from repro.errors import BenchmarkFailure, CacheLockTimeout
+from repro.harness import session as session_module
+from repro.harness.session import Session
 
 
 @pytest.fixture(autouse=True)
 def _clean_knobs(monkeypatch):
-    for name in ("REPRO_ENGINE", "REPRO_TIER_FAULT",
+    for name in ("REPRO_ENGINE", "REPRO_TIER_FAULT", "REPRO_TRACE_CACHE",
                  "REPRO_SENTINEL_RATE", "REPRO_SENTINEL_SEED"):
         monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(session_module.time, "sleep", lambda _s: None)
 
 
 def _patched_run_program(monkeypatch, fake):
@@ -41,6 +35,13 @@ def _patched_run_program(monkeypatch, fake):
     # patch reaches it.
     import repro.sim.functional as functional
     monkeypatch.setattr(functional, "run_program", fake)
+
+
+def _retried_trace(session):
+    """grep's trace stage body through the session's retry."""
+    return session._run_stage(
+        "grep", "trace", "ppc", ("trace", ("grep", "ppc")),
+        lambda: session.guard.run_trace("grep", "ppc", program=None))
 
 
 class TestDemotedTierRetry:
@@ -55,16 +56,12 @@ class TestDemotedTierRetry:
             if engine == "compiled":
                 raise ValueError("planted fast-tier fault")
             if calls.count("interp") == 1:
-                raise TransientFaultError("planted transient")
+                raise CacheLockTimeout("planted transient")
             return "oracle-result"
 
         _patched_run_program(monkeypatch, fake)
-        session = _FakeSession()
-        guard = TierGuard(session)
-        result = call_with_retries(
-            lambda: guard.run_trace("grep", "ppc", program=None),
-            POLICY, sleep=lambda _s: None)
-        assert result == "oracle-result"
+        session = Session(scale="tiny", benchmarks=("grep",))
+        assert _retried_trace(session) == "oracle-result"
         assert calls == ["compiled", "interp", "interp"]
         assert [d.to_tier for d in session.demotions] == ["interp"]
 
@@ -80,15 +77,10 @@ class TestDemotedTierRetry:
             return "oracle-result"
 
         _patched_run_program(monkeypatch, fake)
-        guard = TierGuard(_FakeSession())
-        call_with_retries(
-            lambda: guard.run_trace("grep", "ppc", program=None),
-            POLICY, sleep=lambda _s: None)
+        session = Session(scale="tiny", benchmarks=("grep",))
+        _retried_trace(session)
         calls.clear()
-        again = call_with_retries(
-            lambda: guard.run_trace("grep", "ppc", program=None),
-            POLICY, sleep=lambda _s: None)
-        assert again == "oracle-result"
+        assert _retried_trace(session) == "oracle-result"
         assert calls == ["interp"]
 
     def test_transient_on_fast_tier_is_not_a_demotion(self, monkeypatch):
@@ -101,36 +93,32 @@ class TestDemotedTierRetry:
         def fake(program, name, target, engine):
             calls.append(engine)
             if len(calls) == 1:
-                raise TransientFaultError("planted transient")
+                raise CacheLockTimeout("planted transient")
             return "fast-result"
 
         _patched_run_program(monkeypatch, fake)
-        session = _FakeSession()
-        guard = TierGuard(session)
-        result = call_with_retries(
-            lambda: guard.run_trace("grep", "ppc", program=None),
-            POLICY, sleep=lambda _s: None)
-        assert result == "fast-result"
+        session = Session(scale="tiny", benchmarks=("grep",))
+        assert _retried_trace(session) == "fast-result"
         assert calls == ["compiled", "compiled"]
         assert session.demotions == []
 
     def test_persistent_transient_exhausts_on_demoted_tier(
             self, monkeypatch):
-        """If the oracle keeps failing transiently, the policy's
-        attempts are spent on the oracle tier and the error finally
-        propagates -- never silently reverting to the fast tier."""
+        """If the oracle keeps failing transiently, the retry's
+        attempts are spent on the oracle tier and the failure is
+        finally recorded -- never silently reverting to the fast
+        tier."""
         calls: list[str] = []
 
         def fake(program, name, target, engine):
             calls.append(engine)
             if engine == "compiled":
                 raise ValueError("planted fast-tier fault")
-            raise TransientFaultError("still transient")
+            raise CacheLockTimeout("still transient")
 
         _patched_run_program(monkeypatch, fake)
-        guard = TierGuard(_FakeSession())
-        with pytest.raises(TransientFaultError):
-            call_with_retries(
-                lambda: guard.run_trace("grep", "ppc", program=None),
-                POLICY, sleep=lambda _s: None)
+        session = Session(scale="tiny", benchmarks=("grep",))
+        with pytest.raises(BenchmarkFailure) as caught:
+            _retried_trace(session)
+        assert isinstance(caught.value.cause, CacheLockTimeout)
         assert calls == ["compiled", "interp", "interp", "interp"]

@@ -1,5 +1,6 @@
-"""Unit tests for the write-ahead run journal, retry policy, cache
-lock bounding, and the --jobs/--unit-timeout validation layer.
+"""Unit tests for the write-ahead run journal, the session's stage
+retry, cache lock bounding, and the --jobs/--unit-timeout validation
+layer.
 
 The journal primitive's cases (replay, truncation, tamper, manifest
 refusal, what a finished unit leaves durable) run over both unit kinds
@@ -16,10 +17,11 @@ import pytest
 
 from repro.cli import main
 from repro.errors import (
+    BenchmarkFailure,
     CacheLockTimeout,
     JournalError,
     RetryableError,
-    TransientFaultError,
+    TraceError,
     UnitTimeoutError,
 )
 from repro.harness.cache import TraceCache
@@ -40,14 +42,16 @@ from repro.harness.parallel import (
     unit_timeout_from_env,
     units_for_exhibits,
 )
-from repro.harness.retry import RetryPolicy, call_with_retries
-from repro.harness.session import Session
+from repro.harness import session as session_module
+from repro.harness.experiments import run_experiment
+from repro.harness.session import RETRY_DELAYS, Session
 from repro.harness.sweep import (
     SweepJournal,
     _SweepChunkSpec,
     build_sweep_manifest,
 )
 from repro.lvp import sensitivity_grid
+from repro.trace.records import TRACE_COLUMNS
 
 try:
     import fcntl
@@ -350,125 +354,117 @@ class TestRunDirectories:
         assert len(set(ids)) == len(ids)
 
 
+@pytest.fixture
+def planted(monkeypatch, tmp_path):
+    """``planted(fails, error)``: a grep session whose first *fails*
+    trace-cache loads raise *error*; returns the session, the load
+    count and the sleeps the retry took."""
+    _clean_env(monkeypatch)
+    sleeps: list = []
+    monkeypatch.setattr(session_module.time, "sleep", sleeps.append)
+    original = TraceCache.load
+
+    def make(fails, error=CacheLockTimeout("cache lock held")):
+        loads: list = []
+
+        def load(cache, *args):
+            loads.append(args)
+            if len(loads) <= fails:
+                raise error
+            return original(cache, *args)
+
+        monkeypatch.setattr(TraceCache, "load", load)
+        session = Session(scale="tiny", benchmarks=("grep",),
+                          cache_dir=str(tmp_path / "cache"))
+        return session, loads, sleeps
+
+    return make
+
+
+def _flaky(fails, error=CacheLockTimeout("cache lock held")):
+    """A stage body that raises *error* on its first *fails* calls and
+    then returns ``"done"``; returns the body and its call list."""
+    calls: list = []
+
+    def body():
+        calls.append(None)
+        if len(calls) <= fails:
+            raise error
+        return "done"
+
+    return body, calls
+
+
 class TestRetryPolicy:
-    def test_schedule_deterministic_and_bounded(self):
-        policy = RetryPolicy(attempts=5, base=0.1, seed=3)
-        first, second = policy.delays(), policy.delays()
-        assert first == second
-        assert len(first) == 4
-        # Regression: the cap bounds the post-jitter sleep itself.  The
-        # old code clamped before jittering, so sleeps could exceed the
-        # cap by up to the jitter fraction (50%).
-        assert all(0 <= d <= policy.cap for d in first)
+    """``Session._run_stage`` retries a stage body that raised a
+    RetryableError after each of RETRY_DELAYS, then records the
+    failure; a terminal error is recorded on the first strike."""
 
-    def test_cap_applies_after_jitter(self):
-        # base * multiplier**i reaches the cap from i=1 on; with the
-        # old clamp-then-jitter order every one of those delays would
-        # (almost surely) exceed the cap.
-        policy = RetryPolicy(attempts=6, base=1.0, multiplier=4.0,
-                             cap=1.5, jitter=0.5, seed=7)
-        delays = policy.delays()
-        assert all(d <= policy.cap for d in delays)
-        # Jitter still does its de-synchronization job below the cap.
-        small = RetryPolicy(attempts=2, base=0.1, cap=10.0, jitter=0.5,
-                            seed=7).delays()[0]
-        assert 0.1 <= small <= 0.15
-
-    def test_env_overrides(self, monkeypatch):
-        _clean_env(monkeypatch)
-        monkeypatch.setenv("REPRO_RETRIES", "5")
-        monkeypatch.setenv("REPRO_RETRY_BASE", "0")
-        policy = RetryPolicy.from_env(seed=1)
-        assert policy.attempts == 5
-        assert policy.base == 0.0
-
-    def test_malformed_env_warns_and_falls_back(self, monkeypatch):
-        _clean_env(monkeypatch)
-        monkeypatch.setenv("REPRO_RETRIES", "three")
-        monkeypatch.setenv("REPRO_RETRY_BASE", "fast")
-        with pytest.warns(RuntimeWarning) as caught:
-            policy = RetryPolicy.from_env()
-        assert policy.attempts == RetryPolicy().attempts
-        assert policy.base == RetryPolicy().base
-        messages = [str(w.message) for w in caught]
-        assert any("REPRO_RETRIES" in m and "'three'" in m
-                   for m in messages)
-        assert any("REPRO_RETRY_BASE" in m and "'fast'" in m
-                   for m in messages)
-
-    def test_unset_env_stays_silent(self, monkeypatch):
-        _clean_env(monkeypatch)
-        import warnings as warnings_module
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            policy = RetryPolicy.from_env()
-        assert policy == RetryPolicy()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base=-1.0)
-
-    def test_retries_transient_then_succeeds(self):
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise CacheLockTimeout("busy")
-            return "ok"
-
-        result = call_with_retries(flaky, RetryPolicy(attempts=3, base=0),
-                                   sleep=lambda s: None)
-        assert result == "ok"
+    def test_retries_transient_then_succeeds(self, planted):
+        session, _, sleeps = planted(0)
+        body, calls = _flaky(2)
+        assert session._run_stage("grep", "trace", "ppc", "key",
+                                  body) == "done"
         assert len(calls) == 3
+        assert sleeps == list(RETRY_DELAYS)
+        assert session.failures == []
 
-    def test_terminal_errors_propagate_immediately(self):
-        calls = []
+    def test_final_attempt_reraises(self, planted):
+        session, _, sleeps = planted(0)
+        body, calls = _flaky(3)
+        with pytest.raises(BenchmarkFailure) as caught:
+            session._run_stage("grep", "trace", "ppc", "key", body)
+        assert isinstance(caught.value.cause, CacheLockTimeout)
+        assert len(calls) == len(RETRY_DELAYS) + 1
+        assert sleeps == list(RETRY_DELAYS)
+        assert session.failures == [caught.value]
 
-        def broken():
-            calls.append(1)
-            raise ValueError("terminal")
+    def test_terminal_errors_propagate_immediately(self, planted):
+        session, loads, sleeps = planted(1, TraceError("bad bundle"))
+        with pytest.raises(BenchmarkFailure) as caught:
+            session.trace("grep", "ppc")
+        assert isinstance(caught.value.cause, TraceError)
+        assert len(loads) == 1
+        assert sleeps == []
 
-        with pytest.raises(ValueError):
-            call_with_retries(broken, RetryPolicy(attempts=3, base=0),
-                              sleep=lambda s: None)
-        assert len(calls) == 1
-
-    def test_final_attempt_reraises(self):
-        def always():
-            raise CacheLockTimeout("busy")
-
-        with pytest.raises(CacheLockTimeout):
-            call_with_retries(always, RetryPolicy(attempts=2, base=0),
-                              sleep=lambda s: None)
+    def test_schedule_deterministic_and_bounded(self, planted):
+        schedules = []
+        for _ in range(2):
+            session, loads, sleeps = planted(99)
+            with pytest.raises(BenchmarkFailure):
+                session.trace("grep", "ppc")
+            assert len(loads) == len(RETRY_DELAYS) + 1
+            schedules.append(list(sleeps))
+            sleeps.clear()
+        assert schedules == [list(RETRY_DELAYS)] * 2
+        assert RETRY_DELAYS == (0.05, 0.1)
 
 
 class TestTransientKnob:
-    def test_session_survives_transient_faults(self, monkeypatch):
-        _clean_env(monkeypatch)
-        import repro.harness.session as session_mod
-        monkeypatch.setattr(session_mod, "_TRANSIENT_FIRED", {})
-        monkeypatch.setenv("REPRO_TRANSIENT", "grep:trace:2")
-        monkeypatch.setenv("REPRO_RETRY_BASE", "0")
-        session = Session(scale="tiny", benchmarks=("grep",))
-        trace = session.trace("grep", "ppc")
-        assert trace.num_instructions > 0
-        assert session.failures == []
+    """A session survives real transient faults, here CacheLockTimeouts
+    planted in the trace cache's load, and footnotes a benchmark whose
+    retries run out."""
 
-    def test_transient_budget_exhaustion_is_recorded(self, monkeypatch):
-        _clean_env(monkeypatch)
-        import repro.harness.session as session_mod
-        monkeypatch.setattr(session_mod, "_TRANSIENT_FIRED", {})
-        # More injected failures than the 3-attempt default budget.
-        monkeypatch.setenv("REPRO_TRANSIENT", "grep:trace:99")
-        monkeypatch.setenv("REPRO_RETRY_BASE", "0")
-        session = Session(scale="tiny", benchmarks=("grep",))
-        with pytest.raises(Exception):
+    def test_session_survives_transient_faults(self, planted, grep_trace):
+        session, loads, _ = planted(2)
+        trace = session.trace("grep", "ppc")
+        assert session.failures == []
+        assert len(loads) == 3
+        assert len(trace) == len(grep_trace)
+        for key, _ in TRACE_COLUMNS:
+            assert (getattr(trace, key) == getattr(grep_trace, key)).all()
+
+    def test_transient_budget_exhaustion_is_recorded(self, planted):
+        session, loads, _ = planted(3)
+        with pytest.raises(BenchmarkFailure) as caught:
             session.trace("grep", "ppc")
-        assert len(session.failures) == 1
-        assert isinstance(session.failures[0].cause, TransientFaultError)
+        assert isinstance(caught.value.cause, CacheLockTimeout)
+        assert len(loads) == 3
+        assert session.failures == [caught.value]
+        text = run_experiment("tab1", session).text
+        assert "Footnotes:" in text
+        assert ("grep [ppc] omitted -- trace stage failed "
+                "(CacheLockTimeout: cache lock held)") in text
 
 
 class TestCacheResilience:

@@ -83,18 +83,6 @@ class TestCheckCommand:
         assert "9/9 claims hold" in out
 
 
-class TestDoctorCommand:
-    def test_quick_campaign_passes(self, capsys):
-        out = run_cli(capsys, "doctor", "--quick")
-        assert "Fault-injection doctor" in out
-        assert "verdict: OK" in out
-
-    def test_seeded_campaign(self, capsys):
-        out = run_cli(capsys, "doctor", "--seed", "5", "--faults", "9")
-        assert "seed 5" in out
-        assert "9 faults" in out
-
-
 class TestDegradedRuns:
     def test_sabotaged_experiment_all_exits_nonzero(self, capsys,
                                                     monkeypatch):
